@@ -206,10 +206,19 @@ Status Phase1Builder::MergeFrom(const Phase1Builder& other) {
     return Status::InvalidArgument(
         "cannot merge an empty Phase-I builder (no rows added)");
   }
+  Stopwatch watch;
   DAR_RETURN_IF_ERROR(ForEachPart(
       [&](size_t p) { return trees_[p]->MergeFrom(*other.trees_[p]); }));
   rows_added_ += other.rows_added_;
   UpdateOutlierThresholds();
+  if (telemetry_.enabled()) {
+    telemetry_.GetCounter("merge.builder_merges")->Increment(1);
+    telemetry_.GetCounter("merge.rows")->Increment(other.rows_added_);
+    telemetry_
+        .GetHistogram("merge.builder_seconds",
+                      telemetry::Histogram::LatencyBounds())
+        ->Record(watch.ElapsedSeconds());
+  }
   return Status::OK();
 }
 

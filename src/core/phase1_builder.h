@@ -72,6 +72,8 @@ class Phase1Builder {
   /// Finish()/Snapshot() summarizes the union of both inputs without any
   /// rescan. Part-parallel when an executor was given; `other` (which may
   /// come from a decoded checkpoint of another process) is unchanged.
+  /// Records merge.builder_merges / merge.rows counters and a
+  /// merge.builder_seconds histogram on this builder's telemetry context.
   Status MergeFrom(const Phase1Builder& other);
 
   /// Re-absorbs outliers, optionally refines clusters, applies the

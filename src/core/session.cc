@@ -77,12 +77,22 @@ Status Session::CountRuleSupport(const Relation& rel,
 Result<MiningReport> Session::Mine(
     const Relation& rel, const AttributePartition& partition) const {
   registry_->Reset();  // one Mine call == one reported run
+  DAR_ASSIGN_OR_RETURN(Phase1Result phase1, RunPhase1(rel, partition));
+  return FinishRun(std::move(phase1), &rel, partition);
+}
+
+// Session::MineFromCheckpoints is defined in src/persist/merge.cc: it
+// layers on dar_persist, which dar_core must not depend on.
+
+Result<MiningReport> Session::FinishRun(
+    Phase1Result phase1, const Relation* rel,
+    const AttributePartition& partition) const {
   MiningReport report;
-  DAR_ASSIGN_OR_RETURN(report.result.phase1, RunPhase1(rel, partition));
+  report.result.phase1 = std::move(phase1);
   DAR_ASSIGN_OR_RETURN(report.result.phase2,
                        RunPhase2(report.result.phase1));
-  if (config_.count_rule_support) {
-    DAR_RETURN_IF_ERROR(CountRuleSupport(rel, partition,
+  if (rel != nullptr && config_.count_rule_support) {
+    DAR_RETURN_IF_ERROR(CountRuleSupport(*rel, partition,
                                          report.result.phase1,
                                          report.result.phase2.rules));
   }

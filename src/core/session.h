@@ -22,7 +22,6 @@
 
 namespace dar {
 
-class Coordinator;      // core/coordinator.h
 class StreamingMiner;   // stream/streaming_miner.h
 struct RestoredStream;  // stream/streaming_miner.h
 
@@ -144,11 +143,16 @@ class Session {
   [[nodiscard]] Result<RestoredStream> RestoreCheckpoint(
       const std::string& path) const;
 
-  /// Distributed mining front-end (experimental tier): shard Phase I
-  /// across the executor or across processes via checkpoint files, merge
-  /// the summaries (ACF additivity), run Phase II once. The session must
-  /// outlive the returned coordinator. See core/coordinator.h.
-  [[nodiscard]] Coordinator NewCoordinator() const;
+  /// Distributed mining (experimental tier): merges N shard checkpoints
+  /// written by worker processes (persist::MergeCheckpoints, rebuilt under
+  /// THIS session's config, executor and observers) and runs Phase II once
+  /// on the merged summaries — the data itself is never seen (Thm 6.1).
+  /// Mirrors Mine: resets the registry and reports one run. Rule support
+  /// counts stay at -1 (no data for the §6.2 rescan). See DESIGN.md
+  /// "Distributed mining" for the merge contract. Defined in src/persist/
+  /// — callers link the umbrella `dar` target.
+  [[nodiscard]] Result<MiningReport> MineFromCheckpoints(
+      std::span<const std::string> paths) const;
 
   /// Optional §6.2 post-processing: rescans `rel` once and fills
   /// `support_count` of every rule with the number of tuples assigned to
@@ -170,10 +174,6 @@ class Session {
   }
 
  private:
-  // The coordinator drives the session's private pipeline pieces
-  // (observer_or_null, registry) when orchestrating sharded runs.
-  friend class Coordinator;
-
   Session(DarConfig config, std::shared_ptr<Executor> executor,
           std::shared_ptr<ObserverList> observers,
           std::shared_ptr<telemetry::MetricsRegistry> registry)
@@ -187,6 +187,12 @@ class Session {
     return observers_ != nullptr && !observers_->empty() ? observers_.get()
                                                          : nullptr;
   }
+
+  // The run tail Mine and MineFromCheckpoints share: Phase II over
+  // `phase1`, the optional §6.2 support rescan when the data is at hand
+  // (`rel` non-null), the telemetry snapshot and OnRunComplete.
+  Result<MiningReport> FinishRun(Phase1Result phase1, const Relation* rel,
+                                 const AttributePartition& partition) const;
 
   DarConfig config_;
   std::shared_ptr<Executor> executor_;

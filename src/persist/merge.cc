@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "core/coordinator.h"
-#include "core/merge.h"
 #include "core/session.h"
 #include "persist/checkpoint_io.h"
 
@@ -237,7 +235,7 @@ Result<MergedCheckpoint> MergeCheckpoints(std::span<const std::string> paths,
       return Status::InvalidArgument("'" + paths[i] +
                                      "': shard checkpoint is empty (0 rows)");
     }
-    DAR_RETURN_IF_ERROR(MergeBuilders(merged, shard, telemetry));
+    DAR_RETURN_IF_ERROR(merged.MergeFrom(shard));
 
     if (meta.has_shards) {
       for (const ShardInfo& s : meta.shards) {
@@ -304,37 +302,24 @@ Status WriteMergedCheckpoint(const MergedCheckpoint& merged,
 
 namespace dar {
 
-// Defined here rather than in core/coordinator.cc because it layers on
+// Defined here rather than in core/session.cc because it layers on
 // dar_persist (dar_core must not depend on it) — the same arrangement as
 // Session::SaveCheckpoint / RestoreCheckpoint in src/stream/.
-Result<MiningReport> Coordinator::MineFromCheckpoints(
+Result<MiningReport> Session::MineFromCheckpoints(
     std::span<const std::string> paths) const {
-  const Session& session = *session_;
-  session.registry_->Reset();  // mirrors Mine: one call == one reported run
-  telemetry::TelemetryContext telemetry(session.registry_.get());
-
+  registry_->Reset();  // mirrors Mine: one call == one reported run
   persist::MergeOptions options;
-  options.config = &session.config_;
-  options.executor = session.executor_.get();
-  options.observer = session.observer_or_null();
-  options.telemetry = telemetry;
+  options.config = &config_;
+  options.executor = executor_.get();
+  options.observer = observer_or_null();
+  options.telemetry = telemetry::TelemetryContext(registry_.get());
   DAR_ASSIGN_OR_RETURN(persist::MergedCheckpoint merged,
                        persist::MergeCheckpoints(paths, options));
-
-  MiningReport report;
-  DAR_ASSIGN_OR_RETURN(report.result.phase1,
+  DAR_ASSIGN_OR_RETURN(Phase1Result phase1,
                        std::move(merged.builder).Finish());
-  DAR_ASSIGN_OR_RETURN(report.result.phase2,
-                       session.RunPhase2(report.result.phase1));
-  // The data itself is not available here, so the optional §6.2 support
-  // rescan (config.count_rule_support) cannot run: support counts stay at
-  // their unset value.
-  report.telemetry = session.registry_->TakeSnapshot();
-  if (MiningObserver* observer = session.observer_or_null();
-      observer != nullptr) {
-    observer->OnRunComplete(report.telemetry);
-  }
-  return report;
+  // No relation: the data never reaches this process, so the optional
+  // §6.2 support rescan cannot run and support counts stay unset.
+  return FinishRun(std::move(phase1), /*rel=*/nullptr, merged.partition);
 }
 
 }  // namespace dar

@@ -43,8 +43,8 @@ struct MergeOptions {
 
 /// A merged multi-shard Phase-I state plus everything needed to interpret
 /// or re-persist it. Write it back out with WriteMergedCheckpoint, or run
-/// Phase II on `std::move(builder).Finish()` (Coordinator::
-/// MineFromCheckpoints does both ends for you).
+/// Phase II on `std::move(builder).Finish()` (Session::MineFromCheckpoints
+/// does both ends for you).
 struct MergedCheckpoint {
   /// The inputs' shared saved config (NOT MergeOptions::config).
   DarConfig config;

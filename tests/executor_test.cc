@@ -88,28 +88,33 @@ TEST(ExecutorTest, ThreadPoolIsReusableAcrossLoops) {
 }
 
 TEST(ExecutorTest, ThreadPoolChunkingIsStaticAndContiguous) {
-  // With no work stealing, each worker owns one contiguous index range, so
-  // the set of distinct "first index seen by my thread" values is at most
-  // the worker count and every thread's indices are consecutive.
+  // The header's promise: [0, n) splits evenly into min(k, n) contiguous
+  // chunks, the first n % chunks of them one index longer, and each chunk
+  // runs start to end on one thread. A fast worker may legitimately run
+  // several chunks, so only per-chunk ownership and order are asserted.
   ThreadPoolExecutor ex(4);
   const size_t n = 1003;
   std::vector<std::thread::id> owner(n);
+  std::vector<size_t> order(n);  // global invocation sequence number
+  std::atomic<size_t> sequence{0};
   ASSERT_TRUE(ex.ParallelFor(n, [&](size_t i) {
                   owner[i] = std::this_thread::get_id();
+                  order[i] = sequence++;
                   return Status::OK();
                 }).ok());
-  std::set<std::thread::id> distinct(owner.begin(), owner.end());
-  EXPECT_LE(distinct.size(), 4u);
-  // Contiguity: once the owner changes it never changes back.
-  std::set<std::thread::id> closed;
-  std::thread::id current = owner[0];
-  for (size_t i = 1; i < n; ++i) {
-    if (owner[i] == current) continue;
-    closed.insert(current);
-    current = owner[i];
-    EXPECT_EQ(closed.count(current), 0u) << "chunk for one thread split at "
-                                         << i;
+  const size_t chunks = 4;
+  size_t begin = 0;
+  for (size_t c = 0; c < chunks; ++c) {
+    const size_t end = begin + n / chunks + (c < n % chunks ? 1 : 0);
+    for (size_t i = begin + 1; i < end; ++i) {
+      EXPECT_EQ(owner[i], owner[begin]) << "chunk " << c << " split at " << i;
+      EXPECT_LT(order[i - 1], order[i]) << "chunk " << c << " out of order";
+    }
+    begin = end;
   }
+  EXPECT_EQ(begin, n);
+  std::set<std::thread::id> distinct(owner.begin(), owner.end());
+  EXPECT_LE(distinct.size(), chunks);
 }
 
 TEST(ExecutorTest, MakeExecutorDispatch) {

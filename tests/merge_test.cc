@@ -1,9 +1,9 @@
-// Distributed shard-merge mining (core/merge.h, persist/merge.h,
-// core/coordinator.h): ACF additivity (Eq. 3/7, Thm 6.1) lets Phase I run
-// independently over disjoint shards and merge at the summary level. The
-// acceptance pins here: MineSharded / 8-shard MergeCheckpoints + one
-// Phase II equal single-node Mine on exact (integer-valued) data at any
-// shard count in {1,2,4,8} and any thread count, and every merge
+// Distributed shard-merge mining (Phase1Builder::MergeFrom,
+// persist/merge.h, Session::MineFromCheckpoints): ACF additivity (Eq. 3/7,
+// Thm 6.1) lets Phase I run independently over disjoint shards and merge
+// at the summary level. The acceptance pins here: 8-shard
+// MergeCheckpoints + one Phase II equal single-node Mine on exact
+// (integer-valued) data at any thread count, and every merge
 // incompatibility surfaces as a descriptive error Status (run under
 // -DDAR_SANITIZE=address,undefined via `ctest -L ubsan`).
 
@@ -16,14 +16,14 @@
 #include <string>
 #include <vector>
 
-#include "core/coordinator.h"
-#include "core/merge.h"
+#include "core/phase1_builder.h"
 #include "core/session.h"
-#include "datagen/planted.h"
 #include "persist/checkpoint_io.h"
 #include "persist/merge.h"
 #include "persist/wire.h"
 #include "stream/streaming_miner.h"
+#include "telemetry/metrics.h"
+#include "test_util.h"
 
 namespace dar {
 namespace {
@@ -80,25 +80,6 @@ DarConfig IntConfig() {
   return config;
 }
 
-// Float (Gaussian planted) workload for the determinism pins, where values
-// need not be exact — only bit-reproducible.
-PlantedDataset FloatData() {
-  PlantedDataSpec spec = WbcdLikeSpec(/*num_attrs=*/4, /*clusters_per_attr=*/3,
-                                      /*outlier_fraction=*/0.05, /*seed=*/31);
-  auto data = GeneratePlanted(spec, 3000, 32);
-  EXPECT_TRUE(data.ok()) << data.status();
-  return *std::move(data);
-}
-
-DarConfig FloatConfig() {
-  DarConfig config;
-  config.frequency_fraction = 0.05;
-  config.initial_diameters.assign(4, 80.0);
-  config.degree_threshold = 150.0;
-  config.count_rule_support = false;
-  return config;
-}
-
 Result<Session> MakeSession(const DarConfig& config, int threads = 1) {
   return Session::Builder().WithConfig(config).WithThreads(threads).Build();
 }
@@ -113,10 +94,6 @@ void ExpectSameRules(const std::vector<DistanceRule>& a,
     EXPECT_EQ(a[i].cooccurrence_slack, b[i].cooccurrence_slack);
     EXPECT_EQ(a[i].support_count, b[i].support_count);
   }
-}
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
 }
 
 // Mines rows [begin, end) in a one-shot serial worker process stand-in:
@@ -134,7 +111,7 @@ std::string WriteShardCheckpoint(const Session& session, const Relation& rel,
   for (size_t r = begin; r < end; ++r) {
     EXPECT_TRUE((*stream)->IngestRow(rel.Row(r)).ok());
   }
-  const std::string path = TempPath(name);
+  const std::string path = testutil::TempPath(name);
   EXPECT_TRUE((*stream)->SaveCheckpoint(path, dicts).ok());
   return path;
 }
@@ -147,9 +124,11 @@ TEST(MergeBuildersTest, TwoHalvesEqualTheWhole) {
   const DarConfig config = IntConfig();
   const size_t half = data.relation.num_rows() / 2;
 
-  auto make_over = [&](size_t begin, size_t end) {
-    auto builder =
-        Phase1Builder::Make(config, data.schema, data.partition);
+  auto make_over = [&](size_t begin, size_t end,
+                       telemetry::TelemetryContext telemetry = {}) {
+    auto builder = Phase1Builder::Make(config, data.schema, data.partition,
+                                       /*executor=*/nullptr,
+                                       /*observer=*/nullptr, telemetry);
     EXPECT_TRUE(builder.ok()) << builder.status();
     for (size_t r = begin; r < end; ++r) {
       EXPECT_TRUE(builder->AddRow(data.relation.Row(r)).ok());
@@ -157,11 +136,17 @@ TEST(MergeBuildersTest, TwoHalvesEqualTheWhole) {
     return std::move(*builder);
   };
 
-  Phase1Builder merged = make_over(0, half);
+  // The merging builder records merge.* counters on its own telemetry.
+  telemetry::MetricsRegistry registry;
+  Phase1Builder merged =
+      make_over(0, half, telemetry::TelemetryContext(&registry));
   Phase1Builder second = make_over(half, data.relation.num_rows());
   Phase1Builder whole = make_over(0, data.relation.num_rows());
-  ASSERT_TRUE(MergeBuilders(merged, second).ok());
+  ASSERT_TRUE(merged.MergeFrom(second).ok());
   EXPECT_EQ(merged.rows_added(), whole.rows_added());
+  const telemetry::Snapshot counters = registry.TakeSnapshot();
+  EXPECT_EQ(counters.CounterOr("merge.builder_merges"), 1);
+  EXPECT_EQ(counters.CounterOr("merge.rows"), second.rows_added());
 
   auto merged_result = std::move(merged).Finish();
   auto whole_result = std::move(whole).Finish();
@@ -190,7 +175,7 @@ TEST(MergeBuildersTest, RefusesEmptyAndMismatchedInputs) {
   // Empty source: nothing to merge is a caller bug, not a no-op.
   auto empty = Phase1Builder::Make(config, data.schema, data.partition);
   ASSERT_TRUE(empty.ok());
-  Status status = MergeBuilders(*dst, *empty);
+  Status status = dst->MergeFrom(*empty);
   EXPECT_TRUE(status.IsInvalidArgument());
   EXPECT_NE(status.message().find("empty"), std::string::npos) << status;
 
@@ -202,90 +187,7 @@ TEST(MergeBuildersTest, RefusesEmptyAndMismatchedInputs) {
   auto other = Phase1Builder::Make(config, data.schema, *other_partition);
   ASSERT_TRUE(other.ok());
   ASSERT_TRUE(other->AddRow(data.relation.Row(0)).ok());
-  EXPECT_TRUE(MergeBuilders(*dst, *other).IsInvalidArgument());
-}
-
-// ---------------------------------------------------------------------
-// In-process sharded mining.
-
-// The equivalence property at 1/2/4/8 shards and 1/8 threads: on exact
-// data, sharded mining is indistinguishable from single-node mining —
-// clusters, degrees (bitwise) and rescanned support counts all match.
-TEST(CoordinatorTest, MineShardedEqualsSingleNodeOnExactData) {
-  IntDataset data = IntData();
-  DarConfig config = IntConfig();
-  config.count_rule_support = true;  // exercise the §6.2 rescan too
-
-  auto reference_session = MakeSession(config);
-  ASSERT_TRUE(reference_session.ok());
-  auto reference = reference_session->Mine(data.relation, data.partition);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  ASSERT_GT(reference->rules().size(), 0u)
-      << "workload must produce rules for the comparison to mean anything";
-
-  for (int threads : {1, 8}) {
-    auto session = MakeSession(config, threads);
-    ASSERT_TRUE(session.ok());
-    for (size_t shards : {1u, 2u, 4u, 8u}) {
-      auto report = session->NewCoordinator().MineSharded(
-          data.relation, data.partition, shards);
-      ASSERT_TRUE(report.ok())
-          << shards << " shards, " << threads << " threads: "
-          << report.status();
-      EXPECT_EQ(report->phase1().clusters.size(),
-                reference->phase1().clusters.size());
-      EXPECT_EQ(report->phase2().cliques, reference->phase2().cliques);
-      ExpectSameRules(report->rules(), reference->rules());
-      EXPECT_EQ(report->telemetry.CounterOr("merge.shards"),
-                static_cast<int64_t>(shards));
-      EXPECT_EQ(report->telemetry.CounterOr("merge.builder_merges"),
-                static_cast<int64_t>(shards));
-    }
-  }
-}
-
-// On float data, results are a pure function of (data, config, shard
-// count): any two thread counts produce bit-identical reports.
-TEST(CoordinatorTest, MineShardedIsThreadCountInvariant) {
-  PlantedDataset data = FloatData();
-  const DarConfig config = FloatConfig();
-
-  auto serial = MakeSession(config, /*threads=*/1);
-  auto parallel = MakeSession(config, /*threads=*/8);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(parallel.ok());
-  auto a =
-      serial->NewCoordinator().MineSharded(data.relation, data.partition, 4);
-  auto b = parallel->NewCoordinator().MineSharded(data.relation,
-                                                  data.partition, 4);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  ASSERT_GT(a->rules().size(), 0u);
-  EXPECT_EQ(a->phase1().effective_d0, b->phase1().effective_d0);
-  EXPECT_EQ(a->phase2().cliques, b->phase2().cliques);
-  ExpectSameRules(a->rules(), b->rules());
-}
-
-TEST(CoordinatorTest, MineShardedArgumentErrors) {
-  IntDataset data = IntData(/*rows_per_pattern=*/10);
-  auto session = MakeSession(IntConfig());
-  ASSERT_TRUE(session.ok());
-  Coordinator coordinator = session->NewCoordinator();
-
-  EXPECT_TRUE(coordinator.MineSharded(data.relation, data.partition, 0)
-                  .status()
-                  .IsInvalidArgument());
-  Relation empty(data.schema);
-  EXPECT_TRUE(coordinator.MineSharded(empty, data.partition, 4)
-                  .status()
-                  .IsInvalidArgument());
-
-  // More shards than rows: clamped, not an error (every shard non-empty).
-  Relation tiny(data.schema);
-  for (size_t r = 0; r < 5; ++r) {
-    ASSERT_TRUE(tiny.AppendRow(data.relation.Row(r)).ok());
-  }
-  EXPECT_TRUE(coordinator.MineSharded(tiny, data.partition, 8).ok());
+  EXPECT_TRUE(dst->MergeFrom(*other).IsInvalidArgument());
 }
 
 // ---------------------------------------------------------------------
@@ -334,8 +236,7 @@ TEST(MergeCheckpointsTest, EightShardsEqualSingleNodeMine) {
   for (int threads : {1, 8}) {
     auto coordinator_session = MakeSession(config, threads);
     ASSERT_TRUE(coordinator_session.ok());
-    auto report =
-        coordinator_session->NewCoordinator().MineFromCheckpoints(paths);
+    auto report = coordinator_session->MineFromCheckpoints(paths);
     ASSERT_TRUE(report.ok()) << threads << " threads: " << report.status();
     EXPECT_EQ(report->phase1().clusters.size(),
               reference->phase1().clusters.size());
@@ -343,6 +244,11 @@ TEST(MergeCheckpointsTest, EightShardsEqualSingleNodeMine) {
     ExpectSameRules(report->rules(), reference->rules());
     EXPECT_EQ(report->telemetry.CounterOr("merge.checkpoints"), 8);
     EXPECT_EQ(report->telemetry.CounterOr("merge.shards"), 8);
+    // Shard 0 is decoded as the merge target; shards 1-7 merge into it.
+    EXPECT_EQ(report->telemetry.CounterOr("merge.builder_merges"), 7);
+    EXPECT_EQ(report->telemetry.CounterOr("merge.rows"),
+              static_cast<int64_t>(data.relation.num_rows() -
+                                   data.relation.num_rows() / 8));
   }
   RemoveAll(paths);
 }
@@ -362,17 +268,16 @@ TEST(MergeCheckpointsTest, MergedCheckpointMergesAgain) {
       std::span<const std::string>(paths.data(), 3));
   ASSERT_TRUE(partial.ok()) << partial.status();
   ASSERT_EQ(partial->shards.size(), 3u);
-  const std::string merged_path = TempPath("tree_merged.ckpt");
+  const std::string merged_path = testutil::TempPath("tree_merged.ckpt");
   ASSERT_TRUE(persist::WriteMergedCheckpoint(*partial, merged_path).ok());
 
   // ...then merge it with the straggler. Provenance is the union.
   const std::vector<std::string> second_round = {merged_path, paths[3]};
   auto session = MakeSession(config);
   ASSERT_TRUE(session.ok());
-  auto tree_report =
-      session->NewCoordinator().MineFromCheckpoints(second_round);
+  auto tree_report = session->MineFromCheckpoints(second_round);
   ASSERT_TRUE(tree_report.ok()) << tree_report.status();
-  auto flat_report = session->NewCoordinator().MineFromCheckpoints(paths);
+  auto flat_report = session->MineFromCheckpoints(paths);
   ASSERT_TRUE(flat_report.ok());
   ASSERT_GT(flat_report->rules().size(), 0u);
   ExpectSameRules(tree_report->rules(), flat_report->rules());
@@ -670,7 +575,7 @@ TEST(MergeCheckpointsTest, SingleCheckpointMergeMatchesItsOwnRemine) {
 
   const std::vector<std::string> paths =
       WriteShardFleet(config, data.relation, data.partition, 1, "single");
-  auto report = session->NewCoordinator().MineFromCheckpoints(paths);
+  auto report = session->MineFromCheckpoints(paths);
   ASSERT_TRUE(report.ok()) << report.status();
   ExpectSameRules(report->rules(), reference->rules());
   RemoveAll(paths);

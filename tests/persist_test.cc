@@ -22,6 +22,7 @@
 #include "persist/wire.h"
 #include "stream/streaming_miner.h"
 #include "stream_test_peer.h"
+#include "test_util.h"
 
 namespace dar {
 namespace {
@@ -177,7 +178,7 @@ TEST(CheckpointIoTest, DuplicateSectionsRefused) {
 }
 
 TEST(CheckpointIoTest, FileRoundTripIsAtomic) {
-  const std::string path = testing::TempDir() + "/ckpt_io_test.darckpt";
+  const std::string path = testutil::TempPath("ckpt_io_test.darckpt");
   CheckpointWriter writer;
   writer.AddSection(SectionId::kConfig, "payload");
   size_t bytes = 0;
@@ -193,7 +194,7 @@ TEST(CheckpointIoTest, FileRoundTripIsAtomic) {
 
 TEST(CheckpointIoTest, OpenMissingFileIsIOError) {
   auto reader =
-      CheckpointReader::Open(testing::TempDir() + "/no_such_ckpt.darckpt");
+      CheckpointReader::Open(testutil::TempPath("no_such_ckpt.darckpt"));
   ASSERT_FALSE(reader.ok());
   EXPECT_TRUE(reader.status().IsIOError());
   EXPECT_NE(reader.status().message().find("no_such_ckpt"),
@@ -323,10 +324,6 @@ Result<Session> TestSession(int threads = 1) {
       .Build();
 }
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
-
 // Cadence disabled: tests publish explicitly via Remine().
 StreamConfig ManualRemine() {
   StreamConfig sc;
@@ -368,7 +365,7 @@ std::string MakeCheckpoint(const Session& session, const PlantedDataset& data,
   EXPECT_TRUE(stream.ok()) << stream.status();
   EXPECT_TRUE((*stream)->Ingest(data.relation).ok());
   EXPECT_TRUE((*stream)->Remine().ok());
-  const std::string path = TempPath(name);
+  const std::string path = testutil::TempPath(name);
   EXPECT_TRUE((*stream)->SaveCheckpoint(path).ok());
   return path;
 }
@@ -389,7 +386,7 @@ TEST(StreamCheckpointTest, SaveRestoreSaveIsByteIdentical) {
 
   // The restored stream's state re-serializes to the exact same bytes: the
   // decode-encode cycle loses nothing.
-  const std::string path2 = TempPath("roundtrip2.ckpt");
+  const std::string path2 = testutil::TempPath("roundtrip2.ckpt");
   ASSERT_TRUE(restored->stream->SaveCheckpoint(path2).ok());
   EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(path2));
   std::remove(path.c_str());
@@ -422,7 +419,7 @@ TEST(StreamCheckpointTest, RemineAfterRestoreIsBitIdenticalAtAnyThreadCount) {
   auto original = (*stream)->Remine();
   ASSERT_TRUE(original.ok());
   ASSERT_GT((*original)->rules().size(), 0u);
-  const std::string path = TempPath("threads.ckpt");
+  const std::string path = testutil::TempPath("threads.ckpt");
   ASSERT_TRUE((*stream)->SaveCheckpoint(path).ok());
 
   for (int threads : {1, 4}) {
@@ -475,7 +472,7 @@ TEST(StreamCheckpointTest, CheckpointWithoutSnapshotRestores) {
   ASSERT_TRUE(stream.ok());
   ASSERT_TRUE((*stream)->Ingest(data.relation).ok());
   // No Remine: generation 0, nothing published.
-  const std::string path = TempPath("nosnap.ckpt");
+  const std::string path = testutil::TempPath("nosnap.ckpt");
   ASSERT_TRUE((*stream)->SaveCheckpoint(path).ok());
   auto restored = session->RestoreCheckpoint(path);
   ASSERT_TRUE(restored.ok()) << restored.status();
@@ -497,7 +494,7 @@ TEST(StreamCheckpointTest, DictionariesTravelWithTheCheckpoint) {
   std::vector<Dictionary> dicts(1);
   dicts[0].Encode("alpha");
   dicts[0].Encode("beta");
-  const std::string path = TempPath("dicts.ckpt");
+  const std::string path = testutil::TempPath("dicts.ckpt");
   ASSERT_TRUE(session->SaveCheckpoint(**stream, path, dicts).ok());
   auto restored = session->RestoreCheckpoint(path);
   ASSERT_TRUE(restored.ok()) << restored.status();
@@ -511,8 +508,7 @@ TEST(StreamCheckpointTest, DictionariesTravelWithTheCheckpoint) {
 
 // Full restore attempt over possibly-corrupt bytes; must never crash.
 Status TryRestore(const std::string& bytes) {
-  const std::string path =
-      testing::TempDir() + "/fault_injected.ckpt";
+  const std::string path = testutil::TempPath("fault_injected.ckpt");
   WriteFileBytes(path, bytes);
   auto restored = StreamingMiner::RestoreFromFile(
       path, TestConfig(), /*executor=*/nullptr, /*registry=*/nullptr);

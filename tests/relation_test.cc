@@ -9,6 +9,7 @@
 #include "relation/partition.h"
 #include "relation/relation.h"
 #include "relation/schema.h"
+#include "test_util.h"
 
 namespace dar {
 namespace {
@@ -331,8 +332,7 @@ TEST(CsvTest, SourceNamePrefixesParseErrors) {
 }
 
 TEST(CsvTest, ReadCsvFileErrorsNameThePath) {
-  const std::string path =
-      testing::TempDir() + "/dar_relation_test_malformed.csv";
+  const std::string path = testutil::TempPath("malformed.csv");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << "a,b\n1,not_a_number\n";

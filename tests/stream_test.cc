@@ -20,6 +20,7 @@
 #include "stream/rule_snapshot.h"
 #include "stream/streaming_miner.h"
 #include "stream_test_peer.h"
+#include "test_util.h"
 
 namespace dar {
 namespace {
@@ -401,7 +402,7 @@ TEST(StreamTest, ConcurrentReadersSeeConsistentSnapshots) {
 TEST(StreamTest, KillRestoreContinueEqualsUninterruptedStream) {
   PlantedDataset data = TestData();
   const size_t total = data.relation.num_rows();  // 3000
-  const std::string ckpt = testing::TempDir() + "/stream_kill.ckpt";
+  const std::string ckpt = testutil::TempPath("stream_kill.ckpt");
 
   StreamConfig cadence;
   cadence.remine_every_rows = 500;
@@ -660,7 +661,7 @@ TEST(StreamQualityTest, InjectedDriftFlaggedAndStationaryControlQuiet) {
 // post-scan counts and scores equal the uninterrupted stream's.
 TEST(StreamQualityTest, RetainedRowsCheckpointRoundTrip) {
   PlantedDataset data = TestData();
-  const std::string ckpt = testing::TempDir() + "/stream_quality.ckpt";
+  const std::string ckpt = testutil::TempPath("stream_quality.ckpt");
 
   auto session = QualitySession();
   ASSERT_TRUE(session.ok());
@@ -693,7 +694,7 @@ TEST(StreamQualityTest, RetainedRowsCheckpointRoundTrip) {
 // loudly instead of publishing support_count = -1 (or wrong scores).
 TEST(StreamQualityTest, CheckpointWithoutRetainedRowsRefusesSupportConfig) {
   PlantedDataset data = TestData();
-  const std::string ckpt = testing::TempDir() + "/stream_nosupport.ckpt";
+  const std::string ckpt = testutil::TempPath("stream_nosupport.ckpt");
 
   auto plain_session = TestSession();  // count_rule_support = false
   ASSERT_TRUE(plain_session.ok());

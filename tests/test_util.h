@@ -1,7 +1,13 @@
 #ifndef DAR_TESTS_TEST_UTIL_H_
 #define DAR_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -9,6 +15,26 @@
 
 namespace dar {
 namespace testutil {
+
+/// A scratch file path under testing::TempDir() that no other test
+/// process can collide on: `name` is prefixed with the running test's
+/// suite and name (just the suite inside SetUpTestSuite) and the process
+/// id. gtest_discover_tests runs every TEST as its own process, so under
+/// `ctest -j` fixed file names shared by two tests — or by two processes
+/// of one suite running its SetUpTestSuite — would collide.
+inline std::string TempPath(const std::string& name) {
+  const testing::UnitTest& unit = *testing::UnitTest::GetInstance();
+  std::string prefix;
+  if (const testing::TestInfo* test = unit.current_test_info()) {
+    prefix = std::string(test->test_suite_name()) + "." + test->name();
+  } else if (const testing::TestSuite* suite = unit.current_test_suite()) {
+    prefix = suite->name();
+  }
+  // Parameterized tests carry '/' in their names.
+  std::replace(prefix.begin(), prefix.end(), '/', '_');
+  return testing::TempDir() + "/" + prefix + "." +
+         std::to_string(getpid()) + "." + name;
+}
 
 /// A set of points (row-major) used as brute-force reference input.
 using Points = std::vector<std::vector<double>>;

@@ -39,6 +39,13 @@ The "merge" suite likewise: every run must name its shard count
 (params.num_shards >= 1) and its telemetry must record exactly that many
 merged checkpoints (counters["merge.checkpoints"]) — a run that silently
 merged fewer shards than it claims is a broken benchmark, not a slow one.
+Each run also diffs its merged rules against single-node Mine, and the
+merge contract is checked on that diff: at one shard every rule is
+unchanged (the lone checkpoint is decoded, not re-inserted); beyond one
+shard the merged cluster count (counters["phase1.clusters"]) equals
+single-node and born + died stays within 10% of params.single_node_rules.
+BIRCH trees depend on insertion order, so rule-for-rule equality past one
+shard is not a contract the algorithm can meet.
 
 The "quality" suite: every run must keep pruned <= total with finite
 score extrema, the stationary control (params.drift_injected == 0) must
@@ -202,6 +209,47 @@ def check_merge_run(errors, where, run):
         errors.append(f"{where}.telemetry: counters['merge.checkpoints'] "
                       f"must equal params.num_shards ({num_shards:g}), "
                       f"got {merged.get('value') if isinstance(merged, dict) else merged!r}")
+    check_merge_contract(errors, where, params, counters)
+
+
+# Past one shard, born + died may be at most this share of the
+# single-node rule count.
+MERGE_MAX_CHURN = 0.10
+
+
+def check_merge_contract(errors, where, params, counters):
+    """The merge contract, on the run's diff against single-node Mine:
+    exact at one shard; same clusters and bounded rule churn beyond."""
+    keys = ("rules", "single_node_rules", "single_node_clusters", "born",
+            "died", "drifted", "unchanged")
+    missing = [k for k in keys if not is_number(params.get(k))]
+    if missing:
+        errors.append(f"{where}.params: missing numeric {missing}")
+        return
+    rules = params["rules"]
+    if params["unchanged"] + params["drifted"] + params["born"] != rules:
+        errors.append(f"{where}.params: unchanged + drifted + born must "
+                      f"equal rules ({rules:g})")
+    if params["num_shards"] == 1:
+        if not (params["born"] == params["died"] == params["drifted"] == 0
+                and params["unchanged"] == params["single_node_rules"]):
+            errors.append(f"{where}.params: one shard must reproduce "
+                          "single-node exactly (every rule unchanged), got "
+                          f"born={params['born']:g} died={params['died']:g} "
+                          f"drifted={params['drifted']:g}")
+        return
+    clusters = counters.get("phase1.clusters", {})
+    value = clusters.get("value") if isinstance(clusters, dict) else None
+    if value != params["single_node_clusters"]:
+        errors.append(f"{where}.telemetry: counters['phase1.clusters'] "
+                      f"({value!r}) must equal params.single_node_clusters "
+                      f"({params['single_node_clusters']:g})")
+    churn = params["born"] + params["died"]
+    bound = MERGE_MAX_CHURN * params["single_node_rules"]
+    if churn > bound:
+        errors.append(f"{where}.params: born + died = {churn:g} exceeds "
+                      f"{MERGE_MAX_CHURN:.0%} of single_node_rules "
+                      f"({bound:g})")
 
 
 def check_quality_run(errors, where, run):

@@ -40,6 +40,12 @@ Checked invariants (library code = everything under src/):
   test-registered  every tests/*_test.cc is registered with dar_add_test()
                    in tests/CMakeLists.txt (an unregistered test silently
                    never runs).
+  unique-temp-path no `TempDir() + "..."` literal under tests/ outside
+                   tests/test_util.h: gtest_discover_tests runs every TEST
+                   as its own process, so a fixed file name under
+                   testing::TempDir() collides under `ctest -j`. Use
+                   testutil::TempPath(name), which prefixes the running
+                   test and the process id.
 
 Usage: tools/dar_lint.py [--root REPO_ROOT]
 
@@ -56,6 +62,7 @@ import sys
 LOGGING_ALLOWLIST = {"src/common/logging.h"}
 RNG_ALLOWLIST = {"src/common/random.h"}
 MUTEX_ALLOWLIST = {"src/common/mutex.h"}
+TEMP_PATH_ALLOWLIST = {"tests/test_util.h"}
 DEPRECATED_ALLOWLIST_PREFIX = "src/common/"
 
 IOSTREAM_RE = re.compile(r"std::cout|std::cerr|(?<![\w:.])(?:std::)?abort\s*\(")
@@ -69,6 +76,7 @@ RAW_MUTEX_RE = re.compile(
     r"|std::condition_variable(?:_any)?\b")
 DETACH_RE = re.compile(r"\.\s*detach\s*\(")
 DEPRECATED_RE = re.compile(r"\[\[\s*(?:\w+\s*::\s*)?deprecated\b")
+TEMP_PATH_RE = re.compile(r"\bTempDir\(\)\s*\+\s*\"")
 GUARD_IF_RE = re.compile(r"^#ifndef\s+(\S+)\s*$")
 GUARD_DEF_RE = re.compile(r"^#define\s+(\S+)\s*$")
 GUARD_END_RE = re.compile(r"^#endif\s*//\s*(\S+)\s*$")
@@ -220,6 +228,28 @@ def check_tests_registered(root, findings):
                              "tests/CMakeLists.txt or the test never runs"))
 
 
+def check_temp_paths(root, findings):
+    tests = root / "tests"
+    for path in sorted(tests.rglob("*")):
+        if path.suffix not in (".h", ".cc") or not path.is_file():
+            continue
+        rel = path.relative_to(root)
+        if str(rel) in TEMP_PATH_ALLOWLIST:
+            continue
+        text = path.read_text()
+        # The literal itself is blanked in the stripped view, so match the
+        # raw line and use the stripped one (same columns) to skip matches
+        # inside comments and strings.
+        code = strip_comments_and_strings(text).splitlines()
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            m = TEMP_PATH_RE.search(line)
+            if m and code[lineno - 1][m.start()] == "T":
+                findings.append((rel, lineno, "unique-temp-path",
+                                 "fixed file names under testing::TempDir() "
+                                 "collide under ctest -j; use "
+                                 "testutil::TempPath (tests/test_util.h)"))
+
+
 def run(root):
     findings = []
     src = root / "src"
@@ -232,6 +262,7 @@ def run(root):
             check_header_guard(path, rel, text, findings)
         check_code_rules(rel, text, findings)
     check_tests_registered(root, findings)
+    check_temp_paths(root, findings)
     findings.sort(key=lambda f: (str(f[0]), f[1], f[2]))
     for rel, lineno, rule, message in findings:
         print(f"{rel}:{lineno}: [{rule}] {message}")

@@ -29,6 +29,7 @@ ALL_RULES = {
     "no-detached-thread",
     "no-lingering-deprecated",
     "test-registered",
+    "unique-temp-path",
 }
 
 
