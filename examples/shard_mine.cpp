@@ -2,7 +2,7 @@
 // shard of the relation and write a checkpoint; the coordinator process
 // merges the checkpoints at the ACF-summary level (Thm 6.1 additivity)
 // and runs Phase II exactly once. No tuple crosses a process boundary —
-// only CRC-guarded checkpoint files, the same format `dar_ckpt.py`
+// only CRC-guarded checkpoint files, the same format `tools/dar_ckpt`
 // inspects and streams recover from.
 //
 // The workload is integer-valued, so every CF sum is exact and the mined

@@ -1,6 +1,10 @@
 #include "persist/codec.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <concepts>
+#include <cstdlib>
 #include <utility>
 
 #include "persist/persist_peer.h"
@@ -309,8 +313,7 @@ Result<std::unique_ptr<Node>> PersistPeer::DecodeNode(
 // PersistPeer: AcfTree
 // ---------------------------------------------------------------------------
 
-// Tree blob layout (fixed offsets through num_leaf_entries, which
-// tools/dar_ckpt.py reads without a full ACF decoder):
+// Tree blob layout (byte offsets):
 //   0   u32  own_part
 //   4   i32  branching_factor        |
 //   8   i32  leaf_capacity            |
@@ -504,6 +507,27 @@ Result<Phase1Builder> PersistPeer::DecodeBuilder(
                         observer, telemetry);
   builder.rows_added_ = rows_added;
   return builder;
+}
+
+std::vector<std::string> PersistPeer::DescribeTrees(
+    const Phase1Builder& builder) {
+  std::vector<std::string> lines;
+  for (size_t p = 0; p < builder.trees_.size(); ++p) {
+    const AcfTree& tree = *builder.trees_[p];
+    lines.push_back(
+        "tree[" + std::to_string(p) + "] part=" +
+        std::to_string(tree.own_part_) +
+        " nodes=" + std::to_string(tree.num_nodes_) +
+        " leaf_entries=" + std::to_string(tree.num_leaf_entries_) +
+        " outlier_buffer=" + std::to_string(tree.outlier_buffer_.size()) +
+        " outliers=" + std::to_string(tree.outliers_.size()) +
+        " points=" + std::to_string(tree.points_inserted_) +
+        " rebuilds=" + std::to_string(tree.rebuild_count_) +
+        " splits=" + std::to_string(tree.split_count_) +
+        " branching=" + std::to_string(tree.options_.branching_factor) +
+        " leaf_capacity=" + std::to_string(tree.options_.leaf_capacity));
+  }
+  return lines;
 }
 
 // ---------------------------------------------------------------------------
@@ -963,6 +987,444 @@ Result<DecodedResults> DecodeResultsSection(std::string_view bytes) {
   DAR_ASSIGN_OR_RETURN(out.phase2.seconds, r.F64());
   DAR_RETURN_IF_ERROR(r.ExpectEnd("results section"));
   return out;
+}
+
+std::string EncodeStreamStateSection(const StreamState& state) {
+  const StreamConfig& sc = state.stream_config;
+  WireWriter w;
+  w.U64(state.generation);
+  w.I64(state.rows_ingested);
+  w.I64(state.rows_at_snapshot);
+  w.I64(state.rows_at_checkpoint);
+  w.I64(sc.remine_every_rows);
+  w.U8(sc.build_rule_index ? 1 : 0);
+  w.I64(sc.checkpoint_every_rows);
+  w.Str(sc.checkpoint_path);
+  // Quality knobs: an appended tail, so sections written before the
+  // quality layer existed still decode.
+  w.U32(static_cast<uint32_t>(sc.score_measures.size()));
+  for (const std::string& name : sc.score_measures) w.Str(name);
+  w.U8(sc.prune_redundant ? 1 : 0);
+  w.F64(sc.prune_min_overlap);
+  w.U8(sc.diff_snapshots ? 1 : 0);
+  w.F64(sc.drift_interval_tolerance);
+  w.F64(sc.drift_degree_tolerance);
+  return std::move(w).Take();
+}
+
+namespace {
+
+// `has_quality_tail` reports whether the section carried the quality knobs
+// (DescribeCheckpoint prints them only then).
+Result<StreamState> DecodeStreamState(std::string_view bytes,
+                                      bool& has_quality_tail) {
+  WireReader r(bytes);
+  StreamState s;
+  StreamConfig& sc = s.stream_config;
+  DAR_ASSIGN_OR_RETURN(s.generation, r.U64());
+  DAR_ASSIGN_OR_RETURN(s.rows_ingested, r.I64());
+  DAR_ASSIGN_OR_RETURN(s.rows_at_snapshot, r.I64());
+  DAR_ASSIGN_OR_RETURN(s.rows_at_checkpoint, r.I64());
+  DAR_ASSIGN_OR_RETURN(sc.remine_every_rows, r.I64());
+  DAR_ASSIGN_OR_RETURN(sc.build_rule_index,
+                       ReadBool(r, "stream state build_rule_index"));
+  DAR_ASSIGN_OR_RETURN(sc.checkpoint_every_rows, r.I64());
+  DAR_ASSIGN_OR_RETURN(sc.checkpoint_path, r.Str());
+  has_quality_tail = r.remaining() > 0;
+  if (has_quality_tail) {
+    DAR_ASSIGN_OR_RETURN(size_t num_measures,
+                         ReadCount(r, 4, "stream state score measure"));
+    sc.score_measures.reserve(num_measures);
+    for (size_t m = 0; m < num_measures; ++m) {
+      DAR_ASSIGN_OR_RETURN(std::string name, r.Str());
+      sc.score_measures.push_back(std::move(name));
+    }
+    DAR_ASSIGN_OR_RETURN(sc.prune_redundant,
+                         ReadBool(r, "stream state prune_redundant"));
+    DAR_ASSIGN_OR_RETURN(sc.prune_min_overlap, r.F64());
+    DAR_ASSIGN_OR_RETURN(sc.diff_snapshots,
+                         ReadBool(r, "stream state diff_snapshots"));
+    DAR_ASSIGN_OR_RETURN(sc.drift_interval_tolerance, r.F64());
+    DAR_ASSIGN_OR_RETURN(sc.drift_degree_tolerance, r.F64());
+  }
+  DAR_RETURN_IF_ERROR(r.ExpectEnd("stream state section"));
+  DAR_RETURN_IF_ERROR(sc.Validate());
+  if (s.rows_ingested < 0 || s.rows_at_snapshot < 0 ||
+      s.rows_at_checkpoint < 0 || s.rows_at_snapshot > s.rows_ingested ||
+      s.rows_at_checkpoint > s.rows_ingested) {
+    return Status::InvalidArgument(
+        "stream state counters out of range: rows_ingested " +
+        std::to_string(s.rows_ingested) + ", rows_at_snapshot " +
+        std::to_string(s.rows_at_snapshot) + ", rows_at_checkpoint " +
+        std::to_string(s.rows_at_checkpoint));
+  }
+  return s;
+}
+
+}  // namespace
+
+Result<StreamState> DecodeStreamStateSection(std::string_view bytes) {
+  bool has_quality_tail = false;
+  return DecodeStreamState(bytes, has_quality_tail);
+}
+
+std::string EncodeRetainedRowsSection(const Relation& rows) {
+  WireWriter w;
+  w.U64(rows.num_rows());
+  w.U64(rows.num_columns());
+  for (size_t r = 0; r < rows.num_rows(); ++r) {
+    for (double value : rows.Row(r)) w.F64(value);
+  }
+  return std::move(w).Take();
+}
+
+Result<Relation> DecodeRetainedRowsSection(std::string_view bytes,
+                                           const Schema& schema) {
+  WireReader r(bytes);
+  DAR_ASSIGN_OR_RETURN(uint64_t rows, r.U64());
+  DAR_ASSIGN_OR_RETURN(uint64_t cols, r.U64());
+  Relation rel(schema);
+  if (cols != rel.num_columns()) {
+    return Status::InvalidArgument(
+        "retained rows section has " + std::to_string(cols) +
+        " columns, schema has " + std::to_string(rel.num_columns()));
+  }
+  // The values must fill the rest of the payload exactly. Dividing rather
+  // than multiplying keeps a corrupt row count from overflowing the check.
+  const uint64_t row_bytes = 8 * cols;
+  const bool fits = row_bytes == 0
+                        ? rows == 0 && r.remaining() == 0
+                        : r.remaining() % row_bytes == 0 &&
+                              r.remaining() / row_bytes == rows;
+  if (!fits) {
+    return Status::InvalidArgument(
+        "retained rows section claims " + std::to_string(rows) + " rows of " +
+        std::to_string(cols) + " columns, but " +
+        std::to_string(r.remaining()) + " value bytes remain");
+  }
+  rel.Reserve(static_cast<size_t>(rows));
+  std::vector<double> row(static_cast<size_t>(cols));
+  for (uint64_t i = 0; i < rows; ++i) {
+    DAR_RETURN_IF_ERROR(ReadF64s(r, row.size(), row, "retained row"));
+    DAR_RETURN_IF_ERROR(rel.AppendRow(row));
+  }
+  return rel;
+}
+
+Result<CheckpointMeta> DecodeCheckpointMeta(const CheckpointReader& reader) {
+  CheckpointMeta meta;
+  DAR_ASSIGN_OR_RETURN(std::string_view config_bytes,
+                       reader.Section(SectionId::kConfig));
+  DAR_ASSIGN_OR_RETURN(meta.config, DecodeConfigSection(config_bytes));
+  DAR_ASSIGN_OR_RETURN(std::string_view schema_bytes,
+                       reader.Section(SectionId::kSchema));
+  DAR_ASSIGN_OR_RETURN(meta.schema, DecodeSchemaSection(schema_bytes));
+  DAR_ASSIGN_OR_RETURN(std::string_view partition_bytes,
+                       reader.Section(SectionId::kPartition));
+  DAR_ASSIGN_OR_RETURN(meta.partition,
+                       DecodePartitionSection(partition_bytes, meta.schema));
+  if (reader.HasSection(SectionId::kDictionaries)) {
+    DAR_ASSIGN_OR_RETURN(std::string_view dict_bytes,
+                         reader.Section(SectionId::kDictionaries));
+    DAR_ASSIGN_OR_RETURN(meta.dictionaries,
+                         DecodeDictionariesSection(dict_bytes));
+  }
+  if (reader.HasSection(SectionId::kShards)) {
+    DAR_ASSIGN_OR_RETURN(std::string_view shard_bytes,
+                         reader.Section(SectionId::kShards));
+    DAR_ASSIGN_OR_RETURN(meta.shards, DecodeShardsSection(shard_bytes));
+  }
+  return meta;
+}
+
+void AddCommonSections(CheckpointWriter& writer, const DarConfig& config,
+                       const Schema& schema,
+                       const AttributePartition& partition,
+                       std::span<const Dictionary> dictionaries,
+                       const StreamState* stream_state,
+                       const Phase1Builder& builder,
+                       std::span<const ShardInfo> shards) {
+  writer.AddSection(SectionId::kConfig, EncodeConfigSection(config));
+  writer.AddSection(SectionId::kSchema, EncodeSchemaSection(schema));
+  writer.AddSection(SectionId::kPartition, EncodePartitionSection(partition));
+  if (!dictionaries.empty()) {
+    writer.AddSection(SectionId::kDictionaries,
+                      EncodeDictionariesSection(dictionaries));
+  }
+  if (stream_state != nullptr) {
+    writer.AddSection(SectionId::kStreamState,
+                      EncodeStreamStateSection(*stream_state));
+  }
+  writer.AddSection(SectionId::kBuilder, EncodeBuilderSection(builder));
+  writer.AddSection(SectionId::kShards, EncodeShardsSection(shards));
+}
+
+// ---------------------------------------------------------------------------
+// DescribeCheckpoint
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::string Lit(bool value) { return value ? "True" : "False"; }
+
+template <std::integral T>
+std::string Lit(T value) {
+  return std::to_string(value);
+}
+
+// Python's repr: the shortest digits that round-trip, positional for
+// decimal exponents in [-4, 16) with a trailing ".0" on integers,
+// scientific with an at least two-digit exponent otherwise.
+std::string Lit(double value) {
+  if (std::isnan(value)) return "nan";
+  if (std::isinf(value)) return value < 0 ? "-inf" : "inf";
+  char buf[32];
+  const std::to_chars_result sci = std::to_chars(
+      buf, buf + sizeof(buf), std::fabs(value), std::chars_format::scientific);
+  char* e = std::find(buf, sci.ptr, 'e');
+  std::string digits(buf, e);  // "d" or "d.ddd"
+  std::erase(digits, '.');
+  const int exponent = std::stoi(std::string(e + 1, sci.ptr));
+  const int point = exponent + 1;  // digits before the decimal point
+  const int n = static_cast<int>(digits.size());
+  const std::string sign = std::signbit(value) ? "-" : "";
+  if (point <= -4 || point > 16) {
+    const std::string mag = std::to_string(std::abs(exponent));
+    return sign + digits[0] + (n > 1 ? "." + digits.substr(1) : "") +
+           (exponent < 0 ? "e-" : "e+") + (mag.size() < 2 ? "0" : "") + mag;
+  }
+  if (point <= 0) return sign + "0." + std::string(-point, '0') + digits;
+  if (point >= n) return sign + digits + std::string(point - n, '0') + ".0";
+  return sign + digits.substr(0, point) + "." + digits.substr(point);
+}
+
+// Python's repr of a str: single quotes unless the text holds a single
+// quote and no double quote; backslash escapes for that quote, backslash
+// and control characters.
+std::string Lit(std::string_view s) {
+  const char quote = s.find('\'') != std::string_view::npos &&
+                             s.find('"') == std::string_view::npos
+                         ? '"'
+                         : '\'';
+  std::string out(1, quote);
+  for (const char c : s) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == quote || c == '\\') {
+      out += {'\\', c};
+    } else if (c == '\n' || c == '\r' || c == '\t') {
+      out += {'\\', c == '\n' ? 'n' : c == '\r' ? 'r' : 't'};
+    } else if (byte < 0x20 || byte == 0x7F) {
+      constexpr char kHex[] = "0123456789abcdef";
+      out += {'\\', 'x', kHex[byte >> 4], kHex[byte & 0xF]};
+    } else {
+      out += c;
+    }
+  }
+  return out + quote;
+}
+
+template <typename Items, typename Format>
+std::string ListLit(const Items& items, Format format) {
+  std::string out;
+  for (const auto& item : items) {
+    out += (out.empty() ? "" : ", ") + format(item);
+  }
+  return "[" + out + "]";
+}
+
+template <typename Items>
+std::string ListLit(const Items& items) {
+  return ListLit(items, [](const auto& item) { return Lit(item); });
+}
+
+constexpr const char* kMetricNames[] = {"euclidean", "manhattan",
+                                       "discrete"};
+
+struct Summary {
+  bool show_floats;
+  std::string text;
+
+  void Line(int indent, std::string_view line) {
+    text.append(2 * static_cast<size_t>(indent), ' ').append(line) += '\n';
+  }
+  // "name: value" one level in.
+  void Field(std::string_view name, std::string_view value) {
+    Line(1, std::string(name) + ": " + std::string(value));
+  }
+  [[nodiscard]] std::string Float(double value) const {
+    return show_floats ? Lit(value) : "_";
+  }
+  [[nodiscard]] std::string Floats(std::span<const double> values) const {
+    return ListLit(values, [this](double v) { return Float(v); });
+  }
+};
+
+void DescribeConfig(Summary& out, const DarConfig& c) {
+  out.Field("memory_budget_bytes", Lit(c.memory_budget_bytes));
+  out.Field("frequency_fraction", out.Float(c.frequency_fraction));
+  out.Field("outlier_fraction", out.Float(c.outlier_fraction));
+  out.Field("initial_diameters", out.Floats(c.initial_diameters));
+  out.Field("tree.branching_factor", Lit(c.tree.branching_factor));
+  out.Field("tree.leaf_capacity", Lit(c.tree.leaf_capacity));
+  out.Field("tree.threshold_growth", out.Float(c.tree.threshold_growth));
+  out.Field("refine_clusters", Lit(c.refine_clusters));
+  out.Field("metric", "D" + Lit(static_cast<int>(c.metric)));
+  out.Field("degree_threshold", out.Float(c.degree_threshold));
+  out.Field("degree_thresholds", out.Floats(c.degree_thresholds));
+  out.Field("density_thresholds", out.Floats(c.density_thresholds));
+  out.Field("phase2_leniency", out.Float(c.phase2_leniency));
+  out.Field("prune_low_density_images", Lit(c.prune_low_density_images));
+  out.Field("max_antecedent", Lit(c.max_antecedent));
+  out.Field("max_consequent", Lit(c.max_consequent));
+  out.Field("max_rules", Lit(c.max_rules));
+  out.Field("max_cliques", Lit(c.max_cliques));
+  out.Field("count_rule_support", Lit(c.count_rule_support));
+}
+
+Status DescribeStreamState(Summary& out, std::string_view bytes) {
+  bool has_quality_tail = false;
+  DAR_ASSIGN_OR_RETURN(StreamState s,
+                       DecodeStreamState(bytes, has_quality_tail));
+  const StreamConfig& sc = s.stream_config;
+  out.Field("generation", Lit(s.generation));
+  out.Field("rows_ingested", Lit(s.rows_ingested));
+  out.Field("rows_at_snapshot", Lit(s.rows_at_snapshot));
+  out.Field("rows_at_checkpoint", Lit(s.rows_at_checkpoint));
+  out.Field("remine_every_rows", Lit(sc.remine_every_rows));
+  out.Field("build_rule_index", Lit(sc.build_rule_index));
+  out.Field("checkpoint_every_rows", Lit(sc.checkpoint_every_rows));
+  out.Field("checkpoint_path", Lit(sc.checkpoint_path));
+  if (!has_quality_tail) return Status::OK();
+  out.Field("score_measures", ListLit(sc.score_measures));
+  out.Field("prune_redundant", Lit(sc.prune_redundant));
+  out.Field("prune_min_overlap", out.Float(sc.prune_min_overlap));
+  out.Field("diff_snapshots", Lit(sc.diff_snapshots));
+  out.Field("drift_interval_tolerance", out.Float(sc.drift_interval_tolerance));
+  out.Field("drift_degree_tolerance", out.Float(sc.drift_degree_tolerance));
+  return Status::OK();
+}
+
+Status DescribeSnapshot(Summary& out, std::string_view bytes) {
+  DAR_ASSIGN_OR_RETURN(DecodedResults results, DecodeResultsSection(bytes));
+  const Phase1Result& p1 = results.phase1;
+  const Phase2Result& p2 = results.phase2;
+  std::vector<size_t> per_part(p1.layout->num_parts(), 0);
+  for (const FoundCluster& cluster : p1.clusters.clusters()) {
+    ++per_part[cluster.part];
+  }
+  std::vector<size_t> sizes;
+  for (const auto& clique : p2.cliques) sizes.push_back(clique.size());
+  std::sort(sizes.rbegin(), sizes.rend());
+  out.Field("generation", Lit(results.generation));
+  out.Field("rows_ingested", Lit(results.rows_ingested));
+  out.Field("layout_parts", Lit(p1.layout->num_parts()));
+  out.Field("clusters", Lit(p1.clusters.size()) +
+                            " per_part=" + ListLit(per_part));
+  out.Field("tree_stats", Lit(p1.tree_stats.size()));
+  out.Field("outliers", Lit(p1.outliers.size()));
+  out.Field("raw_cluster_counts", ListLit(p1.raw_cluster_counts));
+  out.Field("effective_d0", out.Floats(p1.effective_d0));
+  out.Field("frequency_threshold", Lit(p1.frequency_threshold));
+  out.Field("cliques", Lit(p2.cliques.size()) + " nontrivial=" +
+                           Lit(p2.num_nontrivial_cliques) +
+                           " sizes=" + ListLit(sizes));
+  out.Field("cliques_truncated", Lit(p2.cliques_truncated));
+  out.Field("graph_edges", Lit(p2.graph_edges));
+  out.Field("rules", Lit(p2.rules.size()));
+  out.Field("rules_truncated", Lit(p2.rules_truncated));
+  return Status::OK();
+}
+
+// Prints one section's block; `meta` holds the sections decoded up front.
+Status DescribeSection(Summary& out, uint32_t id, std::string_view bytes,
+                       const CheckpointMeta& meta) {
+  switch (static_cast<SectionId>(id)) {
+    case SectionId::kConfig:
+      DescribeConfig(out, meta.config);
+      return Status::OK();
+    case SectionId::kSchema:
+      out.Field("attributes", Lit(meta.schema.num_attributes()));
+      for (size_t i = 0; i < meta.schema.num_attributes(); ++i) {
+        const Attribute& attr = meta.schema.attribute(i);
+        out.Line(2, "[" + Lit(i) + "] " + attr.name + ": " +
+                        (attr.kind == AttributeKind::kNominal ? "nominal"
+                                                              : "interval"));
+      }
+      return Status::OK();
+    case SectionId::kPartition:
+      out.Field("parts", Lit(meta.partition.num_parts()));
+      for (size_t p = 0; p < meta.partition.num_parts(); ++p) {
+        const AttributeSet& part = meta.partition.part(p);
+        out.Line(2, "[" + Lit(p) + "] metric=" +
+                        kMetricNames[static_cast<int>(part.metric)] +
+                        " columns=" + ListLit(part.columns));
+      }
+      return Status::OK();
+    case SectionId::kDictionaries:
+      out.Field("dictionaries", Lit(meta.dictionaries.size()));
+      for (size_t i = 0; i < meta.dictionaries.size(); ++i) {
+        out.Line(2, "[" + Lit(i) + "] " + Lit(meta.dictionaries[i].size()) +
+                        " labels");
+      }
+      return Status::OK();
+    case SectionId::kStreamState:
+      return DescribeStreamState(out, bytes);
+    case SectionId::kBuilder: {
+      DAR_ASSIGN_OR_RETURN(
+          Phase1Builder builder,
+          DecodeBuilderSection(bytes, meta.config, meta.schema,
+                               meta.partition));
+      const std::vector<std::string> trees =
+          PersistPeer::DescribeTrees(builder);
+      out.Field("rows_added", Lit(builder.rows_added()));
+      out.Field("trees", Lit(trees.size()));
+      for (const std::string& tree : trees) out.Line(2, tree);
+      return Status::OK();
+    }
+    case SectionId::kSnapshot:
+      return DescribeSnapshot(out, bytes);
+    case SectionId::kShards:
+      out.Field("shards", Lit(meta.shards->size()));
+      for (size_t i = 0; i < meta.shards->size(); ++i) {
+        const ShardInfo& shard = (*meta.shards)[i];
+        out.Line(2, "[" + Lit(i) + "] " +
+                        (shard.shard_id == -1 ? "anonymous"
+                                              : "id=" + Lit(shard.shard_id)) +
+                        " rows=" + Lit(shard.rows));
+      }
+      return Status::OK();
+    case SectionId::kRetainedRows: {
+      DAR_ASSIGN_OR_RETURN(Relation rows,
+                           DecodeRetainedRowsSection(bytes, meta.schema));
+      out.Field("rows", Lit(rows.num_rows()));
+      out.Field("cols", Lit(rows.num_columns()));
+      return Status::OK();
+    }
+  }
+  out.Line(1, "(unknown section, skipped)");
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::string> DescribeCheckpoint(const CheckpointReader& reader,
+                                       bool show_floats) {
+  DAR_ASSIGN_OR_RETURN(CheckpointMeta meta, DecodeCheckpointMeta(reader));
+  Summary out{show_floats, ""};
+  out.Line(0, "format_version: " + Lit(reader.format_version()));
+  out.Line(0, "sections: " + Lit(reader.section_ids().size()));
+  for (uint32_t id : reader.section_ids()) {
+    DAR_ASSIGN_OR_RETURN(std::string_view bytes,
+                         reader.Section(static_cast<SectionId>(id)));
+    const std::string name(SectionName(id));
+    out.Line(0, "section " + name + " (id=" + Lit(id) + ", " +
+                    Lit(bytes.size()) + " bytes)");
+    if (Status s = DescribeSection(out, id, bytes, meta); !s.ok()) {
+      return Status(s.code(), name + " section: " + s.message());
+    }
+  }
+  out.Line(0, "ok");
+  return std::move(out.text);
 }
 
 }  // namespace persist

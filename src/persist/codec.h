@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -16,15 +17,20 @@
 #include "core/model.h"
 #include "core/observer.h"
 #include "core/phase1_builder.h"
+#include "persist/checkpoint_io.h"
 #include "persist/wire.h"
 #include "relation/partition.h"
+#include "relation/relation.h"
 #include "relation/schema.h"
+#include "stream/stream_config.h"
 #include "telemetry/context.h"
 
 namespace dar::persist {
 
-/// Section codecs for the checkpoint container (checkpoint_io.h). Each
-/// Encode* returns a complete section payload; each Decode* re-validates
+/// Section codecs for the checkpoint container (checkpoint_io.h), and the
+/// only code that knows the section layouts: stream save/restore, shard
+/// merging and the `dar_ckpt` inspector all go through them. Each Encode*
+/// returns a complete section payload; each Decode* re-validates
 /// everything it reads (counts against remaining bytes, enum ranges,
 /// cross-references against the schema/partition/layout), because a CRC
 /// only rules out accidental corruption of valid bytes — it does not make
@@ -54,7 +60,7 @@ Result<AttributePartition> DecodePartitionSection(std::string_view bytes,
 
 /// Serializes every numeric/vector knob. AcfTreeOptions::on_rebuild is a
 /// std::function and is deliberately NOT serialized — restore re-wires
-/// hooks from the restoring session (see stream_checkpoint.cc).
+/// hooks from the restoring session (see DecodeBuilderSection).
 [[nodiscard]] std::string EncodeConfigSection(const DarConfig& config);
 Result<DarConfig> DecodeConfigSection(std::string_view bytes);
 
@@ -125,6 +131,70 @@ struct DecodedResults {
   Phase2Result phase2;
 };
 Result<DecodedResults> DecodeResultsSection(std::string_view bytes);
+
+// --- stream state and retained tuples (stream checkpoints only) ---
+
+/// A stream's counters plus its StreamConfig, so a restored stream resumes
+/// with the exact cadence the saved one ran under. The shard id travels in
+/// the shards section instead.
+struct StreamState {
+  uint64_t generation = 0;
+  int64_t rows_ingested = 0;
+  int64_t rows_at_snapshot = 0;
+  int64_t rows_at_checkpoint = 0;
+  StreamConfig stream_config;
+};
+
+[[nodiscard]] std::string EncodeStreamStateSection(const StreamState& state);
+/// Sections written before the quality knobs existed end after
+/// checkpoint_path; they decode with the StreamConfig defaults.
+Result<StreamState> DecodeStreamStateSection(std::string_view bytes);
+
+/// Tuples a stream retains for the support post-scan: u64 rows, u64 cols,
+/// then the values row-major.
+[[nodiscard]] std::string EncodeRetainedRowsSection(const Relation& rows);
+/// Refuses any shape whose values would not fill the payload exactly, so a
+/// corrupt row count can never request a huge allocation.
+Result<Relation> DecodeRetainedRowsSection(std::string_view bytes,
+                                           const Schema& schema);
+
+// --- whole checkpoints ---
+
+/// The sections stream restore, shard merging and DescribeCheckpoint all
+/// read: config, schema and partition (required), dictionaries and shard
+/// provenance (optional).
+struct CheckpointMeta {
+  DarConfig config;
+  Schema schema;
+  AttributePartition partition;
+  /// Empty when the checkpoint has no dictionaries section.
+  std::vector<Dictionary> dictionaries;
+  /// Absent in checkpoints written before shard provenance existed.
+  std::optional<std::vector<ShardInfo>> shards;
+};
+
+Result<CheckpointMeta> DecodeCheckpointMeta(const CheckpointReader& reader);
+
+/// Adds the sections stream and merged checkpoints share, in file order:
+/// config, schema, partition, dictionaries (when any), `stream_state`
+/// (null for a merged checkpoint), builder, shards. A stream checkpoint
+/// appends its retained tuples and snapshot after these.
+void AddCommonSections(CheckpointWriter& writer, const DarConfig& config,
+                       const Schema& schema,
+                       const AttributePartition& partition,
+                       std::span<const Dictionary> dictionaries,
+                       const StreamState* stream_state,
+                       const Phase1Builder& builder,
+                       std::span<const ShardInfo> shards);
+
+/// The text `dar_ckpt` prints: one block per section in file order (sizes,
+/// shapes, counters, per-tree statistics, cluster/clique/rule counts), then
+/// `ok`. Every known section goes through the decoders restore and merge
+/// use, so corrupt content is a Status here too; unknown ids are listed
+/// as skipped. Values print as Python literals (True, 'name', [1, 2],
+/// shortest round-trip floats); `show_floats` false prints floats as `_`.
+Result<std::string> DescribeCheckpoint(const CheckpointReader& reader,
+                                       bool show_floats);
 
 }  // namespace dar::persist
 

@@ -70,50 +70,20 @@ bool PartitionsEqual(const AttributePartition& a,
   return true;
 }
 
-/// Everything decoded from one shard checkpoint except the builder, whose
-/// (large) payload is re-fetched from `reader` once the effective config
-/// is known.
-struct ShardMeta {
+/// One input checkpoint: its shared sections, decoded up front, and the
+/// reader the (large) builder payload is fetched from once the effective
+/// config is known.
+struct Input {
   CheckpointReader reader;
-  DarConfig config;
-  Schema schema;
-  AttributePartition partition;
-  std::vector<Dictionary> dictionaries;
-  std::vector<ShardInfo> shards;
-  bool has_shards = false;
+  CheckpointMeta meta;
 };
 
-Result<ShardMeta> LoadShardMeta(const std::string& path) {
-  DAR_ASSIGN_OR_RETURN(CheckpointReader reader, CheckpointReader::Open(path));
-  DAR_ASSIGN_OR_RETURN(std::string_view config_bytes,
-                       reader.Section(SectionId::kConfig));
-  DAR_ASSIGN_OR_RETURN(DarConfig config, DecodeConfigSection(config_bytes));
-  DAR_ASSIGN_OR_RETURN(std::string_view schema_bytes,
-                       reader.Section(SectionId::kSchema));
-  DAR_ASSIGN_OR_RETURN(Schema schema, DecodeSchemaSection(schema_bytes));
-  DAR_ASSIGN_OR_RETURN(std::string_view partition_bytes,
-                       reader.Section(SectionId::kPartition));
-  DAR_ASSIGN_OR_RETURN(AttributePartition partition,
-                       DecodePartitionSection(partition_bytes, schema));
-  std::vector<Dictionary> dictionaries;
-  if (reader.HasSection(SectionId::kDictionaries)) {
-    DAR_ASSIGN_OR_RETURN(std::string_view dict_bytes,
-                         reader.Section(SectionId::kDictionaries));
-    DAR_ASSIGN_OR_RETURN(dictionaries,
-                         DecodeDictionariesSection(dict_bytes));
-  }
-  std::vector<ShardInfo> shards;
-  bool has_shards = false;
-  if (reader.HasSection(SectionId::kShards)) {
-    DAR_ASSIGN_OR_RETURN(std::string_view shard_bytes,
-                         reader.Section(SectionId::kShards));
-    DAR_ASSIGN_OR_RETURN(shards, DecodeShardsSection(shard_bytes));
-    has_shards = true;
-  }
-  ShardMeta meta{std::move(reader), std::move(config),   std::move(schema),
-                 std::move(partition), std::move(dictionaries),
-                 std::move(shards), has_shards};
-  return meta;
+Result<Input> OpenInput(const std::string& path) {
+  auto reader = CheckpointReader::Open(path);
+  if (!reader.ok()) return Contextualize(path, reader.status());
+  auto meta = DecodeCheckpointMeta(*reader);
+  if (!meta.ok()) return Contextualize(path, meta.status());
+  return Input{std::move(reader).ValueOrDie(), std::move(meta).ValueOrDie()};
 }
 
 /// Folds `from` into `into` under the prefix rule: codes are baked into
@@ -165,21 +135,20 @@ Result<MergedCheckpoint> MergeCheckpoints(std::span<const std::string> paths,
   Stopwatch watch;
   telemetry::TelemetryContext telemetry = options.telemetry;
 
-  auto first_or = LoadShardMeta(paths[0]);
-  if (!first_or.ok()) return Contextualize(paths[0], first_or.status());
-  ShardMeta first = std::move(first_or).ValueOrDie();
+  DAR_ASSIGN_OR_RETURN(Input first, OpenInput(paths[0]));
+  CheckpointMeta& base = first.meta;
 
   // The merged builder is rebuilt under the caller's config when given
   // (warm re-mine, same semantics as Session::RestoreCheckpoint) and the
   // inputs' own shared config otherwise.
   const DarConfig& effective =
-      options.config != nullptr ? *options.config : first.config;
+      options.config != nullptr ? *options.config : base.config;
   DAR_RETURN_IF_ERROR(effective.Validate());
 
   DAR_ASSIGN_OR_RETURN(std::string_view builder_bytes,
                        first.reader.Section(SectionId::kBuilder));
   auto builder_or = DecodeBuilderSection(
-      builder_bytes, effective, first.schema, first.partition,
+      builder_bytes, effective, base.schema, base.partition,
       options.executor, options.observer, telemetry);
   if (!builder_or.ok()) return Contextualize(paths[0], builder_or.status());
   Phase1Builder merged = std::move(builder_or).ValueOrDie();
@@ -188,33 +157,38 @@ Result<MergedCheckpoint> MergeCheckpoints(std::span<const std::string> paths,
                                    "': shard checkpoint is empty (0 rows)");
   }
 
-  std::vector<Dictionary> dictionaries = std::move(first.dictionaries);
-  std::vector<ShardInfo> shards = std::move(first.shards);
+  std::vector<Dictionary> dictionaries = std::move(base.dictionaries);
+  std::vector<ShardInfo> shards;
   // `provenance_path[k]` names the file that contributed shards[k], for
   // the duplicate-id diagnostics below.
-  std::vector<std::string> provenance_path(shards.size(), paths[0]);
-  if (!first.has_shards) {
-    shards.push_back({-1, merged.rows_added()});
-    provenance_path.push_back(paths[0]);
-  }
+  std::vector<std::string> provenance_path;
+  // Inputs without a shards section contribute one anonymous entry.
+  const auto add_provenance = [&](const CheckpointMeta& meta, int64_t rows,
+                                  const std::string& path) {
+    for (const ShardInfo& s : meta.shards.value_or(
+             std::vector<ShardInfo>{{-1, rows}})) {
+      shards.push_back(s);
+      provenance_path.push_back(path);
+    }
+  };
+  add_provenance(base, merged.rows_added(), paths[0]);
   for (size_t i = 1; i < paths.size(); ++i) {
-    auto meta_or = LoadShardMeta(paths[i]);
-    if (!meta_or.ok()) return Contextualize(paths[i], meta_or.status());
-    ShardMeta meta = std::move(meta_or).ValueOrDie();
+    DAR_ASSIGN_OR_RETURN(Input input, OpenInput(paths[i]));
+    const CheckpointMeta& meta = input.meta;
 
-    if (const std::string knob = FirstConfigDiff(first.config, meta.config);
+    if (const std::string knob = FirstConfigDiff(base.config, meta.config);
         !knob.empty()) {
       return Status::InvalidArgument(
           "config mismatch: '" + paths[i] + "' disagrees with '" + paths[0] +
           "' on " + knob + "; shards must be mined under one config");
     }
-    if (!(meta.schema == first.schema)) {
+    if (!(meta.schema == base.schema)) {
       return Status::InvalidArgument(
           "schema mismatch: '" + paths[i] +
           "' was mined over a different relation schema than '" + paths[0] +
           "'");
     }
-    if (!PartitionsEqual(meta.partition, first.partition)) {
+    if (!PartitionsEqual(meta.partition, base.partition)) {
       return Status::InvalidArgument(
           "partition mismatch: '" + paths[i] +
           "' uses a different attribute partitioning than '" + paths[0] +
@@ -224,11 +198,11 @@ Result<MergedCheckpoint> MergeCheckpoints(std::span<const std::string> paths,
         ReconcileDictionaries(dictionaries, meta.dictionaries, paths[i]));
 
     DAR_ASSIGN_OR_RETURN(std::string_view bytes,
-                         meta.reader.Section(SectionId::kBuilder));
+                         input.reader.Section(SectionId::kBuilder));
     // Shard builders are transient (consumed by the merge): decode them
     // serial and unobserved.
-    auto shard_or = DecodeBuilderSection(bytes, effective, first.schema,
-                                         first.partition);
+    auto shard_or = DecodeBuilderSection(bytes, effective, base.schema,
+                                         base.partition);
     if (!shard_or.ok()) return Contextualize(paths[i], shard_or.status());
     Phase1Builder shard = std::move(shard_or).ValueOrDie();
     if (shard.rows_added() == 0) {
@@ -236,16 +210,7 @@ Result<MergedCheckpoint> MergeCheckpoints(std::span<const std::string> paths,
                                      "': shard checkpoint is empty (0 rows)");
     }
     DAR_RETURN_IF_ERROR(merged.MergeFrom(shard));
-
-    if (meta.has_shards) {
-      for (const ShardInfo& s : meta.shards) {
-        shards.push_back(s);
-        provenance_path.push_back(paths[i]);
-      }
-    } else {
-      shards.push_back({-1, shard.rows_added()});
-      provenance_path.push_back(paths[i]);
-    }
+    add_provenance(meta, shard.rows_added(), paths[i]);
   }
 
   // Non-negative shard ids assert an identity; the same shard merged twice
@@ -273,9 +238,9 @@ Result<MergedCheckpoint> MergeCheckpoints(std::span<const std::string> paths,
         ->Record(watch.ElapsedSeconds());
   }
 
-  return MergedCheckpoint{std::move(first.config),
-                          std::move(first.schema),
-                          std::move(first.partition),
+  return MergedCheckpoint{std::move(base.config),
+                          std::move(base.schema),
+                          std::move(base.partition),
                           std::move(dictionaries),
                           std::move(shards),
                           std::move(merged)};
@@ -284,17 +249,9 @@ Result<MergedCheckpoint> MergeCheckpoints(std::span<const std::string> paths,
 Status WriteMergedCheckpoint(const MergedCheckpoint& merged,
                              const std::string& path) {
   CheckpointWriter writer;
-  writer.AddSection(SectionId::kConfig, EncodeConfigSection(merged.config));
-  writer.AddSection(SectionId::kSchema, EncodeSchemaSection(merged.schema));
-  writer.AddSection(SectionId::kPartition,
-                    EncodePartitionSection(merged.partition));
-  if (!merged.dictionaries.empty()) {
-    writer.AddSection(SectionId::kDictionaries,
-                      EncodeDictionariesSection(merged.dictionaries));
-  }
-  writer.AddSection(SectionId::kBuilder,
-                    EncodeBuilderSection(merged.builder));
-  writer.AddSection(SectionId::kShards, EncodeShardsSection(merged.shards));
+  AddCommonSections(writer, merged.config, merged.schema, merged.partition,
+                    merged.dictionaries, /*stream_state=*/nullptr,
+                    merged.builder, merged.shards);
   return writer.WriteToFile(path);
 }
 

@@ -3,6 +3,8 @@
 
 #include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "birch/acf.h"
 #include "birch/acf_tree.h"
@@ -48,6 +50,9 @@ struct PersistPeer {
       persist::WireReader& r, const DarConfig& config, const Schema& schema,
       const AttributePartition& partition, Executor* executor,
       MiningObserver* observer, telemetry::TelemetryContext telemetry);
+
+  // --- inspection: one counter line per part tree (DescribeCheckpoint) ---
+  static std::vector<std::string> DescribeTrees(const Phase1Builder& builder);
 
  private:
   // Node-recursion helpers. AcfTree::Node is private, so these are member

@@ -100,7 +100,7 @@ Status WireReader::ExpectEnd(std::string_view what) const {
 namespace {
 
 // Table-driven CRC-32 (reflected 0xEDB88320, init/xorout 0xFFFFFFFF) —
-// matches zlib's crc32(), which dar_ckpt.py reproduces with binascii.
+// matches zlib's crc32(), so standard tools can verify checkpoint CRCs.
 std::array<uint32_t, 256> BuildCrcTable() {
   std::array<uint32_t, 256> table{};
   for (uint32_t i = 0; i < 256; ++i) {

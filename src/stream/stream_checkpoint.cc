@@ -1,9 +1,8 @@
 // Persistence glue between dar::stream and dar::persist: checkpoint save/
-// restore for StreamingMiner, the stream-state section codec, and the
-// Session-facade entry points. Lives here rather than in src/persist/ so
-// dar_persist depends only on dar_core — the stream types (StreamConfig,
-// RuleSnapshot) stay out of the persist library, which serializes their
-// contents through the generic section codecs.
+// restore for StreamingMiner and the Session-facade entry points. Lives
+// here rather than in src/persist/ so dar_persist does not link dar_stream:
+// the RuleSnapshot and the miner itself stay out of the persist library,
+// and every section layout stays in persist/codec.cc.
 
 #include <memory>
 #include <string>
@@ -13,7 +12,6 @@
 #include "core/session.h"
 #include "persist/checkpoint_io.h"
 #include "persist/codec.h"
-#include "persist/wire.h"
 #include "stream/streaming_miner.h"
 #include "telemetry/metrics.h"
 
@@ -21,137 +19,6 @@ namespace dar {
 namespace {
 
 using persist::SectionId;
-
-/// Everything in the kStreamState section: the stream's counters plus its
-/// StreamConfig, so a restored stream resumes with the exact cadence the
-/// saved one ran under.
-struct StreamState {
-  uint64_t generation = 0;
-  int64_t rows_ingested = 0;
-  int64_t rows_at_snapshot = 0;
-  int64_t rows_at_checkpoint = 0;
-  StreamConfig stream_config;
-};
-
-std::string EncodeStreamStateSection(const StreamState& s) {
-  persist::WireWriter w;
-  w.U64(s.generation);
-  w.I64(s.rows_ingested);
-  w.I64(s.rows_at_snapshot);
-  w.I64(s.rows_at_checkpoint);
-  w.I64(s.stream_config.remine_every_rows);
-  w.U8(s.stream_config.build_rule_index ? 1 : 0);
-  w.I64(s.stream_config.checkpoint_every_rows);
-  w.Str(s.stream_config.checkpoint_path);
-  // Quality knobs: an appended tail, so checkpoints written before the
-  // quality layer existed still decode (the reader defaults the knobs when
-  // nothing remains before the end of the section).
-  w.U32(static_cast<uint32_t>(s.stream_config.score_measures.size()));
-  for (const std::string& name : s.stream_config.score_measures) {
-    w.Str(name);
-  }
-  w.U8(s.stream_config.prune_redundant ? 1 : 0);
-  w.F64(s.stream_config.prune_min_overlap);
-  w.U8(s.stream_config.diff_snapshots ? 1 : 0);
-  w.F64(s.stream_config.drift_interval_tolerance);
-  w.F64(s.stream_config.drift_degree_tolerance);
-  return std::move(w).Take();
-}
-
-Result<StreamState> DecodeStreamStateSection(std::string_view bytes) {
-  persist::WireReader r(bytes);
-  StreamState s;
-  DAR_ASSIGN_OR_RETURN(s.generation, r.U64());
-  DAR_ASSIGN_OR_RETURN(s.rows_ingested, r.I64());
-  DAR_ASSIGN_OR_RETURN(s.rows_at_snapshot, r.I64());
-  DAR_ASSIGN_OR_RETURN(s.rows_at_checkpoint, r.I64());
-  DAR_ASSIGN_OR_RETURN(s.stream_config.remine_every_rows, r.I64());
-  DAR_ASSIGN_OR_RETURN(uint8_t build_index, r.U8());
-  if (build_index > 1) {
-    return Status::InvalidArgument("stream state: build_rule_index byte " +
-                                   std::to_string(build_index) +
-                                   " is not 0 or 1");
-  }
-  s.stream_config.build_rule_index = build_index != 0;
-  DAR_ASSIGN_OR_RETURN(s.stream_config.checkpoint_every_rows, r.I64());
-  DAR_ASSIGN_OR_RETURN(s.stream_config.checkpoint_path, r.Str());
-  if (r.remaining() > 0) {
-    // Quality-knob tail (absent in checkpoints predating the quality
-    // layer, which restore with the struct defaults).
-    DAR_ASSIGN_OR_RETURN(uint32_t num_measures, r.U32());
-    s.stream_config.score_measures.reserve(num_measures);
-    for (uint32_t m = 0; m < num_measures; ++m) {
-      DAR_ASSIGN_OR_RETURN(std::string name, r.Str());
-      s.stream_config.score_measures.push_back(std::move(name));
-    }
-    DAR_ASSIGN_OR_RETURN(uint8_t prune, r.U8());
-    if (prune > 1) {
-      return Status::InvalidArgument("stream state: prune_redundant byte " +
-                                     std::to_string(prune) +
-                                     " is not 0 or 1");
-    }
-    s.stream_config.prune_redundant = prune != 0;
-    DAR_ASSIGN_OR_RETURN(s.stream_config.prune_min_overlap, r.F64());
-    DAR_ASSIGN_OR_RETURN(uint8_t diff, r.U8());
-    if (diff > 1) {
-      return Status::InvalidArgument("stream state: diff_snapshots byte " +
-                                     std::to_string(diff) +
-                                     " is not 0 or 1");
-    }
-    s.stream_config.diff_snapshots = diff != 0;
-    DAR_ASSIGN_OR_RETURN(s.stream_config.drift_interval_tolerance, r.F64());
-    DAR_ASSIGN_OR_RETURN(s.stream_config.drift_degree_tolerance, r.F64());
-  }
-  DAR_RETURN_IF_ERROR(r.ExpectEnd("stream state section"));
-  DAR_RETURN_IF_ERROR(s.stream_config.Validate());
-  if (s.rows_ingested < 0 || s.rows_at_snapshot < 0 ||
-      s.rows_at_checkpoint < 0 || s.rows_at_snapshot > s.rows_ingested ||
-      s.rows_at_checkpoint > s.rows_ingested) {
-    return Status::InvalidArgument(
-        "stream state counters out of range: rows_ingested " +
-        std::to_string(s.rows_ingested) + ", rows_at_snapshot " +
-        std::to_string(s.rows_at_snapshot) + ", rows_at_checkpoint " +
-        std::to_string(s.rows_at_checkpoint));
-  }
-  return s;
-}
-
-// kRetainedRows payload: u64 rows, u64 cols, then row-major F64 values.
-// Saved only by streams that retain tuples for the support post-scan.
-std::string EncodeRetainedRowsSection(const Relation& rel) {
-  persist::WireWriter w;
-  w.U64(rel.num_rows());
-  w.U64(rel.num_columns());
-  for (size_t r = 0; r < rel.num_rows(); ++r) {
-    for (double value : rel.Row(r)) {
-      w.F64(value);
-    }
-  }
-  return std::move(w).Take();
-}
-
-Result<Relation> DecodeRetainedRowsSection(std::string_view bytes,
-                                           const Schema& schema) {
-  persist::WireReader r(bytes);
-  DAR_ASSIGN_OR_RETURN(uint64_t rows, r.U64());
-  DAR_ASSIGN_OR_RETURN(uint64_t cols, r.U64());
-  Relation rel(schema);
-  if (cols != rel.num_columns()) {
-    return Status::InvalidArgument(
-        "retained rows section has " + std::to_string(cols) +
-        " columns, schema has " + std::to_string(rel.num_columns()));
-  }
-  rel.Reserve(static_cast<size_t>(rows));
-  std::vector<double> row(static_cast<size_t>(cols));
-  for (uint64_t i = 0; i < rows; ++i) {
-    for (uint64_t c = 0; c < cols; ++c) {
-      DAR_ASSIGN_OR_RETURN(row[static_cast<size_t>(c)], r.F64());
-    }
-    DAR_RETURN_IF_ERROR(rel.AppendRow(row));
-  }
-  DAR_RETURN_IF_ERROR(r.ExpectEnd("retained rows section"));
-  return rel;
-}
 
 void RecordSave(telemetry::MetricsRegistry* reg, size_t bytes,
                 double seconds) {
@@ -182,17 +49,7 @@ void RecordLoad(telemetry::MetricsRegistry* reg, size_t bytes,
 Status StreamingMiner::SaveCheckpoint(
     const std::string& path, std::span<const Dictionary> dictionaries) const {
   Stopwatch watch;
-  persist::CheckpointWriter writer;
-  writer.AddSection(SectionId::kConfig, persist::EncodeConfigSection(config_));
-  writer.AddSection(SectionId::kSchema, persist::EncodeSchemaSection(schema_));
-  writer.AddSection(SectionId::kPartition,
-                    persist::EncodePartitionSection(partition_));
-  if (!dictionaries.empty()) {
-    writer.AddSection(SectionId::kDictionaries,
-                      persist::EncodeDictionariesSection(dictionaries));
-  }
-
-  StreamState state;
+  persist::StreamState state;
   state.generation = generation_.load(std::memory_order_acquire);
   state.rows_ingested = rows_ingested_.load(std::memory_order_acquire);
   state.rows_at_snapshot = rows_at_snapshot_.load(std::memory_order_acquire);
@@ -200,22 +57,16 @@ Status StreamingMiner::SaveCheckpoint(
   // in-memory cadence bookkeeping.
   state.rows_at_checkpoint = state.rows_ingested;
   state.stream_config = stream_config_;
-  writer.AddSection(SectionId::kStreamState, EncodeStreamStateSection(state));
-
-  writer.AddSection(SectionId::kBuilder,
-                    persist::EncodeBuilderSection(builder_));
-
-  // Shard provenance: one entry for this stream, so merge tooling
-  // (persist::MergeCheckpoints, tools/dar_ckpt.py) can attribute the
-  // checkpoint's tuples to a distributed-mining shard.
+  // Shard provenance: one entry for this stream, so MergeCheckpoints can
+  // attribute the checkpoint's tuples to a shard.
   const persist::ShardInfo shard{stream_config_.shard_id,
                                  state.rows_ingested};
-  writer.AddSection(SectionId::kShards,
-                    persist::EncodeShardsSection({&shard, 1}));
-
+  persist::CheckpointWriter writer;
+  persist::AddCommonSections(writer, config_, schema_, partition_,
+                             dictionaries, &state, builder_, {&shard, 1});
   if (retains_rows()) {
     writer.AddSection(SectionId::kRetainedRows,
-                      EncodeRetainedRowsSection(retained_rows_));
+                      persist::EncodeRetainedRowsSection(retained_rows_));
   }
 
   std::shared_ptr<const RuleSnapshot> snap = snapshot_.load();
@@ -255,30 +106,12 @@ Result<RestoredStream> StreamingMiner::RestoreFromFile(
   DAR_ASSIGN_OR_RETURN(persist::CheckpointReader reader,
                        persist::CheckpointReader::Open(path));
 
-  DAR_ASSIGN_OR_RETURN(std::string_view config_bytes,
-                       reader.Section(SectionId::kConfig));
-  DAR_ASSIGN_OR_RETURN(DarConfig saved_config,
-                       persist::DecodeConfigSection(config_bytes));
-  DAR_ASSIGN_OR_RETURN(std::string_view schema_bytes,
-                       reader.Section(SectionId::kSchema));
-  DAR_ASSIGN_OR_RETURN(Schema schema,
-                       persist::DecodeSchemaSection(schema_bytes));
-  DAR_ASSIGN_OR_RETURN(std::string_view partition_bytes,
-                       reader.Section(SectionId::kPartition));
-  DAR_ASSIGN_OR_RETURN(AttributePartition partition,
-                       persist::DecodePartitionSection(partition_bytes,
-                                                       schema));
-  std::vector<Dictionary> dictionaries;
-  if (reader.HasSection(SectionId::kDictionaries)) {
-    DAR_ASSIGN_OR_RETURN(std::string_view dict_bytes,
-                         reader.Section(SectionId::kDictionaries));
-    DAR_ASSIGN_OR_RETURN(dictionaries,
-                         persist::DecodeDictionariesSection(dict_bytes));
-  }
+  DAR_ASSIGN_OR_RETURN(persist::CheckpointMeta meta,
+                       persist::DecodeCheckpointMeta(reader));
   DAR_ASSIGN_OR_RETURN(std::string_view state_bytes,
                        reader.Section(SectionId::kStreamState));
-  DAR_ASSIGN_OR_RETURN(StreamState state,
-                       DecodeStreamStateSection(state_bytes));
+  DAR_ASSIGN_OR_RETURN(persist::StreamState state,
+                       persist::DecodeStreamStateSection(state_bytes));
   // Same invariant StreamingMiner::Make enforces: scoring needs the
   // support post-scan, which needs retained tuples.
   if (!state.stream_config.score_measures.empty() &&
@@ -290,11 +123,8 @@ Result<RestoredStream> StreamingMiner::RestoreFromFile(
   }
   // Shard identity travels in the provenance section (absent in
   // checkpoints predating it, which restore as anonymous).
-  if (reader.HasSection(SectionId::kShards)) {
-    DAR_ASSIGN_OR_RETURN(std::string_view shard_bytes,
-                         reader.Section(SectionId::kShards));
-    DAR_ASSIGN_OR_RETURN(std::vector<persist::ShardInfo> shards,
-                         persist::DecodeShardsSection(shard_bytes));
+  if (meta.shards.has_value()) {
+    const std::vector<persist::ShardInfo>& shards = *meta.shards;
     if (shards.size() != 1) {
       return Status::InvalidArgument(
           "'" + path + "': a stream checkpoint must describe exactly one "
@@ -320,7 +150,7 @@ Result<RestoredStream> StreamingMiner::RestoreFromFile(
   DAR_ASSIGN_OR_RETURN(
       Phase1Builder builder,
       persist::DecodeBuilderSection(
-          builder_bytes, config, schema, partition,
+          builder_bytes, config, meta.schema, meta.partition,
           executor != nullptr ? executor.get() : nullptr, observer,
           telemetry::TelemetryContext(registry.get())));
   if (builder.rows_added() != state.rows_ingested) {
@@ -333,7 +163,7 @@ Result<RestoredStream> StreamingMiner::RestoreFromFile(
 
   telemetry::MetricsRegistry* reg = registry.get();
   auto stream = std::make_unique<StreamingMiner>(
-      PrivateTag{}, config, state.stream_config, schema, partition,
+      PrivateTag{}, config, state.stream_config, meta.schema, meta.partition,
       std::move(executor), std::move(registry), observer,
       std::move(builder));
   stream->rows_ingested_.store(state.rows_ingested,
@@ -346,8 +176,9 @@ Result<RestoredStream> StreamingMiner::RestoreFromFile(
   if (reader.HasSection(SectionId::kRetainedRows)) {
     DAR_ASSIGN_OR_RETURN(std::string_view rows_bytes,
                          reader.Section(SectionId::kRetainedRows));
-    DAR_ASSIGN_OR_RETURN(Relation retained,
-                         DecodeRetainedRowsSection(rows_bytes, schema));
+    DAR_ASSIGN_OR_RETURN(
+        Relation retained,
+        persist::DecodeRetainedRowsSection(rows_bytes, meta.schema));
     if (static_cast<int64_t>(retained.num_rows()) != state.rows_ingested) {
       return Status::InvalidArgument(
           "'" + path + "': retained rows section has " +
@@ -399,9 +230,9 @@ Result<RestoredStream> StreamingMiner::RestoreFromFile(
 
   RestoredStream out;
   out.stream = std::move(stream);
-  out.schema = std::move(schema);
-  out.dictionaries = std::move(dictionaries);
-  out.saved_config = std::move(saved_config);
+  out.schema = std::move(meta.schema);
+  out.dictionaries = std::move(meta.dictionaries);
+  out.saved_config = std::move(meta.config);
   return out;
 }
 

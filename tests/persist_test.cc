@@ -19,6 +19,7 @@
 #include "datagen/planted.h"
 #include "persist/checkpoint_io.h"
 #include "persist/codec.h"
+#include "persist/merge.h"
 #include "persist/wire.h"
 #include "stream/streaming_miner.h"
 #include "stream_test_peer.h"
@@ -94,8 +95,8 @@ TEST(WireTest, ShortReadsFailCleanly) {
 }
 
 TEST(WireTest, Crc32MatchesReferenceVector) {
-  // The CRC-32/ISO-HDLC check value, shared with zlib/binascii.crc32 —
-  // tools/dar_ckpt.py relies on this agreement.
+  // The CRC-32/ISO-HDLC check value, shared with zlib's crc32(), so
+  // standard tools can verify a checkpoint's CRCs.
   EXPECT_EQ(persist::Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(persist::Crc32(""), 0u);
 }
@@ -631,6 +632,137 @@ TEST_F(FaultInjectionTest, SwappedSectionPayloadsAreRefused) {
                       std::string(reader->Section(source).ValueOrDie()));
   }
   EXPECT_FALSE(TryRestore(writer.Serialize()).ok());
+}
+
+// Rebuilds the container `bytes` with section `id` carrying `payload`
+// (appended when `bytes` has no such section) and every CRC recomputed, so
+// only the section decoders can object.
+std::string WithSection(const std::string& bytes, SectionId id,
+                        std::string payload) {
+  auto reader = CheckpointReader::Parse(bytes);
+  EXPECT_TRUE(reader.ok()) << reader.status();
+  CheckpointWriter writer;
+  bool replaced = false;
+  for (uint32_t sid : reader->section_ids()) {
+    if (sid == static_cast<uint32_t>(id)) {
+      writer.AddSection(id, payload);
+      replaced = true;
+    } else {
+      writer.AddSection(static_cast<SectionId>(sid),
+                        std::string(*reader->Section(
+                            static_cast<SectionId>(sid))));
+    }
+  }
+  if (!replaced) writer.AddSection(id, std::move(payload));
+  return writer.Serialize();
+}
+
+TEST_F(FaultInjectionTest, OversizedScoreMeasureCountIsRefused) {
+  // A stream state whose score-measure count claims 2^32 - 1 names that
+  // the payload does not hold.
+  const auto rows = static_cast<int64_t>(data_->relation.num_rows());
+  WireWriter w;
+  w.U64(1);     // generation
+  w.I64(rows);  // rows_ingested
+  w.I64(rows);  // rows_at_snapshot
+  w.I64(rows);  // rows_at_checkpoint
+  w.I64(0);     // remine_every_rows
+  w.U8(1);      // build_rule_index
+  w.I64(0);     // checkpoint_every_rows
+  w.Str("");    // checkpoint_path
+  w.U32(0xFFFFFFFFu);
+  Status s = TryRestore(
+      WithSection(*bytes_, SectionId::kStreamState, std::move(w).Take()));
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("stream state"), std::string::npos) << s;
+}
+
+TEST_F(FaultInjectionTest, OversizedRetainedRowCountIsRefused) {
+  // Retained-row counts of 2^40 and 2^62 in front of one real row: the
+  // first would need terabytes, the second overflows rows * cols * 8.
+  const std::vector<double> row = data_->relation.Row(0);
+  for (uint64_t rows : {uint64_t{1} << 40, uint64_t{1} << 62}) {
+    WireWriter w;
+    w.U64(rows);
+    w.U64(row.size());
+    for (double value : row) w.F64(value);
+    Status s = TryRestore(
+        WithSection(*bytes_, SectionId::kRetainedRows, std::move(w).Take()));
+    ASSERT_FALSE(s.ok()) << rows << " rows";
+    EXPECT_NE(s.message().find("retained rows"), std::string::npos) << s;
+  }
+}
+
+TEST_F(FaultInjectionTest, CrcValidCorruptionsReturnCleanly) {
+  // Restore, merge and DescribeCheckpoint over checkpoints whose payloads
+  // were corrupted *behind* valid CRCs. The base checkpoint carries all
+  // nine sections: support counting retains rows, the stream scores,
+  // prunes and diffs, and the save carries dictionaries and a shard id.
+  PlantedDataSpec spec = WbcdLikeSpec(/*num_attrs=*/3, /*clusters_per_attr=*/3,
+                                      /*outlier_fraction=*/0.05, /*seed=*/77);
+  auto data = GeneratePlanted(spec, 120, 79);
+  ASSERT_TRUE(data.ok()) << data.status();
+  DarConfig config = TestConfig();
+  config.count_rule_support = true;
+  auto session = Session::Builder().WithConfig(config).Build();
+  ASSERT_TRUE(session.ok()) << session.status();
+  StreamConfig stream_config = ManualRemine();
+  stream_config.score_measures = {"support", "confidence", "lift"};
+  stream_config.prune_redundant = true;
+  stream_config.diff_snapshots = true;
+  stream_config.shard_id = 7;
+  auto stream = session->OpenStream(data->relation.schema(), data->partition,
+                                    stream_config);
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  ASSERT_TRUE((*stream)->Ingest(data->relation).ok());
+  ASSERT_TRUE((*stream)->Remine().ok());
+  std::vector<Dictionary> dictionaries(1);
+  dictionaries[0].Encode("alpha");
+  dictionaries[0].Encode("beta");
+  const std::string path = testutil::TempPath("sweep.ckpt");
+  ASSERT_TRUE(session->SaveCheckpoint(**stream, path, dictionaries).ok());
+  const std::string bytes = ReadFileBytes(path);
+  auto reader = CheckpointReader::Parse(bytes);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ASSERT_EQ(reader->section_ids().size(), 9u);
+
+  // XOR one payload byte at a time: every byte of the small sections,
+  // every 7th of the large ones (7 is coprime to the 8-byte values, so the
+  // stride still reaches every byte position within them).
+  size_t trials = 0, restored = 0;
+  for (uint32_t id : reader->section_ids()) {
+    const auto section = static_cast<SectionId>(id);
+    const std::string payload(*reader->Section(section));
+    const size_t stride = section == SectionId::kBuilder ||
+                                  section == SectionId::kSnapshot ||
+                                  section == SectionId::kRetainedRows
+                              ? 7
+                              : 1;
+    for (size_t pos = 0; pos < payload.size(); pos += stride) {
+      for (int mask : {0x01, 0x80, 0xFF}) {
+        std::string mutated = payload;
+        mutated[pos] = static_cast<char>(mutated[pos] ^ mask);
+        const std::string corrupt =
+            WithSection(bytes, section, std::move(mutated));
+        WriteFileBytes(path, corrupt);
+        // Returning at all is the assertion: OK or a Status, never a crash.
+        auto stream_or = StreamingMiner::RestoreFromFile(
+            path, config, /*executor=*/nullptr, /*registry=*/nullptr);
+        auto merged_or = persist::MergeCheckpoints({&path, 1});
+        auto described_or = persist::DescribeCheckpoint(
+            CheckpointReader::Parse(corrupt).ValueOrDie(), true);
+        restored += stream_or.ok() ? 1 : 0;
+        (void)merged_or;
+        (void)described_or;
+        ++trials;
+      }
+    }
+  }
+  std::remove(path.c_str());
+  // Some flips land in values any bit pattern is valid for, others in
+  // structure the decoders refuse: the sweep must see both.
+  EXPECT_GT(restored, 0u);
+  EXPECT_LT(restored, trials);
 }
 
 }  // namespace
