@@ -39,6 +39,26 @@ struct RuleGenResult {
 /// `assoc(C_Yj) = {C_X in Q1 : D(C_Yj[Yj], C_X[Yj]) <= D0}` over C_Y',
 /// with all attribute sets pairwise disjoint. Duplicate rules arising from
 /// overlapping cliques are emitted once, with arity bounded by the options.
+///
+/// Each clique lists distinct cluster ids of `clusters` in ascending order,
+/// as graph::EnumerateCliques returns them. The work follows the output:
+///  - One degree table. Every cross-part degree D(C_Y[Y], C_X[Y]) between
+///    clustered ids is evaluated once, in ascending (C_Y, C_X) order, and
+///    assoc(C_Y) is kept as the sorted (C_X, degree) pairs within D0.
+///  - Partner cliques. For each Q2, only the Q1 that hold a member of some
+///    assoc(C_Y), C_Y in Q2, are visited, in ascending index order; every
+///    other pair emits nothing.
+///  - First-owner dedup. `X => Y` arises exactly at the pairs with
+///    Q2 ⊇ Y and Q1 ⊇ X, so it is emitted only at the first clique
+///    containing Y paired with the first clique containing X.
+///
+/// Emission order is a contract: pairs by ascending (Q2, Q1) index, then
+/// consequents, then antecedents, each in the lexicographic order of their
+/// ascending ids (a subset before its extensions). This is the sequence of
+/// the all-pairs definition above, so an unstable sort by degree alone
+/// (RunPhase2OnSummaries) orders ties the same way and `max_rules` cuts at
+/// the same rule. `degree_evaluations` counts the table, which is every
+/// cross-part pair even when `max_rules` stops the enumeration early.
 RuleGenResult GenerateDistanceRules(
     const ClusterSet& clusters,
     const std::vector<std::vector<size_t>>& cliques,

@@ -37,36 +37,49 @@ void CheckpointWriter::AddSection(SectionId id, std::string payload) {
   sections_.push_back({static_cast<uint32_t>(id), std::move(payload)});
 }
 
-std::string CheckpointWriter::Serialize() const {
-  WireWriter w;
-  w.Raw(std::string_view(kCheckpointMagic, sizeof(kCheckpointMagic)));
-  w.U32(kFormatVersion);
-  w.U32(static_cast<uint32_t>(sections_.size()));
-  w.U32(Crc32(std::string_view(w.bytes()).substr(0, 16)));
+void CheckpointWriter::Emit(
+    const std::function<void(std::string_view)>& sink) const {
+  WireWriter header;
+  header.Raw(std::string_view(kCheckpointMagic, sizeof(kCheckpointMagic)));
+  header.U32(kFormatVersion);
+  header.U32(static_cast<uint32_t>(sections_.size()));
+  header.U32(Crc32(header.bytes()));
+  sink(header.bytes());
   for (const Section& s : sections_) {
     // The section CRC (format v2) covers the serialized id + length header
     // and the payload, so corruption of the framing itself is detected —
     // not just payload bit flips.
-    const size_t section_start = w.bytes().size();
-    w.U32(s.id);
-    w.U64(s.payload.size());
-    w.Raw(s.payload);
-    w.U32(Crc32(std::string_view(w.bytes()).substr(section_start)));
+    WireWriter frame;
+    frame.U32(s.id);
+    frame.U64(s.payload.size());
+    const uint32_t crc = Crc32(s.payload, Crc32(frame.bytes()));
+    sink(frame.bytes());
+    sink(s.payload);
+    frame.Clear();
+    frame.U32(crc);
+    sink(frame.bytes());
   }
-  return std::move(w).Take();
+}
+
+std::string CheckpointWriter::Serialize() const {
+  std::string bytes;
+  Emit([&bytes](std::string_view piece) { bytes.append(piece); });
+  return bytes;
 }
 
 Status CheckpointWriter::WriteToFile(const std::string& path,
                                      size_t* bytes_written) const {
-  const std::string bytes = Serialize();
-  if (bytes_written != nullptr) *bytes_written = bytes.size();
   const std::string tmp = path + ".tmp";
+  size_t size = 0;
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
       return Status::IOError("cannot open '" + tmp + "' for writing");
     }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    Emit([&](std::string_view piece) {
+      out.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+      size += piece.size();
+    });
     out.close();
     if (!out.good()) {
       std::remove(tmp.c_str());
@@ -79,6 +92,7 @@ Status CheckpointWriter::WriteToFile(const std::string& path,
     std::remove(tmp.c_str());
     return Status::IOError("cannot rename '" + tmp + "' to '" + path + "'");
   }
+  if (bytes_written != nullptr) *bytes_written = size;
   return Status::OK();
 }
 

@@ -2,6 +2,7 @@
 #define DAR_PERSIST_CHECKPOINT_IO_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,9 +78,10 @@ class CheckpointWriter {
   /// The complete container image (header + sections).
   [[nodiscard]] std::string Serialize() const;
 
-  /// Serializes and writes atomically (write tmp, fsync-free rename).
-  /// `bytes_written`, when non-null, receives the container size — so
-  /// callers can report it without serializing a second time.
+  /// Writes the same bytes as Serialize() atomically (write tmp,
+  /// fsync-free rename). The header and each section go straight to the
+  /// file, so no second copy of the payloads is built in memory.
+  /// `bytes_written`, when non-null, receives the container size.
   [[nodiscard]] Status WriteToFile(const std::string& path,
                                    size_t* bytes_written = nullptr) const;
 
@@ -88,6 +90,10 @@ class CheckpointWriter {
     uint32_t id;
     std::string payload;
   };
+
+  // Hands the container image to `sink` piece by piece, in file order.
+  void Emit(const std::function<void(std::string_view)>& sink) const;
+
   std::vector<Section> sections_;
 };
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <concepts>
 #include <cstdlib>
+#include <span>
 #include <utility>
 
 #include "persist/persist_peer.h"
@@ -1069,11 +1070,16 @@ Result<StreamState> DecodeStreamStateSection(std::string_view bytes) {
 }
 
 std::string EncodeRetainedRowsSection(const Relation& rows) {
+  std::vector<std::span<const double>> columns;
+  for (size_t c = 0; c < rows.num_columns(); ++c) {
+    columns.push_back(rows.column(c));
+  }
   WireWriter w;
+  w.Reserve(16 + 8 * rows.num_rows() * columns.size());
   w.U64(rows.num_rows());
-  w.U64(rows.num_columns());
+  w.U64(columns.size());
   for (size_t r = 0; r < rows.num_rows(); ++r) {
-    for (double value : rows.Row(r)) w.F64(value);
+    for (std::span<const double> column : columns) w.F64(column[r]);
   }
   return std::move(w).Take();
 }

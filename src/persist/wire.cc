@@ -115,9 +115,9 @@ std::array<uint32_t, 256> BuildCrcTable() {
 
 }  // namespace
 
-uint32_t Crc32(std::string_view data) {
+uint32_t Crc32(std::string_view data, uint32_t crc) {
   static const std::array<uint32_t, 256> kTable = BuildCrcTable();
-  uint32_t crc = 0xFFFFFFFFu;
+  crc ^= 0xFFFFFFFFu;
   for (char ch : data) {
     crc = kTable[(crc ^ static_cast<uint8_t>(ch)) & 0xFF] ^ (crc >> 8);
   }

@@ -32,6 +32,10 @@ class WireWriter {
   /// Raw bytes, no length prefix (for pre-encoded sub-blobs).
   void Raw(std::string_view s) { buf_.append(s); }
 
+  /// Sizes the buffer for `n` bytes up front, for encoders that know
+  /// their output size.
+  void Reserve(size_t n) { buf_.reserve(n); }
+
   [[nodiscard]] const std::string& bytes() const { return buf_; }
   [[nodiscard]] size_t size() const { return buf_.size(); }
   [[nodiscard]] std::string Take() { return std::move(buf_); }
@@ -82,8 +86,10 @@ class WireReader {
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant), implemented
-/// locally so dar_persist has no external dependency.
-[[nodiscard]] uint32_t Crc32(std::string_view data);
+/// locally so dar_persist has no external dependency. `crc` continues a
+/// running CRC, as zlib's crc32() does: Crc32(b, Crc32(a)) == Crc32(a + b),
+/// so a container can be checksummed piece by piece as it is written.
+[[nodiscard]] uint32_t Crc32(std::string_view data, uint32_t crc = 0);
 
 }  // namespace dar::persist
 

@@ -1,5 +1,7 @@
 #include "relation/relation.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace dar {
@@ -18,6 +20,26 @@ Status Relation::AppendRow(std::span<const double> values) {
     columns_[c].push_back(values[c]);
   }
   ++num_rows_;
+  return Status::OK();
+}
+
+Status Relation::Append(const Relation& other) {
+  if (other.num_columns() != columns_.size()) {
+    return Status::InvalidArgument(
+        "relation width " + std::to_string(other.num_columns()) +
+        " does not match schema width " + std::to_string(columns_.size()));
+  }
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    std::vector<double>& column = columns_[c];
+    const size_t old_rows = column.size();
+    const size_t new_rows = other.columns_[c].size();
+    // resize() before reading the source keeps a self-append valid: the
+    // source is then read from the grown buffer.
+    column.resize(old_rows + new_rows);
+    std::copy_n(other.columns_[c].begin(), new_rows,
+                column.begin() + static_cast<std::ptrdiff_t>(old_rows));
+  }
+  num_rows_ += other.num_rows_;
   return Status::OK();
 }
 

@@ -32,6 +32,11 @@ class Relation {
     return AppendRow(std::span<const double>(values.begin(), values.size()));
   }
 
+  /// Appends every row of `other`, column by column; `other` must have as
+  /// many columns as this relation. Capacity grows geometrically, so
+  /// appending batch after batch costs time linear in the rows appended.
+  Status Append(const Relation& other);
+
   /// Full column `col` (length num_rows()).
   [[nodiscard]] std::span<const double> column(size_t col) const {
     return columns_.at(col);

@@ -82,12 +82,7 @@ Result<std::unique_ptr<StreamingMiner>> StreamingMiner::Make(
 Status StreamingMiner::Ingest(const Relation& batch) {
   Stopwatch watch;
   DAR_RETURN_IF_ERROR(builder_.AddRelation(batch));
-  if (retains_rows()) {
-    retained_rows_.Reserve(retained_rows_.num_rows() + batch.num_rows());
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      DAR_RETURN_IF_ERROR(retained_rows_.AppendRow(batch.Row(r)));
-    }
-  }
+  if (retains_rows()) DAR_RETURN_IF_ERROR(retained_rows_.Append(batch));
   rows_ingested_.store(builder_.rows_added(), std::memory_order_release);
   if (ingest_batches_ != nullptr) {
     ingest_batches_->Increment();

@@ -101,6 +101,20 @@ TEST(WireTest, Crc32MatchesReferenceVector) {
   EXPECT_EQ(persist::Crc32(""), 0u);
 }
 
+TEST(WireTest, Crc32ChainsAcrossPieces) {
+  // Crc32(b, Crc32(a)) == Crc32(a + b) at every split point, so the file
+  // writer can checksum a section's header and payload without joining
+  // them.
+  const std::string whole = "DARCKPT section header + payload bytes";
+  for (size_t split = 0; split <= whole.size(); ++split) {
+    const std::string_view a = std::string_view(whole).substr(0, split);
+    const std::string_view b = std::string_view(whole).substr(split);
+    EXPECT_EQ(persist::Crc32(b, persist::Crc32(a)), persist::Crc32(whole))
+        << "split at " << split;
+  }
+  EXPECT_EQ(persist::Crc32("56789", persist::Crc32("1234")), 0xCBF43926u);
+}
+
 // ---------------------------------------------------------------------------
 // Container framing.
 
@@ -693,18 +707,22 @@ TEST_F(FaultInjectionTest, OversizedRetainedRowCountIsRefused) {
   }
 }
 
-TEST_F(FaultInjectionTest, CrcValidCorruptionsReturnCleanly) {
-  // Restore, merge and DescribeCheckpoint over checkpoints whose payloads
-  // were corrupted *behind* valid CRCs. The base checkpoint carries all
-  // nine sections: support counting retains rows, the stream scores,
-  // prunes and diffs, and the save carries dictionaries and a shard id.
+// The config of WriteNineSectionCheckpoint: support counting retains rows.
+DarConfig NineSectionConfig() {
+  DarConfig config = TestConfig();
+  config.count_rule_support = true;
+  return config;
+}
+
+// Saves a checkpoint carrying all nine sections to `path`: support counting
+// retains rows, the stream scores, prunes and diffs, and the save carries
+// dictionaries and a shard id.
+void WriteNineSectionCheckpoint(const std::string& path) {
   PlantedDataSpec spec = WbcdLikeSpec(/*num_attrs=*/3, /*clusters_per_attr=*/3,
                                       /*outlier_fraction=*/0.05, /*seed=*/77);
   auto data = GeneratePlanted(spec, 120, 79);
   ASSERT_TRUE(data.ok()) << data.status();
-  DarConfig config = TestConfig();
-  config.count_rule_support = true;
-  auto session = Session::Builder().WithConfig(config).Build();
+  auto session = Session::Builder().WithConfig(NineSectionConfig()).Build();
   ASSERT_TRUE(session.ok()) << session.status();
   StreamConfig stream_config = ManualRemine();
   stream_config.score_measures = {"support", "confidence", "lift"};
@@ -719,8 +737,41 @@ TEST_F(FaultInjectionTest, CrcValidCorruptionsReturnCleanly) {
   std::vector<Dictionary> dictionaries(1);
   dictionaries[0].Encode("alpha");
   dictionaries[0].Encode("beta");
-  const std::string path = testutil::TempPath("sweep.ckpt");
   ASSERT_TRUE(session->SaveCheckpoint(**stream, path, dictionaries).ok());
+}
+
+TEST(CheckpointIoTest, StreamedFileEqualsSerializedImage) {
+  // WriteToFile streams header and sections to disk; its bytes must be
+  // Serialize()'s, section for section, on a checkpoint with all nine.
+  const std::string path = testutil::TempPath("nine.ckpt");
+  WriteNineSectionCheckpoint(path);
+  const std::string saved = ReadFileBytes(path);
+  auto reader = CheckpointReader::Parse(saved);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ASSERT_EQ(reader->section_ids().size(), 9u);
+  CheckpointWriter writer;
+  for (uint32_t id : reader->section_ids()) {
+    const auto section = static_cast<SectionId>(id);
+    writer.AddSection(section, std::string(*reader->Section(section)));
+  }
+  const std::string image = writer.Serialize();
+  EXPECT_EQ(image, saved);
+  size_t bytes = 0;
+  ASSERT_TRUE(writer.WriteToFile(path, &bytes).ok());
+  EXPECT_EQ(bytes, image.size());
+  EXPECT_EQ(ReadFileBytes(path), image);
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  std::remove(path.c_str());
+}
+
+TEST_F(FaultInjectionTest, CrcValidCorruptionsReturnCleanly) {
+  // Restore, merge and DescribeCheckpoint over checkpoints whose payloads
+  // were corrupted *behind* valid CRCs. The base checkpoint carries all
+  // nine sections.
+  const DarConfig config = NineSectionConfig();
+  const std::string path = testutil::TempPath("sweep.ckpt");
+  WriteNineSectionCheckpoint(path);
+  if (HasFatalFailure()) return;
   const std::string bytes = ReadFileBytes(path);
   auto reader = CheckpointReader::Parse(bytes);
   ASSERT_TRUE(reader.ok()) << reader.status();

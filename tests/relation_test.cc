@@ -73,6 +73,52 @@ TEST(RelationTest, AppendRejectsWrongWidth) {
   EXPECT_TRUE(r.AppendRow({1, 2}).IsInvalidArgument());
 }
 
+TEST(RelationTest, AppendRelationAddsRowsColumnWise) {
+  Relation r(TestSchema());
+  ASSERT_TRUE(r.AppendRow({1, 2, 0}).ok());
+  Relation batch(TestSchema());
+  ASSERT_TRUE(batch.AppendRow({3, 4, 1}).ok());
+  ASSERT_TRUE(batch.AppendRow({5, 6, 0}).ok());
+  ASSERT_TRUE(r.Append(batch).ok());
+  ASSERT_TRUE(r.Append(Relation(TestSchema())).ok());  // empty: no-op
+  EXPECT_EQ(r.num_rows(), 3u);
+  EXPECT_EQ(r.Row(0), (std::vector<double>{1, 2, 0}));
+  EXPECT_EQ(r.Row(1), (std::vector<double>{3, 4, 1}));
+  EXPECT_EQ(r.Row(2), (std::vector<double>{5, 6, 0}));
+  EXPECT_EQ(batch.num_rows(), 2u);  // the source is untouched
+  // Appending a relation to itself doubles it.
+  ASSERT_TRUE(r.Append(r).ok());
+  ASSERT_EQ(r.num_rows(), 6u);
+  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(r.Row(i + 3), r.Row(i));
+  // Many small batches: every row lands, in order.
+  Relation grown(TestSchema());
+  for (int i = 0; i < 500; ++i) {
+    Relation one(TestSchema());
+    ASSERT_TRUE(one.AppendRow({static_cast<double>(i), 0, 1}).ok());
+    ASSERT_TRUE(grown.Append(one).ok());
+  }
+  ASSERT_EQ(grown.num_rows(), 500u);
+  EXPECT_EQ(grown.column(0).size(), 500u);
+  for (size_t i = 0; i < 500; ++i) {
+    EXPECT_EQ(grown.at(i, 0), static_cast<double>(i));
+  }
+}
+
+TEST(RelationTest, AppendRelationRejectsWrongWidth) {
+  Relation r(TestSchema());
+  ASSERT_TRUE(r.AppendRow({1, 2, 0}).ok());
+  auto narrow = Schema::Make({{"a", AttributeKind::kInterval},
+                              {"b", AttributeKind::kInterval}});
+  ASSERT_TRUE(narrow.ok()) << narrow.status();
+  Relation other(*narrow);
+  ASSERT_TRUE(other.AppendRow({7, 8}).ok());
+  Status s = r.Append(other);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s;
+  EXPECT_NE(s.message().find("width"), std::string::npos) << s;
+  EXPECT_EQ(r.num_rows(), 1u);  // nothing appended
+  EXPECT_EQ(r.column(0).size(), 1u);
+}
+
 TEST(RelationTest, ProjectRow) {
   Relation r(TestSchema());
   ASSERT_TRUE(r.AppendRow({10, 20, 30}).ok());

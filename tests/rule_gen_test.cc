@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <functional>
+#include <map>
+#include <set>
+
+#include "common/random.h"
 #include "core/clustering_graph.h"
 
 namespace dar {
@@ -40,6 +47,144 @@ ClusterSet CooccurringSet(std::shared_ptr<const AcfLayout> layout) {
     clusters.push_back(MakeCluster(layout, p, p, tuples));
   }
   return ClusterSet(layout, std::move(clusters));
+}
+
+// --- Reference: the §6.2 definition, all pairs -----------------------------
+
+// Enumerates all subsets of `universe` with size in [1, max_size], invoking
+// `fn(subset)`; returns false early if fn returns false (budget exhausted).
+bool ForEachSubset(const std::vector<size_t>& universe, size_t max_size,
+                   const std::function<bool(const std::vector<size_t>&)>& fn) {
+  std::vector<size_t> current;
+  std::function<bool(size_t)> rec = [&](size_t start) -> bool {
+    if (!current.empty()) {
+      if (!fn(current)) return false;
+    }
+    if (current.size() == max_size) return true;
+    for (size_t i = start; i < universe.size(); ++i) {
+      current.push_back(universe[i]);
+      if (!rec(i + 1)) return false;
+      current.pop_back();
+    }
+    return true;
+  };
+  return rec(0);
+}
+
+// Every ordered clique pair (Q2 outer, Q1 inner), each assoc(C_Y) built per
+// pair through a degree cache, duplicates dropped through a seen set. This
+// is the straightforward reading of §6.2 that GenerateDistanceRules must
+// reproduce rule for rule.
+RuleGenResult ReferenceGenerateDistanceRules(
+    const ClusterSet& clusters,
+    const std::vector<std::vector<size_t>>& cliques,
+    const RuleGenOptions& options) {
+  RuleGenResult result;
+  std::set<std::pair<std::vector<size_t>, std::vector<size_t>>> seen;
+  std::map<std::pair<size_t, size_t>, double> degree_cache;
+  auto degree_of = [&](size_t cy, size_t cx) {
+    auto key = std::make_pair(cy, cx);
+    auto it = degree_cache.find(key);
+    if (it != degree_cache.end()) return it->second;
+    const FoundCluster& y = clusters.cluster(cy);
+    const FoundCluster& x = clusters.cluster(cx);
+    double d = ClusterDistance(y.acf.image(y.part), x.acf.image(y.part),
+                               options.metric);
+    ++result.degree_evaluations;
+    degree_cache.emplace(key, d);
+    return d;
+  };
+  auto degree_limit = [&](size_t cy) {
+    size_t part = clusters.cluster(cy).part;
+    if (part < options.degree_thresholds.size()) {
+      return options.degree_thresholds[part];
+    }
+    return options.degree_threshold;
+  };
+
+  for (const auto& q2 : cliques) {
+    for (const auto& q1 : cliques) {
+      std::map<size_t, std::vector<size_t>> assoc;
+      for (size_t cy : q2) {
+        std::vector<size_t>& a = assoc[cy];
+        for (size_t cx : q1) {
+          if (cx == cy) continue;
+          if (clusters.cluster(cx).part == clusters.cluster(cy).part) {
+            continue;
+          }
+          if (degree_of(cy, cx) <= degree_limit(cy)) a.push_back(cx);
+        }
+        std::sort(a.begin(), a.end());
+      }
+      bool keep_going = ForEachSubset(
+          q2, options.max_consequent,
+          [&](const std::vector<size_t>& consequent) -> bool {
+            std::vector<size_t> candidates = assoc[consequent[0]];
+            for (size_t i = 1; i < consequent.size() && !candidates.empty();
+                 ++i) {
+              std::vector<size_t> next;
+              const auto& other = assoc[consequent[i]];
+              std::set_intersection(candidates.begin(), candidates.end(),
+                                    other.begin(), other.end(),
+                                    std::back_inserter(next));
+              candidates = std::move(next);
+            }
+            if (candidates.empty()) return true;
+            std::set<size_t> consequent_parts;
+            for (size_t cy : consequent) {
+              consequent_parts.insert(clusters.cluster(cy).part);
+            }
+            std::erase_if(candidates, [&](size_t cx) {
+              return consequent_parts.count(clusters.cluster(cx).part) > 0;
+            });
+            if (candidates.empty()) return true;
+            return ForEachSubset(
+                candidates, options.max_antecedent,
+                [&](const std::vector<size_t>& antecedent) -> bool {
+                  if (!seen.emplace(antecedent, consequent).second) {
+                    return true;
+                  }
+                  if (result.rules.size() >= options.max_rules) {
+                    result.truncated = true;
+                    return false;
+                  }
+                  DistanceRule rule;
+                  rule.antecedent = antecedent;
+                  rule.consequent = consequent;
+                  for (size_t cy : consequent) {
+                    for (size_t cx : antecedent) {
+                      rule.degree = std::max(rule.degree, degree_of(cy, cx));
+                    }
+                  }
+                  result.rules.push_back(std::move(rule));
+                  return true;
+                });
+          });
+      if (!keep_going) return result;
+    }
+  }
+  return result;
+}
+
+// Same rules in the same order with the same degree bits, the same
+// truncation flag, and (untruncated) the same number of degree evaluations.
+void ExpectSameAsReference(const ClusterSet& set,
+                           const std::vector<std::vector<size_t>>& cliques,
+                           const RuleGenOptions& opts) {
+  RuleGenResult got = GenerateDistanceRules(set, cliques, opts);
+  RuleGenResult want = ReferenceGenerateDistanceRules(set, cliques, opts);
+  EXPECT_EQ(got.truncated, want.truncated);
+  if (!want.truncated) {
+    EXPECT_EQ(got.degree_evaluations, want.degree_evaluations);
+  }
+  ASSERT_EQ(got.rules.size(), want.rules.size());
+  for (size_t i = 0; i < want.rules.size(); ++i) {
+    SCOPED_TRACE("rule " + std::to_string(i));
+    EXPECT_EQ(got.rules[i].antecedent, want.rules[i].antecedent);
+    EXPECT_EQ(got.rules[i].consequent, want.rules[i].consequent);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.rules[i].degree),
+              std::bit_cast<uint64_t>(want.rules[i].degree));
+  }
 }
 
 TEST(DegreeTest, ZeroForPerfectAssociation) {
@@ -208,6 +353,94 @@ TEST(RuleGenTest, MaxRulesTruncatesLoudly) {
   RuleGenResult result = GenerateDistanceRules(set, cliques, opts);
   EXPECT_TRUE(result.truncated);
   EXPECT_EQ(result.rules.size(), 3u);
+}
+
+// Seeded random inputs: clusters on four 1-d parts summarizing tuples from
+// a small grid (so degrees tie often), overlapping cliques drawn from a
+// small pool (so they share clusters, and sometimes repeat), per-part
+// thresholds on half the seeds, arity caps 1-3, then max_rules at cut
+// points around the full rule count.
+TEST(RuleGenTest, MatchesAllPairsDefinitionOnRandomInputs) {
+  auto layout = FourPartLayout();
+  size_t truncated_runs = 0;
+  size_t max_rules_seen = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const size_t n = static_cast<size_t>(rng.UniformInt(4, 14));
+    std::vector<FoundCluster> clusters;
+    for (size_t id = 0; id < n; ++id) {
+      std::vector<std::array<double, 4>> tuples(
+          static_cast<size_t>(rng.UniformInt(1, 3)));
+      for (auto& t : tuples) {
+        for (double& v : t) v = static_cast<double>(rng.UniformInt(0, 6));
+      }
+      clusters.push_back(MakeCluster(
+          layout, id, static_cast<size_t>(rng.UniformInt(0, 3)), tuples));
+    }
+    ClusterSet set(layout, std::move(clusters));
+
+    // Cliques as Phase II shapes them (one cluster per part) on even seeds;
+    // any ascending id set, same-part members included, on odd ones.
+    const bool one_per_part = seed % 2 == 0;
+    std::vector<std::vector<size_t>> cliques(
+        static_cast<size_t>(rng.UniformInt(1, 8)));
+    for (auto& q : cliques) {
+      std::set<size_t> members;
+      std::set<size_t> parts;
+      const size_t want = static_cast<size_t>(rng.UniformInt(1, 5));
+      for (size_t tries = 0; tries < 20 && members.size() < want; ++tries) {
+        size_t id = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+        if (one_per_part && !parts.insert(set.cluster(id).part).second) {
+          continue;
+        }
+        members.insert(id);
+      }
+      q.assign(members.begin(), members.end());
+    }
+    if (rng.Bernoulli(0.3)) cliques.push_back(cliques.front());
+
+    // Thresholds on a half-unit grid, so degrees of single-tuple clusters
+    // land exactly on D0 now and then.
+    RuleGenOptions opts;
+    opts.degree_threshold = static_cast<double>(rng.UniformInt(1, 8)) / 2;
+    if (seed % 3 != 0) {
+      opts.degree_thresholds.resize(static_cast<size_t>(rng.UniformInt(0, 4)));
+      for (double& t : opts.degree_thresholds) {
+        t = static_cast<double>(rng.UniformInt(0, 10)) / 2;
+      }
+    }
+    opts.max_antecedent = static_cast<size_t>(rng.UniformInt(1, 3));
+    opts.max_consequent = static_cast<size_t>(rng.UniformInt(1, 3));
+    ExpectSameAsReference(set, cliques, opts);
+
+    const size_t total = GenerateDistanceRules(set, cliques, opts).rules.size();
+    max_rules_seen = std::max(max_rules_seen, total);
+    for (size_t cut : {size_t{0}, size_t{1}, total / 3, total / 2,
+                       total > 0 ? total - 1 : 0, total, total + 1}) {
+      SCOPED_TRACE("max_rules " + std::to_string(cut));
+      opts.max_rules = cut;
+      ExpectSameAsReference(set, cliques, opts);
+      if (cut < total) ++truncated_runs;
+    }
+  }
+  // The seeds must exercise both sides of the cut and non-trivial outputs.
+  EXPECT_GT(truncated_runs, 100u);
+  EXPECT_GT(max_rules_seen, 20u);
+}
+
+TEST(RuleGenTest, ZeroArityCapsEmitNothingButStillEvaluate) {
+  auto layout = FourPartLayout();
+  ClusterSet set = CooccurringSet(layout);
+  std::vector<std::vector<size_t>> cliques = {{0, 1, 2}};
+  RuleGenOptions opts = DefaultOptions();
+  opts.max_antecedent = 0;
+  ExpectSameAsReference(set, cliques, opts);
+  opts.max_antecedent = 3;
+  opts.max_consequent = 0;
+  ExpectSameAsReference(set, cliques, opts);
+  EXPECT_EQ(GenerateDistanceRules(set, cliques, opts).degree_evaluations, 6);
 }
 
 TEST(RuleGenTest, EmptyCliquesNoRules) {
