@@ -49,6 +49,8 @@
 #include "serve/client.h"
 #include "serve/query_service.h"
 #include "serve/server.h"
+#include "stream/rule_index.h"
+#include "stream/rule_snapshot.h"
 #include "stream/streaming_miner.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
@@ -908,8 +910,9 @@ int RunGraphSuite(const BenchOptions& options, std::vector<RunRecord>& runs) {
 }
 
 // --- Suite 3: micro kernels (ACF-tree insertion, D2 distance, clique
-// enumeration, diameter-with-point, Apriori, equi-depth partitioning),
-// measured standalone with their own registries. ---
+// enumeration, diameter-with-point, Apriori, equi-depth partitioning,
+// RuleIndex point queries), measured standalone with their own
+// registries. ---
 
 void MicroAcfInsert(const BenchOptions& options,
                     std::vector<RunRecord>& runs) {
@@ -1146,6 +1149,155 @@ int MicroEquiDepth(const BenchOptions& options,
       {"seconds", seconds},
       {"values_per_second",
        seconds > 0 ? static_cast<double>(n) / seconds : 0.0}};
+  run.telemetry_json = DeterministicTelemetry(registry.TakeSnapshot());
+  runs.push_back(std::move(run));
+  return 0;
+}
+
+// RuleIndex at the perfbench serve_hotswap preload shape (10 attributes,
+// 8 clusters each, 5% outliers; 40k rows): Build timed as the median of
+// repeated builds, then point queries on data tuples through one reused
+// scratch. Every answer is then checked against a brute-force scan of all
+// cluster boxes and rules; check_bench_json.py requires zero mismatches
+// and at least one firing rule.
+int MicroRuleIndex(const BenchOptions& options,
+                   std::vector<RunRecord>& runs) {
+  const size_t attrs = 10;
+  const size_t clusters = 8;
+  const size_t n = options.smoke ? 4000 : 40000;
+  const size_t probes = options.smoke ? 400 : 4000;
+  const size_t builds = options.smoke ? 3 : 9;
+  const PlantedDataSpec spec =
+      WbcdLikeSpec(attrs, clusters, 0.05, options.seed + 18);
+  auto data = GeneratePlanted(spec, n, options.seed + 19);
+  if (!data.ok()) {
+    std::cerr << data.status() << "\n";
+    return 1;
+  }
+  DarConfig config;
+  config.memory_budget_bytes = 32u << 20;
+  config.frequency_fraction = 0.5 / static_cast<double>(clusters);
+  config.initial_diameters.assign(attrs, 0.3 * 1000.0 / clusters);
+  config.degree_threshold = 150.0;
+  auto session = MakeSession(options, config);
+  if (!session.ok()) {
+    std::cerr << session.status() << "\n";
+    return 1;
+  }
+  StreamConfig stream_config;
+  stream_config.remine_every_rows = 0;
+  auto stream = session->OpenStream(data->relation.schema(), data->partition,
+                                    stream_config);
+  if (!stream.ok()) {
+    std::cerr << stream.status() << "\n";
+    return 1;
+  }
+  if (auto s = (*stream)->Ingest(data->relation); !s.ok()) {
+    std::cerr << s << "\n";
+    return 1;
+  }
+  auto snapshot = (*stream)->Remine();
+  if (!snapshot.ok()) {
+    std::cerr << snapshot.status() << "\n";
+    return 1;
+  }
+  const ClusterSet& set = (*snapshot)->clusters();
+  const std::vector<DistanceRule>& rules = (*snapshot)->rules();
+  const AttributePartition& partition = data->partition;
+
+  std::vector<double> build_seconds;
+  RuleIndex index;
+  for (size_t b = 0; b < builds; ++b) {
+    Stopwatch watch;
+    index = RuleIndex::Build(set, rules, partition);
+    build_seconds.push_back(watch.ElapsedSeconds());
+  }
+  std::sort(build_seconds.begin(), build_seconds.end());
+
+  std::vector<std::vector<double>> tuples;
+  tuples.reserve(probes);
+  for (size_t i = 0; i < probes; ++i) {
+    tuples.push_back(data->relation.Row(i * (n / probes)));
+  }
+  RuleIndex::QueryScratch scratch;
+  int64_t firing = 0;
+  int64_t candidates = 0;
+  (void)index.Query(tuples[0], scratch);  // grow the scratch once
+  Stopwatch watch;
+  for (const std::vector<double>& tuple : tuples) {
+    auto hits = index.Query(tuple, scratch);
+    if (!hits.ok()) {
+      std::cerr << hits.status() << "\n";
+      return 1;
+    }
+    firing += static_cast<int64_t>(hits->rules.size());
+    candidates += static_cast<int64_t>(scratch.touched.size());
+  }
+  const double query_seconds = watch.ElapsedSeconds();
+
+  // The oracle: every box and every rule, per probe.
+  std::vector<std::vector<std::pair<double, double>>> boxes;
+  for (const FoundCluster& c : set.clusters()) {
+    boxes.push_back(c.acf.BoundingBox(c.part));
+  }
+  int64_t mismatches = 0;
+  std::vector<uint8_t> inside(set.size());
+  std::vector<size_t> want_clusters;
+  std::vector<size_t> want_rules;
+  for (const std::vector<double>& tuple : tuples) {
+    want_clusters.clear();
+    want_rules.clear();
+    for (size_t id = 0; id < set.size(); ++id) {
+      const std::vector<size_t>& cols =
+          partition.part(set.cluster(id).part).columns;
+      bool contains = true;
+      for (size_t d = 0; d < boxes[id].size() && contains; ++d) {
+        const double v = tuple[cols[d]];
+        contains = v >= boxes[id][d].first && v <= boxes[id][d].second;
+      }
+      inside[id] = contains;
+      if (contains) want_clusters.push_back(id);
+    }
+    for (size_t k = 0; k < rules.size(); ++k) {
+      bool fires = true;
+      for (const auto* side : {&rules[k].antecedent, &rules[k].consequent}) {
+        for (size_t id : *side) fires = fires && id < set.size() && inside[id];
+      }
+      if (fires) want_rules.push_back(k);
+    }
+    auto hits = index.Query(tuple, scratch);
+    if (!hits.ok() ||
+        !std::equal(hits->clusters.begin(), hits->clusters.end(),
+                    want_clusters.begin(), want_clusters.end()) ||
+        !std::equal(hits->rules.begin(), hits->rules.end(),
+                    want_rules.begin(), want_rules.end())) {
+      ++mismatches;
+    }
+  }
+
+  telemetry::MetricsRegistry registry;
+  registry.GetCounter("micro.rule_index.rules")
+      ->Increment(static_cast<int64_t>(rules.size()));
+  registry.GetCounter("micro.rule_index.clusters")
+      ->Increment(static_cast<int64_t>(set.size()));
+  registry.GetCounter("micro.rule_index.probes")
+      ->Increment(static_cast<int64_t>(probes));
+  registry.GetCounter("micro.rule_index.firing")->Increment(firing);
+  registry.GetCounter("micro.rule_index.candidates")->Increment(candidates);
+  registry.GetCounter("micro.rule_index.mismatches")->Increment(mismatches);
+  RunRecord run;
+  run.name = "micro/rule_index";
+  run.params = {{"n", static_cast<double>(n)},
+                {"attrs", static_cast<double>(attrs)},
+                {"clusters_per_attr", static_cast<double>(clusters)},
+                {"probes", static_cast<double>(probes)},
+                {"builds", static_cast<double>(builds)}};
+  run.timings = {
+      {"build_seconds", build_seconds[builds / 2]},
+      {"query_seconds", query_seconds / static_cast<double>(probes)},
+      {"queries_per_second",
+       query_seconds > 0 ? static_cast<double>(probes) / query_seconds
+                         : 0.0}};
   run.telemetry_json = DeterministicTelemetry(registry.TakeSnapshot());
   runs.push_back(std::move(run));
   return 0;
@@ -1483,6 +1635,7 @@ int Main(int argc, char** argv) {
   MicroDiameterWithPoint(options, micro_runs);
   if (MicroApriori(options, micro_runs) != 0) return 1;
   if (MicroEquiDepth(options, micro_runs) != 0) return 1;
+  if (MicroRuleIndex(options, micro_runs) != 0) return 1;
   if (WriteSuite(options, "micro", micro_runs) != 0) return 1;
   return 0;
 }

@@ -23,7 +23,8 @@ struct StreamConfig {
 
   /// When true (default) every snapshot carries a RuleIndex, so readers
   /// can answer "which clusters contain tuple t / which DARs fire for t"
-  /// point queries in sublinear time. Costs O(clusters * log) per re-mine.
+  /// point queries in sublinear time. Costs O(rule references + clusters ·
+  /// log clusters) per re-mine.
   bool build_rule_index = true;
 
   /// Checkpoint cadence: after every `checkpoint_every_rows` ingested rows

@@ -7,9 +7,12 @@
 
 #include "common/random.h"
 #include "core/session.h"
+#include "test_util.h"
 
 namespace dar {
 namespace {
+
+using testutil::MakeCluster;
 
 std::shared_ptr<const AcfLayout> ThreePartLayout() {
   auto layout = std::make_shared<AcfLayout>();
@@ -17,20 +20,6 @@ std::shared_ptr<const AcfLayout> ThreePartLayout() {
                    {1, MetricKind::kEuclidean, "B"},
                    {1, MetricKind::kEuclidean, "C"}};
   return layout;
-}
-
-// Builds a cluster on `part` from tuples given as (a, b, c) triples.
-FoundCluster MakeCluster(std::shared_ptr<const AcfLayout> layout, size_t id,
-                         size_t part,
-                         const std::vector<std::array<double, 3>>& tuples) {
-  FoundCluster c;
-  c.id = id;
-  c.part = part;
-  c.acf = Acf(layout, part);
-  for (const auto& t : tuples) {
-    c.acf.AddRow({{t[0]}, {t[1]}, {t[2]}});
-  }
-  return c;
 }
 
 TEST(ClusteringGraphTest, CooccurringClustersGetEdge) {
@@ -98,7 +87,7 @@ TEST(ClusteringGraphTest, PruningHeuristicPreservesResult) {
   std::vector<FoundCluster> with_prune_clusters, without;
   for (size_t id = 0; id < 20; ++id) {
     size_t part = id % 3;
-    std::vector<std::array<double, 3>> tuples;
+    std::vector<std::vector<double>> tuples;
     double base_a = rng.Uniform(0, 50), base_b = rng.Uniform(0, 50),
            base_c = rng.Uniform(0, 50);
     double spread = rng.Uniform(0.1, 20);  // some images diffuse, some tight

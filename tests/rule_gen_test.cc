@@ -10,9 +10,12 @@
 
 #include "common/random.h"
 #include "core/clustering_graph.h"
+#include "test_util.h"
 
 namespace dar {
 namespace {
+
+using testutil::MakeCluster;
 
 // Layout with four 1-d parts A, B, C, D.
 std::shared_ptr<const AcfLayout> FourPartLayout() {
@@ -24,24 +27,10 @@ std::shared_ptr<const AcfLayout> FourPartLayout() {
   return layout;
 }
 
-// Cluster on `part` summarizing `tuples` over (a, b, c, d).
-FoundCluster MakeCluster(std::shared_ptr<const AcfLayout> layout, size_t id,
-                         size_t part,
-                         const std::vector<std::array<double, 4>>& tuples) {
-  FoundCluster c;
-  c.id = id;
-  c.part = part;
-  c.acf = Acf(layout, part);
-  for (const auto& t : tuples) {
-    c.acf.AddRow({{t[0]}, {t[1]}, {t[2]}, {t[3]}});
-  }
-  return c;
-}
-
 // A population of identical tuples (10, 20, 30, 40): clusters on A, B, C
 // summarizing it are mutually associated with degree 0.
 ClusterSet CooccurringSet(std::shared_ptr<const AcfLayout> layout) {
-  std::vector<std::array<double, 4>> tuples(5, {10, 20, 30, 40});
+  std::vector<std::vector<double>> tuples(5, {10, 20, 30, 40});
   std::vector<FoundCluster> clusters;
   for (size_t p = 0; p < 3; ++p) {
     clusters.push_back(MakeCluster(layout, p, p, tuples));
@@ -291,7 +280,7 @@ TEST(RuleGenTest, CrossCliqueRules) {
   auto layout = FourPartLayout();
   // Clique 1 = {A-cluster, B-cluster} from population P1; clique 2 =
   // {C-cluster} whose images on A and B are near P1 (one-way assoc).
-  std::vector<std::array<double, 4>> p1(4, {10, 20, 30, 0});
+  std::vector<std::vector<double>> p1(4, {10, 20, 30, 0});
   std::vector<FoundCluster> clusters;
   clusters.push_back(MakeCluster(layout, 0, 0, p1));
   clusters.push_back(MakeCluster(layout, 1, 1, p1));
@@ -325,7 +314,7 @@ TEST(RuleGenTest, NoDuplicateRulesAcrossCliquePairs) {
 
 TEST(RuleGenTest, ArityCapsRespected) {
   auto layout = FourPartLayout();
-  std::vector<std::array<double, 4>> tuples(5, {10, 20, 30, 40});
+  std::vector<std::vector<double>> tuples(5, {10, 20, 30, 40});
   std::vector<FoundCluster> clusters;
   for (size_t p = 0; p < 4; ++p) {
     clusters.push_back(MakeCluster(layout, p, p, tuples));
@@ -370,8 +359,8 @@ TEST(RuleGenTest, MatchesAllPairsDefinitionOnRandomInputs) {
     const size_t n = static_cast<size_t>(rng.UniformInt(4, 14));
     std::vector<FoundCluster> clusters;
     for (size_t id = 0; id < n; ++id) {
-      std::vector<std::array<double, 4>> tuples(
-          static_cast<size_t>(rng.UniformInt(1, 3)));
+      std::vector<std::vector<double>> tuples(
+          static_cast<size_t>(rng.UniformInt(1, 3)), std::vector<double>(4));
       for (auto& t : tuples) {
         for (double& v : t) v = static_cast<double>(rng.UniformInt(0, 6));
       }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -646,6 +647,21 @@ TEST(QueryServiceTest, TooShortTupleIsInvalid) {
   EXPECT_TRUE(status.IsInvalidArgument());
 }
 
+TEST(QueryServiceTest, NonFiniteTupleIsInvalid) {
+  ServedStream served = MakeServedStream();
+  QueryService service;
+  service.AttachStream(*served.stream);
+  std::vector<double> tuple = served.data.relation.Row(0);
+  tuple[2] = std::numeric_limits<double>::quiet_NaN();
+  PointQueryRequest query;
+  query.tuple = tuple;
+  PointQueryResponse hits;
+  Status status = service.PointQuery(query, hits);
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("column 2"), std::string::npos) << status;
+}
+
 // ---------------------------------------------------------------------
 // RuleIndex scratch API
 
@@ -672,6 +688,63 @@ TEST(RuleIndexViewTest, ScratchReuseYieldsIdenticalHits) {
     EXPECT_TRUE(std::equal(hits->rules.begin(), hits->rules.end(),
                            reference->rules.begin(), reference->rules.end()));
   }
+}
+
+// A serving thread's scratch outlives every generation it serves, so one
+// scratch must move between indexes of different sizes, through rejected
+// queries, and still answer exactly like a cold scratch.
+TEST(RuleIndexViewTest, ScratchSurvivesHotSwappedIndexes) {
+  ServedStream big = MakeServedStream();
+  auto big_snapshot = StreamTestPeer::Snapshot(*big.stream);
+  ASSERT_NE(big_snapshot, nullptr);
+  // A smaller generation: fewer attributes and clusters, so fewer rules.
+  auto small_data =
+      GeneratePlanted(WbcdLikeSpec(3, 2, 0.05, /*seed=*/31), 1500, 32);
+  ASSERT_TRUE(small_data.ok()) << small_data.status();
+  DarConfig config = TestConfig();
+  config.initial_diameters.assign(3, 80.0);
+  auto session = Session::Builder().WithConfig(config).Build();
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto report = session->Mine(small_data->relation, small_data->partition);
+  ASSERT_TRUE(report.ok()) << report.status();
+  auto small_snapshot = QueryService::MakeSnapshot(std::move(report->result),
+                                                   small_data->partition);
+  const RuleIndex* big_index = big_snapshot->index();
+  const RuleIndex* small_index = small_snapshot->index();
+  ASSERT_NE(big_index, nullptr);
+  ASSERT_NE(small_index, nullptr);
+  ASSERT_GT(big_index->num_clusters(), small_index->num_clusters());
+  ASSERT_GT(big_index->num_rules(), small_index->num_rules());
+
+  RuleIndex::QueryScratch reused;
+  size_t firing = 0;
+  auto expect_cold_answer = [&](const RuleIndex& index,
+                                const std::vector<double>& row) {
+    auto hits = index.Query(row, reused);
+    ASSERT_TRUE(hits.ok()) << hits.status();
+    RuleIndex::QueryScratch cold;
+    auto reference = index.Query(row, cold);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    EXPECT_TRUE(std::equal(hits->clusters.begin(), hits->clusters.end(),
+                           reference->clusters.begin(),
+                           reference->clusters.end()));
+    EXPECT_TRUE(std::equal(hits->rules.begin(), hits->rules.end(),
+                           reference->rules.begin(), reference->rules.end()));
+    firing += hits->rules.size();
+  };
+  const Relation& big_rows = big.data.relation;
+  const Relation& small_rows = small_data->relation;
+  for (size_t r = 0; r < small_rows.num_rows(); r += 37) {
+    SCOPED_TRACE("row " + std::to_string(r));
+    expect_cold_answer(*big_index, big_rows.Row(r));
+    expect_cold_answer(*small_index, small_rows.Row(r));
+    std::vector<double> rejected = big_rows.Row(r);
+    rejected[r % 3] = std::numeric_limits<double>::quiet_NaN();
+    const RuleIndex& either = r % 2 == 0 ? *big_index : *small_index;
+    EXPECT_TRUE(either.Query(rejected, reused).status().IsInvalidArgument());
+    expect_cold_answer(*big_index, big_rows.Row(r));
+  }
+  EXPECT_GT(firing, 0u) << "no rule fired: the check is vacuous";
 }
 
 // ---------------------------------------------------------------------
@@ -791,6 +864,45 @@ TEST(RuleServerTest, HttpEndpoints) {
   ASSERT_TRUE(missing.ok());
   response = serve::HandleHttpRequest(service, *missing);
   EXPECT_NE(response.find("HTTP/1.1 404"), std::string::npos);
+
+  server.Stop();
+}
+
+TEST(RuleServerTest, NonFiniteTupleIsAnInvalidRequest) {
+  ServedStream served = MakeServedStream(1000);
+  QueryService service;
+  service.AttachStream(*served.stream);
+  serve::RuleServer server(service, serve::ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+
+  // The binary codec carries the NaN; the index rejects it as
+  // invalid_request, and the session stays usable.
+  auto client =
+      serve::RuleClient::Connect("127.0.0.1", server.port(), "tenant-a");
+  ASSERT_TRUE(client.ok()) << client.status();
+  std::vector<double> tuple = served.data.relation.Row(0);
+  tuple[1] = std::numeric_limits<double>::quiet_NaN();
+  PointQueryRequest query;
+  query.tuple = tuple;
+  PointQueryResponse response;
+  Status status = client->PointQuery(query, response);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(ServeCodeFromStatus(status), ServeCode::kInvalidRequest) << status;
+  EXPECT_NE(status.message().find("column 1"), std::string::npos) << status;
+  const std::vector<double> finite = served.data.relation.Row(0);
+  query.tuple = finite;
+  EXPECT_TRUE(client->PointQuery(query, response).ok());
+
+  // strtod parses "nan" and "inf"; the HTTP answer is a 400.
+  for (const char* bad : {"nan", "inf"}) {
+    auto parsed = serve::ParseHttpRequest(
+        std::string("GET /v1/query?tuple=1,") + bad +
+        ",1,1 HTTP/1.1\r\n\r\n");
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    const std::string http = serve::HandleHttpRequest(service, *parsed);
+    EXPECT_NE(http.find("HTTP/1.1 400"), std::string::npos) << http;
+    EXPECT_NE(http.find("column 1"), std::string::npos) << http;
+  }
 
   server.Stop();
 }

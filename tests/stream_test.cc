@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -315,6 +317,179 @@ TEST(StreamTest, RuleIndexMatchesBruteForce) {
   const std::vector<double> narrow(1, 0.0);
   EXPECT_TRUE(
       StreamTestPeer::Query(**stream, narrow).status().IsInvalidArgument());
+}
+
+// Between queries a scratch's containment table and firing bitmap must be
+// all zero.
+bool ScratchTablesAreZero(const RuleIndex::QueryScratch& scratch) {
+  return std::all_of(scratch.contains.begin(), scratch.contains.end(),
+                     [](uint8_t b) { return b == 0; }) &&
+         std::all_of(scratch.firing.begin(), scratch.firing.end(),
+                     [](uint64_t w) { return w == 0; });
+}
+
+TEST(StreamTest, RuleIndexRejectsNonFiniteValues) {
+  PlantedDataset data = TestData();
+  auto session = TestSession();
+  ASSERT_TRUE(session.ok());
+  auto stream = session->OpenStream(data.relation.schema(), data.partition,
+                                    Cadence(0));
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE((*stream)->Ingest(data.relation).ok());
+  auto snapshot = (*stream)->Remine();
+  ASSERT_TRUE(snapshot.ok());
+  const RuleIndex* index = (*snapshot)->index();
+  ASSERT_NE(index, nullptr);
+
+  // A NaN compares false against every box edge; unchecked, it would land
+  // in every cluster of its part and fire every rule built from them.
+  const std::vector<double> row = data.relation.Row(0);
+  RuleIndex::QueryScratch scratch;
+  ASSERT_TRUE(index->Query(row, scratch).ok());
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (size_t col = 0; col < row.size(); ++col) {
+    for (double bad : kBad) {
+      std::vector<double> probe = row;
+      probe[col] = bad;
+      auto hits = index->Query(probe, scratch);
+      ASSERT_FALSE(hits.ok()) << "column " << col << " = " << bad;
+      EXPECT_TRUE(hits.status().IsInvalidArgument()) << hits.status();
+      EXPECT_NE(hits.status().message().find("column " + std::to_string(col)),
+                std::string::npos)
+          << hits.status();
+      EXPECT_TRUE(ScratchTablesAreZero(scratch));
+    }
+  }
+  // The scratch still answers like a cold one.
+  auto hits = index->Query(row, scratch);
+  ASSERT_TRUE(hits.ok()) << hits.status();
+  auto reference = StreamTestPeer::Query(**stream, row);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  EXPECT_EQ(std::vector<size_t>(hits->clusters.begin(), hits->clusters.end()),
+            reference->clusters);
+  EXPECT_EQ(std::vector<size_t>(hits->rules.begin(), hits->rules.end()),
+            reference->rules);
+}
+
+// The index against the brute-force scan on synthetic clusters and rules:
+// overlapping integer boxes on 1-d and 2-d parts; rules of arity 2-5 whose
+// lowest id sits on either side; rule counts that straddle 64-bit bitmap
+// words; a rule naming an out-of-range id and one repeating ids; probes on
+// box edges (boxes are closed) as well as inside and outside them.
+TEST(StreamTest, RuleIndexMatchesBruteForceOnSyntheticInputs) {
+  // Parts a | b1+b2 | c | d1+d2, so a flat layout tuple is a schema row.
+  auto layout = std::make_shared<AcfLayout>();
+  layout->parts = {{1, MetricKind::kEuclidean, "a"},
+                   {2, MetricKind::kEuclidean, "b1+b2"},
+                   {1, MetricKind::kEuclidean, "c"},
+                   {2, MetricKind::kEuclidean, "d1+d2"}};
+  const Schema schema({{"a"}, {"b1"}, {"b2"}, {"c"}, {"d1"}, {"d2"}});
+  const AttributePartition partition =
+      AttributePartition::Make(schema,
+                               {{{"a"}, MetricKind::kEuclidean},
+                                {{"b1", "b2"}, MetricKind::kEuclidean},
+                                {{"c"}, MetricKind::kEuclidean},
+                                {{"d1", "d2"}, MetricKind::kEuclidean}})
+          .ValueOrDie();
+  const size_t width = schema.num_attributes();
+  const size_t kRuleCounts[] = {63, 64, 65, 127, 129};
+
+  RuleIndex::QueryScratch scratch;  // reused across every index size
+  size_t firing = 0;
+  size_t repeat_fired = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    auto pick = [&rng](size_t lo, size_t hi) {
+      return static_cast<size_t>(rng.UniformInt(static_cast<int64_t>(lo),
+                                                static_cast<int64_t>(hi)));
+    };
+    auto grid_row = [&] {
+      std::vector<double> row(width);
+      for (double& v : row) v = static_cast<double>(pick(0, 4));
+      return row;
+    };
+
+    // 4-12 clusters, each the bounding box of 1-3 tuples on a 0..4 grid.
+    const size_t num_clusters = pick(4, 12);
+    std::vector<FoundCluster> found;
+    for (size_t id = 0; id < num_clusters; ++id) {
+      std::vector<std::vector<double>> tuples;
+      for (size_t t = pick(1, 3); t > 0; --t) tuples.push_back(grid_row());
+      found.push_back(testutil::MakeCluster(layout, id, pick(0, 3), tuples));
+    }
+    const ClusterSet clusters(layout, std::move(found));
+
+    std::vector<DistanceRule> rules(kRuleCounts[seed % 5]);
+    for (DistanceRule& rule : rules) {
+      const size_t arity = pick(2, 5);
+      const size_t lhs = pick(1, arity - 1);
+      for (size_t i = 0; i < arity; ++i) {
+        (i < lhs ? rule.antecedent : rule.consequent)
+            .push_back(pick(0, num_clusters - 1));
+      }
+    }
+    // One rule names an out-of-range id: beside valid ids on even seeds,
+    // only such ids on odd ones.
+    const size_t out_of_range = pick(0, rules.size() - 1);
+    if (seed % 2 == 1) {
+      rules[out_of_range].antecedent = {num_clusters + 1};
+      rules[out_of_range].consequent.clear();
+    }
+    rules[out_of_range].consequent.push_back(num_clusters + 3);
+    const size_t repeat =
+        (out_of_range + pick(1, rules.size() - 1)) % rules.size();
+    const size_t x = pick(0, num_clusters - 1);
+    const size_t y = pick(0, num_clusters - 1);
+    rules[repeat].antecedent = {y, x, y};
+    rules[repeat].consequent = {x};
+
+    const RuleIndex index = RuleIndex::Build(clusters, rules, partition);
+    EXPECT_EQ(index.num_clusters(), num_clusters);
+    EXPECT_EQ(index.num_rules(), rules.size());
+
+    // Grid probes hit box edges often; half steps fall inside or between
+    // boxes, and -1 / 5 outside them all. Each cluster also gets a probe
+    // on its low corner and one on its high corner.
+    std::vector<std::vector<double>> probes;
+    for (int i = 0; i < 60; ++i) probes.push_back(grid_row());
+    for (int i = 0; i < 40; ++i) {
+      std::vector<double> row(width);
+      for (double& v : row) v = static_cast<double>(pick(0, 12)) / 2.0 - 1.0;
+      probes.push_back(row);
+    }
+    for (const FoundCluster& c : clusters.clusters()) {
+      const auto box = c.acf.BoundingBox(c.part);
+      const auto& cols = partition.part(c.part).columns;
+      for (bool high : {false, true}) {
+        std::vector<double> row = grid_row();
+        for (size_t d = 0; d < box.size(); ++d) {
+          row[cols[d]] = high ? box[d].second : box[d].first;
+        }
+        probes.push_back(row);
+      }
+    }
+
+    for (const std::vector<double>& row : probes) {
+      auto hits = index.Query(row, scratch);
+      ASSERT_TRUE(hits.ok()) << hits.status();
+      const std::vector<size_t> want_clusters =
+          BruteForceClusters(clusters, partition, row);
+      ASSERT_EQ(std::vector<size_t>(hits->clusters.begin(),
+                                    hits->clusters.end()),
+                want_clusters);
+      ASSERT_EQ(std::vector<size_t>(hits->rules.begin(), hits->rules.end()),
+                BruteForceRules(rules, want_clusters));
+      ASSERT_TRUE(ScratchTablesAreZero(scratch));
+      firing += hits->rules.size();
+      repeat_fired += std::binary_search(hits->rules.begin(),
+                                         hits->rules.end(), repeat);
+    }
+  }
+  EXPECT_GT(firing, 0u) << "no rule fired: the check is vacuous";
+  EXPECT_GT(repeat_fired, 0u) << "the repeated-id rule never fired";
 }
 
 TEST(StreamTest, IndexDisabledByConfig) {

@@ -7,10 +7,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "birch/acf.h"
 #include "common/random.h"
+#include "core/model.h"
 #include "relation/metric.h"
 
 namespace dar {
@@ -34,6 +37,28 @@ inline std::string TempPath(const std::string& name) {
   std::replace(prefix.begin(), prefix.end(), '/', '_');
   return testing::TempDir() + "/" + prefix + "." +
          std::to_string(getpid()) + "." + name;
+}
+
+/// Cluster `id` on `part` summarizing `tuples`. A tuple lists one value per
+/// layout dimension, parts in layout order: (a, b, c, d) under four 1-d
+/// parts, (a, b1, b2, c) under parts of dimension 1, 2 and 1.
+inline FoundCluster MakeCluster(
+    std::shared_ptr<const AcfLayout> layout, size_t id, size_t part,
+    const std::vector<std::vector<double>>& tuples) {
+  FoundCluster c;
+  c.id = id;
+  c.part = part;
+  c.acf = Acf(layout, part);
+  for (const std::vector<double>& t : tuples) {
+    PartedRow row;
+    size_t next = 0;
+    for (const PartSpec& spec : layout->parts) {
+      row.emplace_back(t.begin() + next, t.begin() + next + spec.dim);
+      next += spec.dim;
+    }
+    c.acf.AddRow(row);
+  }
+  return c;
 }
 
 /// A set of points (row-major) used as brute-force reference input.

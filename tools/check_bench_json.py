@@ -63,6 +63,13 @@ dropped_cliques and zero spurious_cliques against the brute-force
 maximal-clique oracle — a single missing or invented clique is a
 correctness bug in the engine, not noise.
 
+The "micro" suite must hold a "micro/rule_index" run whose telemetry
+counts zero mismatches against its brute-force scan
+(counters["micro.rule_index.mismatches"]), at least one firing rule
+(counters["micro.rule_index.firing"] > 0, or the check is vacuous) and no
+more firing rules than candidates checked — a point query that disagrees
+with the scan is a correctness bug in the index, not noise.
+
 Usage: tools/check_bench_json.py FILE [FILE...]
 Prints one `file: message` per violation and exits 1 when anything is
 found, 0 when every file is schema-valid. Stdlib only.
@@ -334,6 +341,38 @@ def check_graph_suite(errors, runs):
                           "adversarial budget runs are missing")
 
 
+def check_micro_suite(errors, runs):
+    """The micro suite's RuleIndex run must exist, agree with its
+    brute-force oracle on every probe, and fire at least one rule."""
+    run = next((r for r in runs if isinstance(r, dict)
+                and r.get("name") == "micro/rule_index"), None)
+    if run is None:
+        errors.append("runs: missing 'micro/rule_index' (the RuleIndex "
+                      "oracle run)")
+        return
+    telemetry = run.get("telemetry")
+    counters = telemetry.get("counters", {}) if isinstance(
+        telemetry, dict) else {}
+    values = {}
+    for key in ("mismatches", "firing", "candidates"):
+        counter = counters.get(f"micro.rule_index.{key}")
+        value = counter.get("value") if isinstance(counter, dict) else None
+        if not is_int(value):
+            errors.append(f"micro/rule_index.telemetry: missing counter "
+                          f"'micro.rule_index.{key}'")
+            return
+        values[key] = value
+    if values["mismatches"] != 0:
+        errors.append(f"micro/rule_index: {values['mismatches']} probes "
+                      "disagree with the brute-force scan (must be 0)")
+    if values["firing"] <= 0:
+        errors.append("micro/rule_index: no rule fired on any probe — the "
+                      "oracle check is vacuous")
+    if values["firing"] > values["candidates"]:
+        errors.append(f"micro/rule_index: firing {values['firing']} exceeds "
+                      f"candidates checked {values['candidates']}")
+
+
 def check_file(path):
     errors = []
     try:
@@ -390,6 +429,8 @@ def check_file(path):
             check_graph_run(errors, where, run)
     if doc.get("suite") == "graph":
         check_graph_suite(errors, runs)
+    if doc.get("suite") == "micro":
+        check_micro_suite(errors, runs)
     return errors
 
 
