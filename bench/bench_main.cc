@@ -38,6 +38,7 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/clustering_graph.h"
+#include "core/rule_stats.h"
 #include "core/session.h"
 #include "datagen/graphs.h"
 #include "datagen/planted.h"
@@ -911,8 +912,8 @@ int RunGraphSuite(const BenchOptions& options, std::vector<RunRecord>& runs) {
 
 // --- Suite 3: micro kernels (ACF-tree insertion, D2 distance, clique
 // enumeration, diameter-with-point, Apriori, equi-depth partitioning,
-// RuleIndex point queries), measured standalone with their own
-// registries. ---
+// RuleIndex point queries, the support post-scan), measured standalone
+// with their own registries. ---
 
 void MicroAcfInsert(const BenchOptions& options,
                     std::vector<RunRecord>& runs) {
@@ -1303,6 +1304,139 @@ int MicroRuleIndex(const BenchOptions& options,
   return 0;
 }
 
+// The §6.2 support post-scan at the perfbench mine_sec72 shape (the
+// paper's §7.2 data: 30 attributes x 35 clusters, 90 partial patterns of
+// 6 attributes, 20% outliers; D0 110) on fewer rows: ComputeRuleStats
+// timed as the median of repeated calls on the session's executor, then
+// every rule's table checked against a serial brute-force recount through
+// ClusterSet::AssignToCluster. check_bench_json.py requires zero
+// mismatching rules and at least one rule and one matched tuple.
+int MicroPostScan(const BenchOptions& options, std::vector<RunRecord>& runs) {
+  const size_t n = options.smoke ? 5000 : 50000;
+  const size_t calls = options.smoke ? 3 : 7;
+  auto spec = WbcdPartialPatternSpec(30, 35, 90, 6, 0.2, options.seed);
+  if (!spec.ok()) {
+    std::cerr << spec.status() << "\n";
+    return 1;
+  }
+  auto data = GeneratePlanted(*spec, n, options.seed + 20);
+  if (!data.ok()) {
+    std::cerr << data.status() << "\n";
+    return 1;
+  }
+  DarConfig config;
+  config.memory_budget_bytes = 32u << 20;
+  config.frequency_fraction = 0.005;
+  config.refine_clusters = true;
+  config.density_thresholds.assign(30, 125.0);
+  config.phase2_leniency = 2.0;
+  config.degree_threshold = 110.0;
+  auto session = MakeSession(options, config);
+  if (!session.ok()) {
+    std::cerr << session.status() << "\n";
+    return 1;
+  }
+  const Relation& rel = data->relation;
+  const AttributePartition& partition = data->partition;
+  auto phase1 = session->RunPhase1(rel, partition);
+  if (!phase1.ok()) {
+    std::cerr << phase1.status() << "\n";
+    return 1;
+  }
+  auto phase2 = session->RunPhase2(*phase1);
+  if (!phase2.ok()) {
+    std::cerr << phase2.status() << "\n";
+    return 1;
+  }
+  const ClusterSet& clusters = phase1->clusters;
+  const std::vector<DistanceRule>& rules = phase2->rules;
+
+  std::vector<double> call_seconds;
+  std::vector<RuleStats> stats;
+  for (size_t c = 0; c < calls; ++c) {
+    Stopwatch watch;
+    auto got = ComputeRuleStats(rel, partition, clusters, rules,
+                                &session->executor());
+    call_seconds.push_back(watch.ElapsedSeconds());
+    if (!got.ok()) {
+      std::cerr << got.status() << "\n";
+      return 1;
+    }
+    stats = *std::move(got);
+  }
+  std::sort(call_seconds.begin(), call_seconds.end());
+
+  // The oracle: a serial assignment through AssignToCluster, then every
+  // rule's four cells counted row by row.
+  const size_t parts = partition.num_parts();
+  std::vector<int64_t> assigned(rel.num_rows() * parts, -1);
+  std::vector<double> x;
+  for (size_t r = 0; r < rel.num_rows(); ++r) {
+    for (size_t p = 0; p < parts; ++p) {
+      rel.ProjectRow(r, partition.part(p).columns, x);
+      auto id = clusters.AssignToCluster(p, x);
+      if (id.ok()) assigned[r * parts + p] = static_cast<int64_t>(*id);
+    }
+  }
+  int64_t matched = 0;
+  int64_t mismatches = 0;
+  for (size_t k = 0; k < rules.size(); ++k) {
+    RuleStats want;
+    for (size_t r = 0; r < rel.num_rows(); ++r) {
+      auto side_matches = [&](const std::vector<size_t>& side) {
+        for (size_t id : side) {
+          if (assigned[r * parts + clusters.cluster(id).part] !=
+              static_cast<int64_t>(id)) {
+            return false;
+          }
+        }
+        return true;
+      };
+      const bool a = side_matches(rules[k].antecedent);
+      const bool c = side_matches(rules[k].consequent);
+      ++want.total;
+      want.antecedent += a ? 1 : 0;
+      want.consequent += c ? 1 : 0;
+      want.both += a && c ? 1 : 0;
+    }
+    const RuleStats& got = stats[k];
+    if (got.total != want.total || got.antecedent != want.antecedent ||
+        got.consequent != want.consequent || got.both != want.both) {
+      ++mismatches;
+    }
+    matched += got.both;
+  }
+
+  telemetry::MetricsRegistry registry;
+  registry.GetCounter("micro.post_scan.rows")
+      ->Increment(static_cast<int64_t>(rel.num_rows()));
+  registry.GetCounter("micro.post_scan.parts")
+      ->Increment(static_cast<int64_t>(parts));
+  registry.GetCounter("micro.post_scan.clusters")
+      ->Increment(static_cast<int64_t>(clusters.size()));
+  registry.GetCounter("micro.post_scan.rules")
+      ->Increment(static_cast<int64_t>(rules.size()));
+  registry.GetCounter("micro.post_scan.matched")->Increment(matched);
+  registry.GetCounter("micro.post_scan.mismatches")->Increment(mismatches);
+  RunRecord run;
+  run.name = "micro/post_scan";
+  run.params = {{"n", static_cast<double>(n)},
+                {"attrs", 30.0},
+                {"clusters_per_attr", 35.0},
+                {"degree_threshold", config.degree_threshold},
+                {"calls", static_cast<double>(calls)}};
+  const double median = call_seconds[calls / 2];
+  run.timings = {
+      {"seconds", median},
+      {"min_seconds", call_seconds.front()},
+      {"max_seconds", call_seconds.back()},
+      {"rows_per_second",
+       median > 0 ? static_cast<double>(n) / median : 0.0}};
+  run.telemetry_json = DeterministicTelemetry(registry.TakeSnapshot());
+  runs.push_back(std::move(run));
+  return 0;
+}
+
 // --- Suite: merge — distributed shard-merge scaling (ACF additivity,
 // Thm 6.1). For each shard count in {1,2,4,8}, the multi-process path: N
 // shard checkpoints written by independent streams, then
@@ -1636,6 +1770,7 @@ int Main(int argc, char** argv) {
   if (MicroApriori(options, micro_runs) != 0) return 1;
   if (MicroEquiDepth(options, micro_runs) != 0) return 1;
   if (MicroRuleIndex(options, micro_runs) != 0) return 1;
+  if (MicroPostScan(options, micro_runs) != 0) return 1;
   if (WriteSuite(options, "micro", micro_runs) != 0) return 1;
   return 0;
 }

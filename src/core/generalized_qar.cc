@@ -32,14 +32,15 @@ Result<GeneralizedQarResult> GeneralizedQarMiner::Mine(
   // Encode each tuple as the set of nearest frequent clusters, one item per
   // part that has any frequent cluster (§4.3.2: parts without frequent
   // clusters are omitted).
+  DAR_ASSIGN_OR_RETURN(const CentroidTable table,
+                       CentroidTable::Make(rel, partition, clusters));
   std::vector<Itemset> transactions(rel.num_rows());
-  std::vector<double> buf;
+  std::vector<double> scratch;
   for (size_t r = 0; r < rel.num_rows(); ++r) {
     Itemset& t = transactions[r];
     for (size_t p = 0; p < partition.num_parts(); ++p) {
-      rel.ProjectRow(r, partition.part(p).columns, buf);
-      auto assigned = clusters.AssignToCluster(p, buf);
-      if (assigned.ok()) t.push_back(static_cast<Item>(*assigned));
+      const int64_t assigned = table.Assign(p, r, scratch);
+      if (assigned >= 0) t.push_back(static_cast<Item>(assigned));
     }
     Canonicalize(t);
   }

@@ -1,5 +1,6 @@
 #include "core/model.h"
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -37,6 +38,88 @@ Result<size_t> ClusterSet::AssignToCluster(
     }
   }
   return best;
+}
+
+Result<CentroidTable> CentroidTable::Make(const Relation& rel,
+                                          const AttributePartition& partition,
+                                          const ClusterSet& clusters) {
+  if (partition.num_parts() != clusters.num_parts()) {
+    return Status::InvalidArgument(
+        "partition has " + std::to_string(partition.num_parts()) +
+        " parts but the cluster set has " +
+        std::to_string(clusters.num_parts()));
+  }
+  CentroidTable table;
+  table.clusters_ = &clusters;
+  table.parts_.resize(partition.num_parts());
+  for (size_t p = 0; p < partition.num_parts(); ++p) {
+    const AttributeSet& set = partition.part(p);
+    const PartSpec& spec = clusters.layout().parts[p];
+    if (set.dimension() != spec.dim) {
+      return Status::InvalidArgument(
+          "part " + std::to_string(p) + " has " +
+          std::to_string(set.dimension()) + " columns but its clusters are " +
+          std::to_string(spec.dim) + "-dimensional");
+    }
+    Part& part = table.parts_[p];
+    part.ids = clusters.ClustersOnPart(p);
+    part.dim = spec.dim;
+    part.metric = spec.metric;
+    part.first_column = table.columns_.size();
+    for (const size_t col : set.columns) {
+      if (col >= rel.num_columns()) {
+        return Status::InvalidArgument(
+            "part " + std::to_string(p) + " reads column " +
+            std::to_string(col) + " but the relation has " +
+            std::to_string(rel.num_columns()) + " columns");
+      }
+      table.columns_.push_back(rel.column(col).data());
+    }
+    part.first_centroid = table.centroids_.size();
+    if (part.metric == MetricKind::kDiscrete) continue;
+    for (const size_t id : part.ids) {
+      const CfVector& cf = clusters.cluster(id).acf.cf();
+      DAR_CHECK(cf.metric() == part.metric);
+      DAR_CHECK_EQ(cf.dim(), part.dim);
+      DAR_CHECK_GT(cf.n(), 0);
+      for (size_t d = 0; d < part.dim; ++d) {
+        table.centroids_.push_back(cf.ls()[d] / cf.n());
+      }
+    }
+  }
+  return table;
+}
+
+int64_t CentroidTable::Assign(size_t p, size_t row,
+                              std::vector<double>& scratch) const {
+  const Part& part = parts_[p];
+  if (part.ids.empty()) return -1;
+  const double* const* cols = columns_.data() + part.first_column;
+  if (part.metric == MetricKind::kDiscrete) {
+    scratch.resize(part.dim);
+    for (size_t d = 0; d < part.dim; ++d) scratch[d] = cols[d][row];
+    return static_cast<int64_t>(*clusters_->AssignToCluster(p, scratch));
+  }
+  // PointClusterDistance's arithmetic, term for term, and AssignToCluster's
+  // scan: ascending ids, strict `<`, the first cluster when nothing is less
+  // than infinity.
+  const bool manhattan = part.metric == MetricKind::kManhattan;
+  const double* centroid = centroids_.data() + part.first_centroid;
+  size_t best = 0;
+  double best_d = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < part.ids.size(); ++i, centroid += part.dim) {
+    double s = 0;
+    for (size_t d = 0; d < part.dim; ++d) {
+      const double diff = cols[d][row] - centroid[d];
+      s += manhattan ? std::fabs(diff) : diff * diff;
+    }
+    const double dist = manhattan ? s : std::sqrt(s);
+    if (dist < best_d) {
+      best_d = dist;
+      best = i;
+    }
+  }
+  return static_cast<int64_t>(part.ids[best]);
 }
 
 std::string ClusterSet::Describe(size_t id, const Schema& schema,

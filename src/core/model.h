@@ -44,7 +44,13 @@ class ClusterSet {
 
   /// Id of the cluster on part `p` whose centroid is nearest to `values`
   /// (the §4.3.2 point-to-cluster assignment), or NotFound when the part
-  /// has no frequent clusters.
+  /// has no frequent clusters. Clusters are tried in ascending id order
+  /// with a strict `<`, so the lowest id wins a tie, and a point whose
+  /// distance to every cluster is NaN or infinite lands on the first.
+  ///
+  /// This is the definition. CentroidTable, which the whole-relation scans
+  /// use, must equal it bit for bit; its tests and perfbench's support
+  /// recount compare against this function, so it must not call the table.
   Result<size_t> AssignToCluster(size_t p,
                                  std::span<const double> values) const;
 
@@ -57,6 +63,49 @@ class ClusterSet {
   std::shared_ptr<const AcfLayout> layout_;
   std::vector<FoundCluster> clusters_;
   std::vector<std::vector<size_t>> by_part_;
+};
+
+/// ClusterSet::AssignToCluster for every row of one relation, prepared
+/// once per scan. Per part it holds the ascending ids of the part's
+/// clusters and one contiguous block of their centroids, `ls[d] / n`: the
+/// division PointClusterDistance makes on every call. Assign reads the
+/// row straight from the relation's columns and compares each centroid
+/// with the same formula, summation order and tie rule, so its answer
+/// equals AssignToCluster's bit for bit. Discrete (histogram) parts call
+/// AssignToCluster itself.
+///
+/// The table points into `rel` and `clusters`; both must outlive it and
+/// stay unchanged while it is used. Assign is const and safe to call from
+/// many threads at once, each with its own scratch.
+class CentroidTable {
+ public:
+  /// Checks `partition` against `clusters` and `rel`, then builds the
+  /// table. InvalidArgument, naming the part or column, when the part
+  /// counts differ, a part's column count differs from its layout
+  /// dimension, or a column lies past the relation's last column.
+  static Result<CentroidTable> Make(const Relation& rel,
+                                    const AttributePartition& partition,
+                                    const ClusterSet& clusters);
+
+  /// Id of the cluster nearest to row `row` on part `p`, or -1 when the
+  /// part has no frequent clusters. `scratch` holds the projected row of a
+  /// discrete part; reuse it across calls.
+  [[nodiscard]] int64_t Assign(size_t p, size_t row,
+                               std::vector<double>& scratch) const;
+
+ private:
+  struct Part {
+    std::span<const size_t> ids;
+    size_t dim = 0;
+    MetricKind metric = MetricKind::kEuclidean;
+    size_t first_column = 0;    // into columns_: dim entries
+    size_t first_centroid = 0;  // into centroids_: ids.size() * dim entries
+  };
+
+  const ClusterSet* clusters_ = nullptr;
+  std::vector<Part> parts_;
+  std::vector<const double*> columns_;
+  std::vector<double> centroids_;
 };
 
 /// Everything Phase I reports.

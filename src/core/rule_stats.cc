@@ -1,6 +1,7 @@
 #include "core/rule_stats.h"
 
 #include <algorithm>
+#include <string>
 
 namespace dar {
 namespace {
@@ -22,12 +23,34 @@ bool SideMatches(const std::vector<size_t>& side, const ClusterSet& clusters,
   return true;
 }
 
+// An id past the set would make SideMatches' clusters.cluster(id) throw
+// in the middle of the scan; refuse the rules before scanning instead.
+Status CheckClusterIds(std::span<const DistanceRule> rules,
+                       const ClusterSet& clusters) {
+  for (size_t k = 0; k < rules.size(); ++k) {
+    for (const auto* side : {&rules[k].antecedent, &rules[k].consequent}) {
+      for (const size_t id : *side) {
+        if (id >= clusters.size()) {
+          return Status::InvalidArgument(
+              "rule " + std::to_string(k) + " names cluster " +
+              std::to_string(id) + " but the cluster set has " +
+              std::to_string(clusters.size()) + " clusters");
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::vector<RuleStats>> ComputeRuleStats(
     const Relation& rel, const AttributePartition& partition,
     const ClusterSet& clusters, std::span<const DistanceRule> rules,
     Executor* executor) {
+  DAR_ASSIGN_OR_RETURN(const CentroidTable table,
+                       CentroidTable::Make(rel, partition, clusters));
+  DAR_RETURN_IF_ERROR(CheckClusterIds(rules, clusters));
   std::vector<RuleStats> stats(rules.size());
   for (RuleStats& s : stats) s.total = static_cast<int64_t>(rel.num_rows());
   if (rules.empty() || rel.num_rows() == 0) return stats;
@@ -39,23 +62,22 @@ Result<std::vector<RuleStats>> ComputeRuleStats(
   const size_t rows_per_shard =
       (rel.num_rows() + num_shards - 1) / num_shards;
   std::vector<ShardCounts> shards(num_shards);
-  for (ShardCounts& shard : shards) {
-    shard.antecedent.assign(rules.size(), 0);
-    shard.consequent.assign(rules.size(), 0);
-    shard.both.assign(rules.size(), 0);
-  }
 
   auto scan_shard = [&](size_t s) -> Status {
     const size_t begin = s * rows_per_shard;
     const size_t end = std::min(rel.num_rows(), begin + rows_per_shard);
+    // The thread that bumps the counters allocates them, from its own
+    // heap: two shards' hot counters laid end to end could share a cache
+    // line.
     ShardCounts& counts = shards[s];
-    std::vector<double> buf;
+    counts.antecedent.assign(rules.size(), 0);
+    counts.consequent.assign(rules.size(), 0);
+    counts.both.assign(rules.size(), 0);
+    std::vector<double> scratch;
     std::vector<int64_t> assignment(partition.num_parts(), -1);
     for (size_t r = begin; r < end; ++r) {
       for (size_t p = 0; p < partition.num_parts(); ++p) {
-        rel.ProjectRow(r, partition.part(p).columns, buf);
-        auto assigned = clusters.AssignToCluster(p, buf);
-        assignment[p] = assigned.ok() ? static_cast<int64_t>(*assigned) : -1;
+        assignment[p] = table.Assign(p, r, scratch);
       }
       for (size_t k = 0; k < rules.size(); ++k) {
         const bool a = SideMatches(rules[k].antecedent, clusters, assignment);

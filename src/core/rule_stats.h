@@ -33,10 +33,24 @@ struct RuleStats {
 /// counters are bumped from that shared assignment — the cost is one
 /// assignment scan regardless of how many measures are later evaluated.
 ///
+/// Cost model. One CentroidTable per call: a flat block of centroids per
+/// part, computed once from `clusters`. Then, per row, one contiguous scan
+/// of each part's block, reading the row straight from `rel`'s columns
+/// (rows × Σ_parts clusters-on-part × dim distance terms, no copy of the
+/// row and no division; a discrete part still copies its values and calls
+/// ClusterSet::AssignToCluster). Then the rule loop over that row's
+/// assignment (rows × Σ_rules rule size). The assignment equals
+/// ClusterSet::AssignToCluster's bit for bit.
+///
 /// Row ranges are sharded on `executor` (null = serial) and the per-shard
 /// integer counts are summed in shard order, so the result is bit-identical
 /// at any thread count. This is the generalization of the §6.2 support
 /// post-scan; Session::CountRuleSupport delegates here.
+///
+/// Before scanning, InvalidArgument names the part, column or rule when
+/// `partition` and `clusters` differ in part count or in a part's
+/// dimension, when a partition column lies past `rel`'s last column, or
+/// when a rule names a cluster id the set does not have.
 Result<std::vector<RuleStats>> ComputeRuleStats(
     const Relation& rel, const AttributePartition& partition,
     const ClusterSet& clusters, std::span<const DistanceRule> rules,

@@ -64,6 +64,7 @@ Status Session::CountRuleSupport(const Relation& rel,
   // table; the generalized scan (core/rule_stats.h) shards the rescan and
   // merges integer counts in shard order, so the result stays
   // executor-independent.
+  Stopwatch watch;
   DAR_ASSIGN_OR_RETURN(
       const std::vector<RuleStats> stats,
       ComputeRuleStats(rel, partition, phase1.clusters, rules,
@@ -71,6 +72,8 @@ Status Session::CountRuleSupport(const Relation& rel,
   for (size_t k = 0; k < rules.size(); ++k) {
     rules[k].support_count = stats[k].both;
   }
+  registry_->GetGauge("postscan.seconds", telemetry::Unit::kSeconds)
+      ->Set(watch.ElapsedSeconds());
   return Status::OK();
 }
 

@@ -157,7 +157,9 @@ class Session {
   /// Optional §6.2 post-processing: rescans `rel` once and fills
   /// `support_count` of every rule with the number of tuples assigned to
   /// all of the rule's clusters. Row ranges are sharded on the executor;
-  /// per-shard counts are summed in shard order.
+  /// per-shard counts are summed in shard order. InvalidArgument when
+  /// `rel`, `partition`, `phase1.clusters` or a rule disagree (see
+  /// ComputeRuleStats). Sets the `postscan.seconds` gauge.
   Status CountRuleSupport(const Relation& rel,
                           const AttributePartition& partition,
                           const Phase1Result& phase1,

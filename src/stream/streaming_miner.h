@@ -278,6 +278,7 @@ class StreamingMiner {
   telemetry::Gauge* snapshot_clusters_ = nullptr;
   telemetry::Histogram* ingest_seconds_ = nullptr;
   telemetry::Histogram* remine_seconds_ = nullptr;
+  telemetry::Histogram* post_scan_seconds_ = nullptr;
   telemetry::Counter* rules_scored_ = nullptr;
   telemetry::Counter* rules_pruned_ = nullptr;
   telemetry::Counter* rules_born_ = nullptr;

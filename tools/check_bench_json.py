@@ -68,7 +68,12 @@ counts zero mismatches against its brute-force scan
 (counters["micro.rule_index.mismatches"]), at least one firing rule
 (counters["micro.rule_index.firing"] > 0, or the check is vacuous) and no
 more firing rules than candidates checked — a point query that disagrees
-with the scan is a correctness bug in the index, not noise.
+with the scan is a correctness bug in the index, not noise. It must also
+hold a "micro/post_scan" run whose telemetry counts zero rules whose
+contingency table differs from a brute-force recount
+(counters["micro.post_scan.mismatches"]), with at least one rule and one
+matched tuple (counters["micro.post_scan.rules"] and
+counters["micro.post_scan.matched"] > 0, or the check is vacuous).
 
 Usage: tools/check_bench_json.py FILE [FILE...]
 Prints one `file: message` per violation and exits 1 when anything is
@@ -341,27 +346,57 @@ def check_graph_suite(errors, runs):
                           "adversarial budget runs are missing")
 
 
-def check_micro_suite(errors, runs):
-    """The micro suite's RuleIndex run must exist, agree with its
-    brute-force oracle on every probe, and fire at least one rule."""
+def micro_counters(errors, runs, name, keys, what):
+    """The integer counters micro.<name>.<key> of the run "micro/<name>",
+    or None (after recording why) when the run or a counter is missing."""
     run = next((r for r in runs if isinstance(r, dict)
-                and r.get("name") == "micro/rule_index"), None)
+                and r.get("name") == f"micro/{name}"), None)
     if run is None:
-        errors.append("runs: missing 'micro/rule_index' (the RuleIndex "
-                      "oracle run)")
-        return
+        errors.append(f"runs: missing 'micro/{name}' ({what})")
+        return None
     telemetry = run.get("telemetry")
     counters = telemetry.get("counters", {}) if isinstance(
         telemetry, dict) else {}
     values = {}
-    for key in ("mismatches", "firing", "candidates"):
-        counter = counters.get(f"micro.rule_index.{key}")
+    for key in keys:
+        counter = counters.get(f"micro.{name}.{key}")
         value = counter.get("value") if isinstance(counter, dict) else None
         if not is_int(value):
-            errors.append(f"micro/rule_index.telemetry: missing counter "
-                          f"'micro.rule_index.{key}'")
-            return
+            errors.append(f"micro/{name}.telemetry: missing counter "
+                          f"'micro.{name}.{key}'")
+            return None
         values[key] = value
+    return values
+
+
+def check_micro_suite(errors, runs):
+    """The micro suite's RuleIndex and post-scan runs must exist and agree
+    with their brute-force oracles, and neither oracle may be vacuous."""
+    check_rule_index_run(errors, runs)
+    check_post_scan_run(errors, runs)
+
+
+def check_post_scan_run(errors, runs):
+    values = micro_counters(errors, runs, "post_scan",
+                            ("mismatches", "rules", "matched"),
+                            "the support post-scan oracle run")
+    if values is None:
+        return
+    if values["mismatches"] != 0:
+        errors.append(f"micro/post_scan: {values['mismatches']} rules' "
+                      "contingency tables disagree with the brute-force "
+                      "recount (must be 0)")
+    if values["rules"] <= 0 or values["matched"] <= 0:
+        errors.append("micro/post_scan: no rule or no matched tuple — the "
+                      "oracle check is vacuous")
+
+
+def check_rule_index_run(errors, runs):
+    values = micro_counters(errors, runs, "rule_index",
+                            ("mismatches", "firing", "candidates"),
+                            "the RuleIndex oracle run")
+    if values is None:
+        return
     if values["mismatches"] != 0:
         errors.append(f"micro/rule_index: {values['mismatches']} probes "
                       "disagree with the brute-force scan (must be 0)")
