@@ -21,10 +21,12 @@
 
 #include <algorithm>
 #include <barrier>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,6 +40,7 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/clustering_graph.h"
+#include "core/phase1_builder.h"
 #include "core/rule_stats.h"
 #include "core/session.h"
 #include "datagen/graphs.h"
@@ -912,8 +915,8 @@ int RunGraphSuite(const BenchOptions& options, std::vector<RunRecord>& runs) {
 
 // --- Suite 3: micro kernels (ACF-tree insertion, D2 distance, clique
 // enumeration, diameter-with-point, Apriori, equi-depth partitioning,
-// RuleIndex point queries, the support post-scan), measured standalone
-// with their own registries. ---
+// RuleIndex point queries, the support post-scan, the Phase I feed),
+// measured standalone with their own registries. ---
 
 void MicroAcfInsert(const BenchOptions& options,
                     std::vector<RunRecord>& runs) {
@@ -1437,6 +1440,148 @@ int MicroPostScan(const BenchOptions& options, std::vector<RunRecord>& runs) {
   return 0;
 }
 
+// Phase I's feed at the perfbench mine_sec72 shape (the §7.2 data of
+// MicroPostScan, its 32 MB budget over 30 parts), with every value rounded
+// to an integer so that sums are exact in any order: Phase1Builder::
+// AddRelation timed as the median of repeated feeds on the session's
+// executor. The last feed is finished with s0 = 1 and no refinement, so
+// every leaf cluster is kept; then, per tree and per image part, the n,
+// ls, ss, min and max summed over its clusters and outliers are checked
+// against the column totals. check_bench_json.py requires zero mismatching
+// (tree, image part) pairs and at least one cluster and one rebuild.
+int MicroAcfFeed(const BenchOptions& options, std::vector<RunRecord>& runs) {
+  const size_t n = options.smoke ? 5000 : 50000;
+  const size_t feeds = options.smoke ? 3 : 5;
+  auto spec = WbcdPartialPatternSpec(30, 35, 90, 6, 0.2, options.seed);
+  if (!spec.ok()) {
+    std::cerr << spec.status() << "\n";
+    return 1;
+  }
+  auto data = GeneratePlanted(*spec, n, options.seed + 21);
+  if (!data.ok()) {
+    std::cerr << data.status() << "\n";
+    return 1;
+  }
+  const AttributePartition& partition = data->partition;
+  Relation rel(data->relation.schema());
+  rel.Reserve(n);
+  for (size_t r = 0; r < n; ++r) {
+    std::vector<double> row = data->relation.Row(r);
+    for (double& v : row) v = std::round(v);
+    if (Status s = rel.AppendRow(row); !s.ok()) {
+      std::cerr << s << "\n";
+      return 1;
+    }
+  }
+  DarConfig config;
+  config.memory_budget_bytes = 32u << 20;
+  config.frequency_fraction = 1e-12;  // s0 = 1: every leaf cluster is kept
+  config.refine_clusters = false;
+  auto session = MakeSession(options, config);
+  if (!session.ok()) {
+    std::cerr << session.status() << "\n";
+    return 1;
+  }
+
+  std::vector<double> feed_seconds;
+  Result<Phase1Result> phase1 = Status::Internal("no feed ran");
+  for (size_t f = 0; f < feeds; ++f) {
+    auto builder = Phase1Builder::Make(config, rel.schema(), partition,
+                                       &session->executor());
+    if (!builder.ok()) {
+      std::cerr << builder.status() << "\n";
+      return 1;
+    }
+    Stopwatch watch;
+    Status fed = builder->AddRelation(rel);
+    feed_seconds.push_back(watch.ElapsedSeconds());
+    if (!fed.ok()) {
+      std::cerr << fed << "\n";
+      return 1;
+    }
+    phase1 = std::move(*builder).Finish();
+    if (!phase1.ok()) {
+      std::cerr << phase1.status() << "\n";
+      return 1;
+    }
+  }
+  std::sort(feed_seconds.begin(), feed_seconds.end());
+
+  // The oracle: each tree's clusters and outliers together summarize every
+  // row on every part (Eq. 7), so their sums are the column totals.
+  const size_t parts = partition.num_parts();
+  std::vector<std::vector<const Acf*>> by_tree(parts);
+  for (const FoundCluster& c : phase1->clusters.clusters()) {
+    by_tree[c.part].push_back(&c.acf);
+  }
+  for (const Acf& acf : phase1->outliers) {
+    by_tree[acf.own_part()].push_back(&acf);
+  }
+  int64_t mismatches = 0;
+  for (size_t p = 0; p < parts; ++p) {
+    for (size_t q = 0; q < parts; ++q) {
+      const std::vector<size_t>& cols = partition.part(q).columns;
+      int64_t count = 0;
+      for (const Acf* acf : by_tree[p]) count += acf->image(q).n();
+      bool same = count == static_cast<int64_t>(n);
+      for (size_t d = 0; d < cols.size(); ++d) {
+        const std::span<const double> column = rel.column(cols[d]);
+        double ls = 0, ss = 0;
+        for (double v : column) {
+          ls += v;
+          ss += v * v;
+        }
+        double got_ls = 0, got_ss = 0;
+        double got_min = std::numeric_limits<double>::infinity();
+        double got_max = -got_min;
+        for (const Acf* acf : by_tree[p]) {
+          const CfVector& image = acf->image(q);
+          got_ls += image.ls()[d];
+          got_ss += image.ss()[d];
+          got_min = std::min(got_min, image.min()[d]);
+          got_max = std::max(got_max, image.max()[d]);
+        }
+        same = same && got_ls == ls && got_ss == ss &&
+               got_min == *std::min_element(column.begin(), column.end()) &&
+               got_max == *std::max_element(column.begin(), column.end());
+      }
+      mismatches += same ? 0 : 1;
+    }
+  }
+  int64_t rebuilds = 0;
+  for (const AcfTreeStats& stats : phase1->tree_stats) {
+    rebuilds += stats.rebuild_count;
+  }
+
+  telemetry::MetricsRegistry registry;
+  registry.GetCounter("micro.acf_feed.rows")
+      ->Increment(static_cast<int64_t>(n));
+  registry.GetCounter("micro.acf_feed.parts")
+      ->Increment(static_cast<int64_t>(parts));
+  registry.GetCounter("micro.acf_feed.clusters")
+      ->Increment(static_cast<int64_t>(phase1->clusters.size()));
+  registry.GetCounter("micro.acf_feed.outliers")
+      ->Increment(static_cast<int64_t>(phase1->outliers.size()));
+  registry.GetCounter("micro.acf_feed.rebuilds")->Increment(rebuilds);
+  registry.GetCounter("micro.acf_feed.mismatches")->Increment(mismatches);
+  RunRecord run;
+  run.name = "micro/acf_feed";
+  run.params = {{"n", static_cast<double>(n)},
+                {"attrs", 30.0},
+                {"clusters_per_attr", 35.0},
+                {"feeds", static_cast<double>(feeds)}};
+  const double median = feed_seconds[feeds / 2];
+  run.timings = {
+      {"seconds", median},
+      {"min_seconds", feed_seconds.front()},
+      {"max_seconds", feed_seconds.back()},
+      {"rows_per_second",
+       median > 0 ? static_cast<double>(n) / median : 0.0}};
+  run.telemetry_json = DeterministicTelemetry(registry.TakeSnapshot());
+  runs.push_back(std::move(run));
+  return 0;
+}
+
 // --- Suite: merge — distributed shard-merge scaling (ACF additivity,
 // Thm 6.1). For each shard count in {1,2,4,8}, the multi-process path: N
 // shard checkpoints written by independent streams, then
@@ -1771,6 +1916,7 @@ int Main(int argc, char** argv) {
   if (MicroEquiDepth(options, micro_runs) != 0) return 1;
   if (MicroRuleIndex(options, micro_runs) != 0) return 1;
   if (MicroPostScan(options, micro_runs) != 0) return 1;
+  if (MicroAcfFeed(options, micro_runs) != 0) return 1;
   if (WriteSuite(options, "micro", micro_runs) != 0) return 1;
   return 0;
 }

@@ -2,14 +2,22 @@
 
 #include <sstream>
 
+#include "birch/budget.h"
 #include "common/logging.h"
 
 namespace dar {
 
+size_t AcfLayout::offset(size_t p) const {
+  DAR_CHECK_LE(p, parts.size());
+  size_t off = 0;
+  for (size_t i = 0; i < p; ++i) off += parts[i].dim;
+  return off;
+}
+
 size_t AcfLayout::ApproxAcfBytes() const {
-  size_t bytes = sizeof(Acf);
+  size_t bytes = kBudgetAcfBytes;
   for (const auto& p : parts) {
-    bytes += sizeof(CfVector) + 4 * p.dim * sizeof(double);
+    bytes += kBudgetCfBytes + 4 * p.dim * sizeof(double);
     if (p.metric == MetricKind::kDiscrete) {
       // Histograms grow with distinct values; assume a modest nominal
       // domain. The tree recomputes exact sizes during rebuilds.
@@ -42,8 +50,20 @@ Acf::Acf(std::shared_ptr<const AcfLayout> layout, size_t own_part)
 
 void Acf::AddRow(const PartedRow& row) {
   DAR_CHECK_EQ(row.size(), images_.size());
+  std::vector<double> flat;
   for (size_t i = 0; i < images_.size(); ++i) {
-    images_[i].AddPoint(row[i]);
+    DAR_CHECK_EQ(row[i].size(), images_[i].dim());
+    flat.insert(flat.end(), row[i].begin(), row[i].end());
+  }
+  AddFlatRow(flat);
+}
+
+void Acf::AddFlatRow(std::span<const double> row) {
+  DAR_DCHECK_EQ(row.size(), layout_->row_width());
+  const double* x = row.data();
+  for (CfVector& image : images_) {
+    image.Accumulate(x);
+    x += image.dim();
   }
 }
 
@@ -74,7 +94,7 @@ std::vector<std::pair<double, double>> Acf::BoundingBox(size_t p) const {
 }
 
 size_t Acf::ApproxBytes() const {
-  size_t bytes = sizeof(Acf);
+  size_t bytes = kBudgetAcfBytes;
   for (const auto& img : images_) bytes += img.ApproxBytes();
   return bytes;
 }

@@ -19,15 +19,27 @@ struct PartSpec {
 };
 
 /// The shapes of all attribute sets X_1..X_m of the user partitioning, shared
-/// by every ACF of a mining run. Rows handed to ACFs are given as one value
-/// vector per part ("parted rows").
+/// by every ACF of a mining run.
+///
+/// A tuple reaches the ACFs as one *flat row*: part 0's values, then part
+/// 1's, and so on, each part's values in the order of its partition
+/// columns ("layout order"). Part p's values start at offset(p) and take
+/// parts[p].dim slots; the row holds row_width() values in all. Both are
+/// computed from `parts`, so a layout is fully described by its parts.
 struct AcfLayout {
   std::vector<PartSpec> parts;
 
   [[nodiscard]] size_t num_parts() const { return parts.size(); }
 
-  /// Rough heap footprint of one ACF under this layout, used by the
-  /// ACF-tree's memory budgeting (histogram sizes are estimated).
+  /// Offset of part `p`'s values in a flat row; offset(num_parts()) is
+  /// row_width().
+  [[nodiscard]] size_t offset(size_t p) const;
+
+  /// Values in a flat row: the sum of the part dimensions.
+  [[nodiscard]] size_t row_width() const { return offset(parts.size()); }
+
+  /// The bytes the ACF-tree's memory budget charges for one ACF under this
+  /// layout (birch/budget.h; histogram sizes are estimated).
   [[nodiscard]] size_t ApproxAcfBytes() const;
 };
 
@@ -38,7 +50,8 @@ struct AcfLayout {
 [[nodiscard]] bool LayoutsEquivalent(const AcfLayout& a, const AcfLayout& b);
 
 /// A tuple projected per attribute set: values[i] are the tuple's
-/// coordinates on part i.
+/// coordinates on part i. The convenient form for literals; the insert
+/// paths flatten it into a flat row (AcfLayout) first.
 using PartedRow = std::vector<std::vector<double>>;
 
 /// Association Clustering Feature (§6.1): the summary of a cluster *defined
@@ -66,7 +79,8 @@ class Acf {
   /// returns cf().
   [[nodiscard]] const CfVector& image(size_t p) const { return images_.at(p); }
 
-  /// Adds a tuple. `row[i]` must match part i's dimension.
+  /// Adds a tuple. `row[i]` must match part i's dimension. Flattens the
+  /// row and adds it as AcfTree::InsertFlatRow does.
   void AddRow(const PartedRow& row);
 
   /// Additivity: absorbs another ACF with the same layout and own part.
@@ -88,7 +102,7 @@ class Acf {
   /// dimension. §7.2 uses this as the user-facing cluster description.
   [[nodiscard]] std::vector<std::pair<double, double>> BoundingBox(size_t p) const;
 
-  /// Rough heap footprint in bytes.
+  /// The bytes the memory budget charges for this ACF (birch/budget.h).
   [[nodiscard]] size_t ApproxBytes() const;
 
   [[nodiscard]] std::string ToString() const;
@@ -98,6 +112,12 @@ class Acf {
   friend struct InvariantTestPeer;
   // Serialization backdoor for dar::persist (persist/persist_peer.h).
   friend struct PersistPeer;
+  // The tree adds the flat rows it has checked.
+  friend class AcfTree;
+
+  // Adds a flat row (AcfLayout) to every image, in part order. The caller
+  // has checked that `row` holds layout().row_width() values.
+  void AddFlatRow(std::span<const double> row);
 
   std::shared_ptr<const AcfLayout> layout_;
   size_t own_part_ = 0;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <string>
 
+#include "birch/budget.h"
 #include "common/logging.h"
 
 namespace dar {
@@ -48,6 +49,8 @@ AcfTree::AcfTree(std::shared_ptr<const AcfLayout> layout, size_t own_part,
       root_(std::make_unique<Node>()) {
   DAR_CHECK(layout_ != nullptr);
   DAR_CHECK_LT(own_part_, layout_->num_parts());
+  own_offset_ = layout_->offset(own_part_);
+  row_width_ = layout_->row_width();
   DAR_CHECK_GE(options_.branching_factor, 2);
   DAR_CHECK_GE(options_.leaf_capacity, 1);
   acf_bytes_estimate_ = layout_->ApproxAcfBytes();
@@ -84,17 +87,31 @@ Status AcfTree::InsertPoint(const PartedRow& row) {
         "parted row has " + std::to_string(row.size()) + " parts, expected " +
         std::to_string(layout_->num_parts()));
   }
+  std::vector<double> flat;
+  flat.reserve(row_width_);
   for (size_t i = 0; i < row.size(); ++i) {
     if (row[i].size() != layout_->parts[i].dim) {
       return Status::InvalidArgument("part " + std::to_string(i) +
                                      " has wrong dimension");
     }
-    for (double v : row[i]) {
-      if (!std::isfinite(v)) {
-        return Status::InvalidArgument(
-            "non-finite value in part " + std::to_string(i) +
-            "; CF summaries require finite coordinates");
-      }
+    flat.insert(flat.end(), row[i].begin(), row[i].end());
+  }
+  return InsertFlatRow(flat);
+}
+
+Status AcfTree::InsertFlatRow(std::span<const double> row) {
+  if (row.size() != row_width_) {
+    return Status::InvalidArgument(
+        "flat row has " + std::to_string(row.size()) +
+        " values, the layout's rows have " + std::to_string(row_width_));
+  }
+  for (size_t k = 0; k < row.size(); ++k) {
+    if (!std::isfinite(row[k])) {
+      size_t part = 0;
+      while (layout_->offset(part + 1) <= k) ++part;
+      return Status::InvalidArgument(
+          "non-finite value in part " + std::to_string(part) +
+          "; CF summaries require finite coordinates");
     }
   }
   InsertOutcome out = InsertPointRec(root_.get(), row);
@@ -143,8 +160,9 @@ Status AcfTree::InsertSummary(Acf acf) {
 }
 
 AcfTree::InsertOutcome AcfTree::InsertPointRec(Node* node,
-                                               const PartedRow& row) {
-  const std::vector<double>& own = row[own_part_];
+                                               std::span<const double> row) {
+  const std::span<const double> own =
+      row.subspan(own_offset_, layout_->parts[own_part_].dim);
   if (node->is_leaf) {
     // Find the closest existing cluster.
     size_t best = 0;
@@ -165,12 +183,12 @@ AcfTree::InsertOutcome AcfTree::InsertPointRec(Node* node,
     if (!node->entries.empty() &&
         node->entries[best].cf().DiameterWithPoint(own) <= threshold_ &&
         best_d <= threshold_) {
-      node->entries[best].AddRow(row);
+      node->entries[best].AddFlatRow(row);
       return {};
     }
     // Start a new cluster.
     Acf fresh(layout_, own_part_);
-    fresh.AddRow(row);
+    fresh.AddFlatRow(row);
     node->entries.push_back(std::move(fresh));
     ++num_leaf_entries_;
     if (node->entries.size() <=
@@ -634,10 +652,10 @@ size_t AcfTree::CountNodes(const Node* node) const {
 
 size_t AcfTree::ApproxBytesNow() const {
   const PartSpec& spec = layout_->parts[own_part_];
-  size_t internal_entry =
-      sizeof(ChildRef) + sizeof(CfVector) + 4 * spec.dim * sizeof(double);
+  size_t internal_entry = kBudgetChildRefBytes + kBudgetCfBytes +
+                          4 * spec.dim * sizeof(double);
   size_t node_bytes =
-      sizeof(Node) + options_.branching_factor * internal_entry;
+      kBudgetNodeBytes + options_.branching_factor * internal_entry;
   // The outlier buffer is conceptually paged out to disk (§4.3.1) and does
   // not count against the in-memory budget.
   return num_nodes_ * node_bytes + num_leaf_entries_ * acf_bytes_estimate_;

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,10 @@ struct AcfTreeOptions {
   /// rebuild loop raise it under memory pressure.
   double initial_threshold = 0.0;
   /// Memory budget for this tree in (approximate) bytes. Exceeding it
-  /// triggers a threshold increase and rebuild (§3, §4.3.1).
+  /// triggers a threshold increase and rebuild (§3, §4.3.1). The tree
+  /// charges each node, internal entry and ACF the frozen byte counts of
+  /// birch/budget.h, not their heap sizes, so rebuilds fire at the same
+  /// inserts whatever the storage layout.
   size_t memory_budget_bytes = 1 << 20;
   /// Minimum multiplicative growth of the threshold per rebuild.
   double threshold_growth = 1.5;
@@ -92,7 +96,14 @@ class AcfTree {
   /// the originals. O(tree size).
   [[nodiscard]] std::unique_ptr<AcfTree> Clone() const;
 
-  /// Inserts one tuple (projected per part). May trigger rebuilds.
+  /// Inserts one tuple given as a flat row (AcfLayout): layout().
+  /// row_width() values in layout order. Checks the width and that every
+  /// value is finite before touching the tree, so a refused row changes
+  /// nothing. May trigger rebuilds.
+  Status InsertFlatRow(std::span<const double> row);
+
+  /// Inserts one tuple projected per part: checks the part count and
+  /// dimensions, flattens the row and calls InsertFlatRow.
   Status InsertPoint(const PartedRow& row);
 
   /// Inserts a pre-aggregated cluster summary (used by rebuilds and by
@@ -184,7 +195,7 @@ class AcfTree {
     std::unique_ptr<Node> sibling;
   };
 
-  InsertOutcome InsertPointRec(Node* node, const PartedRow& row);
+  InsertOutcome InsertPointRec(Node* node, std::span<const double> row);
   InsertOutcome InsertSummaryRec(Node* node, Acf&& acf);
 
   // Splits an over-full node; returns the new sibling holding roughly half
@@ -226,6 +237,8 @@ class AcfTree {
 
   std::shared_ptr<const AcfLayout> layout_;
   size_t own_part_;
+  size_t own_offset_;  // of the own part's values in a flat row
+  size_t row_width_;   // values in a flat row
   AcfTreeOptions options_;
   double threshold_;
   std::unique_ptr<Node> root_;

@@ -5,42 +5,32 @@
 #include <limits>
 #include <sstream>
 
-#include "common/logging.h"
+#include "birch/budget.h"
 
 namespace dar {
 
 CfVector::CfVector(size_t dim, MetricKind metric)
-    : metric_(metric),
-      ls_(dim, 0.0),
-      ss_(dim, 0.0),
-      min_(dim, std::numeric_limits<double>::infinity()),
-      max_(dim, -std::numeric_limits<double>::infinity()) {
+    : metric_(metric), block_(4 * dim, 0.0) {
+  std::fill(block_.begin() + 2 * dim, block_.begin() + 3 * dim,
+            std::numeric_limits<double>::infinity());
+  std::fill(block_.begin() + 3 * dim, block_.end(),
+            -std::numeric_limits<double>::infinity());
   if (metric_ == MetricKind::kDiscrete) hist_.resize(dim);
-}
-
-void CfVector::AddPoint(std::span<const double> x) {
-  DAR_CHECK_EQ(x.size(), ls_.size());
-  ++n_;
-  for (size_t d = 0; d < x.size(); ++d) {
-    ls_[d] += x[d];
-    ss_[d] += x[d] * x[d];
-    min_[d] = std::min(min_[d], x[d]);
-    max_[d] = std::max(max_[d], x[d]);
-  }
-  if (has_histogram()) {
-    for (size_t d = 0; d < x.size(); ++d) ++hist_[d][x[d]];
-  }
 }
 
 void CfVector::Merge(const CfVector& other) {
   DAR_CHECK_EQ(dim(), other.dim());
   DAR_CHECK(metric_ == other.metric_);
   n_ += other.n_;
-  for (size_t d = 0; d < ls_.size(); ++d) {
-    ls_[d] += other.ls_[d];
-    ss_[d] += other.ss_[d];
-    min_[d] = std::min(min_[d], other.min_[d]);
-    max_[d] = std::max(max_[d], other.max_[d]);
+  const size_t dim = this->dim();
+  double* block = block_.data();
+  const double* add = other.block_.data();
+  for (size_t k = 0; k < 2 * dim; ++k) block[k] += add[k];  // ls, ss
+  for (size_t k = 2 * dim; k < 3 * dim; ++k) {
+    block[k] = std::min(block[k], add[k]);
+  }
+  for (size_t k = 3 * dim; k < 4 * dim; ++k) {
+    block[k] = std::max(block[k], add[k]);
   }
   if (has_histogram()) {
     for (size_t d = 0; d < hist_.size(); ++d) {
@@ -51,20 +41,20 @@ void CfVector::Merge(const CfVector& other) {
 
 std::vector<double> CfVector::Centroid() const {
   DAR_CHECK_GT(n_, 0);
-  std::vector<double> c(ls_.size());
-  for (size_t d = 0; d < ls_.size(); ++d) c[d] = ls_[d] / n_;
+  std::vector<double> c(dim());
+  for (size_t d = 0; d < c.size(); ++d) c[d] = ls()[d] / n_;
   return c;
 }
 
 double CfVector::SsSum() const {
   double s = 0;
-  for (double v : ss_) s += v;
+  for (double v : ss()) s += v;
   return s;
 }
 
 double CfVector::LsSquaredNorm() const {
   double s = 0;
-  for (double v : ls_) s += v * v;
+  for (double v : ls()) s += v * v;
   return s;
 }
 
@@ -102,7 +92,7 @@ double CfVector::Diameter() const {
 }
 
 double CfVector::DiameterWithPoint(std::span<const double> x) const {
-  DAR_CHECK_EQ(x.size(), ls_.size());
+  DAR_CHECK_EQ(x.size(), dim());
   int64_t n = n_ + 1;
   if (n < 2) return 0.0;
   if (has_histogram()) {
@@ -120,9 +110,10 @@ double CfVector::DiameterWithPoint(std::span<const double> x) const {
   }
   double ss_sum = SsSum();
   double ls_sq = 0;
+  const std::span<const double> sums = ls();
   for (size_t d = 0; d < x.size(); ++d) {
     ss_sum += x[d] * x[d];
-    double l = ls_[d] + x[d];
+    double l = sums[d] + x[d];
     ls_sq += l * l;
   }
   return DiameterFromMoments(n, ss_sum, ls_sq);
@@ -153,15 +144,17 @@ double CfVector::DiameterWithMerge(const CfVector& other) const {
   }
   double ss_sum = SsSum() + other.SsSum();
   double ls_sq = 0;
-  for (size_t d = 0; d < ls_.size(); ++d) {
-    double l = ls_[d] + other.ls_[d];
+  const std::span<const double> a = ls();
+  const std::span<const double> b = other.ls();
+  for (size_t d = 0; d < a.size(); ++d) {
+    double l = a[d] + b[d];
     ls_sq += l * l;
   }
   return DiameterFromMoments(n, ss_sum, ls_sq);
 }
 
 size_t CfVector::ApproxBytes() const {
-  size_t bytes = sizeof(CfVector) + 4 * ls_.size() * sizeof(double);
+  size_t bytes = kBudgetCfBytes + block_.size() * sizeof(double);
   for (const auto& h : hist_) {
     // Node-based map: ~48 bytes of overhead plus key/value per entry.
     bytes += h.size() * (sizeof(double) + sizeof(int64_t) + 48);
@@ -172,9 +165,9 @@ size_t CfVector::ApproxBytes() const {
 std::string CfVector::ToString() const {
   std::ostringstream os;
   os << "CF{n=" << n_ << ", ls=[";
-  for (size_t d = 0; d < ls_.size(); ++d) {
+  for (size_t d = 0; d < dim(); ++d) {
     if (d > 0) os << ", ";
-    os << ls_[d];
+    os << ls()[d];
   }
   os << "], d=" << Diameter() << "}";
   return os.str();

@@ -1,12 +1,14 @@
 #ifndef DAR_BIRCH_CF_H_
 #define DAR_BIRCH_CF_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "relation/metric.h"
 
 namespace dar {
@@ -38,22 +40,30 @@ struct PersistPeer;
 /// returns for kEuclidean/kManhattan parts. For kDiscrete parts the exact
 /// average pairwise mismatch count is computable from the histograms and is
 /// returned instead.
+///
+/// Storage: the four moment vectors live in one block of 4 * dim() doubles,
+/// `[ls | ss | min | max]`, which is also their order on the checkpoint
+/// wire. Discrete histograms sit beside the block. The summation order is
+/// part of the determinism contract: every add and merge updates each
+/// element with `ls += x`, `ss += x * x`, `min` and `max` in point order,
+/// so summaries are bit-identical across storage layouts, thread counts
+/// and restored checkpoints.
 class CfVector {
  public:
   CfVector() = default;
   CfVector(size_t dim, MetricKind metric);
 
-  [[nodiscard]] size_t dim() const { return ls_.size(); }
+  [[nodiscard]] size_t dim() const { return block_.size() / 4; }
   [[nodiscard]] MetricKind metric() const { return metric_; }
   [[nodiscard]] int64_t n() const { return n_; }
 
   /// Linear sum per dimension.
-  [[nodiscard]] std::span<const double> ls() const { return ls_; }
+  [[nodiscard]] std::span<const double> ls() const { return Section(0); }
   /// Sum of squares per dimension.
-  [[nodiscard]] std::span<const double> ss() const { return ss_; }
+  [[nodiscard]] std::span<const double> ss() const { return Section(1); }
   /// Per-dimension minima/maxima (meaningless when n() == 0).
-  [[nodiscard]] std::span<const double> min() const { return min_; }
-  [[nodiscard]] std::span<const double> max() const { return max_; }
+  [[nodiscard]] std::span<const double> min() const { return Section(2); }
+  [[nodiscard]] std::span<const double> max() const { return Section(3); }
 
   [[nodiscard]] bool has_histogram() const { return metric_ == MetricKind::kDiscrete; }
   /// Value -> count histogram for dimension `d` (discrete parts only).
@@ -62,7 +72,10 @@ class CfVector {
   }
 
   /// Adds one point (length must equal dim()).
-  void AddPoint(std::span<const double> x);
+  void AddPoint(std::span<const double> x) {
+    DAR_CHECK_EQ(x.size(), dim());
+    Accumulate(x.data());
+  }
 
   /// Additivity: absorbs `other` (summaries of disjoint point sets).
   void Merge(const CfVector& other);
@@ -89,7 +102,8 @@ class CfVector {
   /// Squared Euclidean norm of the LS vector.
   [[nodiscard]] double LsSquaredNorm() const;
 
-  /// Rough heap footprint in bytes (memory-budget accounting).
+  /// The bytes the memory budget charges for this summary
+  /// (birch/budget.h), not its heap size.
   [[nodiscard]] size_t ApproxBytes() const;
 
   [[nodiscard]] std::string ToString() const;
@@ -99,16 +113,40 @@ class CfVector {
   friend struct InvariantTestPeer;
   // Serialization backdoor for dar::persist (persist/persist_peer.h).
   friend struct PersistPeer;
+  // Acf's flat-row add calls Accumulate on a row its tree already checked.
+  friend class Acf;
+
+  // Moment vector `k` of the block: 0 ls, 1 ss, 2 min, 3 max.
+  [[nodiscard]] std::span<const double> Section(size_t k) const {
+    return {block_.data() + k * dim(), dim()};
+  }
+
+  // AddPoint without the width check: `x` points at dim() values.
+  void Accumulate(const double* x) {
+    const size_t dim = this->dim();
+    double* ls = block_.data();
+    double* ss = ls + dim;
+    double* lo = ss + dim;
+    double* hi = lo + dim;
+    ++n_;
+    for (size_t d = 0; d < dim; ++d) {
+      ls[d] += x[d];
+      ss[d] += x[d] * x[d];
+      lo[d] = std::min(lo[d], x[d]);
+      hi[d] = std::max(hi[d], x[d]);
+    }
+    if (has_histogram()) {
+      for (size_t d = 0; d < dim; ++d) ++hist_[d][x[d]];
+    }
+  }
 
   double DiameterFromMoments(int64_t n, double ss_sum,
                              double ls_sq_norm) const;
 
   MetricKind metric_ = MetricKind::kEuclidean;
   int64_t n_ = 0;
-  std::vector<double> ls_;
-  std::vector<double> ss_;
-  std::vector<double> min_;
-  std::vector<double> max_;
+  // [ls | ss | min | max], dim() doubles each.
+  std::vector<double> block_;
   std::vector<std::map<double, int64_t>> hist_;  // only for kDiscrete
 };
 

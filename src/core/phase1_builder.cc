@@ -7,6 +7,29 @@
 
 namespace dar {
 
+namespace {
+
+// InvalidArgument naming the first non-finite value in a column of
+// `partition` (by part, then column, then row), else OK.
+Status CheckFinite(const Relation& rel, const AttributePartition& partition) {
+  for (size_t p = 0; p < partition.num_parts(); ++p) {
+    for (size_t col : partition.part(p).columns) {
+      const std::span<const double> values = rel.column(col);
+      for (size_t r = 0; r < values.size(); ++r) {
+        if (std::isfinite(values[r])) continue;
+        return Status::InvalidArgument(
+            "non-finite value in part " + std::to_string(p) + " ('" +
+            partition.part(p).label + "'), column " + std::to_string(col) +
+            " ('" + rel.schema().attribute(col).name + "'), row " +
+            std::to_string(r) + "; CF summaries require finite coordinates");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<Phase1Builder> Phase1Builder::Make(
     const DarConfig& config, const Schema& schema,
     const AttributePartition& partition, Executor* executor,
@@ -73,10 +96,11 @@ Phase1Builder::Phase1Builder(DarConfig config, AttributePartition partition,
       executor_(executor),
       observer_(observer),
       telemetry_(telemetry) {
-  scratch_.resize(partition_.num_parts());
-  for (size_t p = 0; p < partition_.num_parts(); ++p) {
-    scratch_[p].resize(partition_.part(p).dimension());
+  for (const auto& part : partition_.parts()) {
+    row_columns_.insert(row_columns_.end(), part.columns.begin(),
+                        part.columns.end());
   }
+  row_.resize(row_columns_.size());
 }
 
 int64_t Phase1Builder::OutlierMinN(int64_t rows) const {
@@ -97,14 +121,13 @@ Status Phase1Builder::AddRow(std::span<const double> row) {
         "row width " + std::to_string(row.size()) + " != schema width " +
         std::to_string(schema_width_));
   }
-  for (size_t p = 0; p < partition_.num_parts(); ++p) {
-    const auto& cols = partition_.part(p).columns;
-    for (size_t d = 0; d < cols.size(); ++d) {
-      scratch_[p][d] = row[cols[d]];
-    }
+  for (size_t k = 0; k < row_columns_.size(); ++k) {
+    row_[k] = row[row_columns_[k]];
   }
+  // The first tree checks the row before inserting it, so a refused row
+  // reaches no tree.
   for (auto& tree : trees_) {
-    DAR_RETURN_IF_ERROR(tree->InsertPoint(scratch_));
+    DAR_RETURN_IF_ERROR(tree->InsertFlatRow(row_));
   }
   ++rows_added_;
   // Keep outlier paging roughly in step with the running count; the exact
@@ -138,27 +161,23 @@ Status Phase1Builder::FeedPart(const Relation& rel, size_t p) {
   // would under the streaming AddRow loop — trees only observe their own
   // insertions, so interleaving across trees is immaterial and the result
   // is bit-identical for any executor.
-  PartedRow scratch(partition_.num_parts());
-  for (size_t q = 0; q < partition_.num_parts(); ++q) {
-    scratch[q].resize(partition_.part(q).dimension());
-  }
+  //
+  // ACFs summarize the cluster's image on *every* part (Eq. 7), so each
+  // tree reads the full flat row, straight from the relation's columns.
+  std::vector<std::span<const double>> columns;
+  columns.reserve(row_columns_.size());
+  for (size_t col : row_columns_) columns.push_back(rel.column(col));
+  std::vector<double> row(columns.size());
   AcfTree& tree = *trees_[p];
   const int64_t start = rows_added_;
   for (size_t r = 0; r < rel.num_rows(); ++r) {
-    // ACFs summarize the cluster's image on *every* part (Eq. 7), so each
-    // tree needs the full parted row, not just its own projection.
-    for (size_t q = 0; q < partition_.num_parts(); ++q) {
-      const auto& cols = partition_.part(q).columns;
-      for (size_t d = 0; d < cols.size(); ++d) {
-        scratch[q][d] = rel.at(r, cols[d]);
-      }
-    }
+    for (size_t k = 0; k < columns.size(); ++k) row[k] = columns[k][r];
     if (absorb_hist != nullptr && (r & 63) == 0) {
       Stopwatch insert_watch;
-      DAR_RETURN_IF_ERROR(tree.InsertPoint(scratch));
+      DAR_RETURN_IF_ERROR(tree.InsertFlatRow(row));
       absorb_hist->Record(insert_watch.ElapsedSeconds());
     } else {
-      DAR_RETURN_IF_ERROR(tree.InsertPoint(scratch));
+      DAR_RETURN_IF_ERROR(tree.InsertFlatRow(row));
     }
     int64_t count = start + static_cast<int64_t>(r) + 1;
     if ((count & 0xFFF) == 0 && config_.outlier_fraction > 0) {
@@ -184,6 +203,9 @@ Status Phase1Builder::AddRelation(const Relation& rel) {
         "relation width " + std::to_string(rel.num_columns()) +
         " != schema width " + std::to_string(schema_width_));
   }
+  // Check the whole batch before any tree sees a row: a tree fed up to a
+  // bad row would keep rows that rows_added_ never counts.
+  DAR_RETURN_IF_ERROR(CheckFinite(rel, partition_));
   DAR_RETURN_IF_ERROR(
       ForEachPart([&](size_t p) { return FeedPart(rel, p); }));
   rows_added_ += static_cast<int64_t>(rel.num_rows());

@@ -59,7 +59,10 @@ class Phase1Builder {
   Status AddRow(std::span<const double> row);
 
   /// Adds every tuple of `rel`, part-parallel when an executor was given.
-  /// Equivalent to calling AddRow for each row in order.
+  /// Equivalent to calling AddRow for each row in order, except that the
+  /// whole batch is checked first: a non-finite value anywhere in a
+  /// partitioned column is InvalidArgument (naming the part, column and
+  /// row) and no tree sees any row of the batch.
   Status AddRelation(const Relation& rel);
 
   /// Number of tuples added so far.
@@ -136,10 +139,11 @@ class Phase1Builder {
   Executor* executor_ = nullptr;       // not owned; may be null
   MiningObserver* observer_ = nullptr; // not owned; may be null
   telemetry::TelemetryContext telemetry_;  // disabled by default
+  // Schema column of each flat-row slot, in layout order (AcfLayout).
+  std::vector<size_t> row_columns_;
   int64_t rows_added_ = 0;
   Stopwatch watch_;
-  PartedRow scratch_;
-  std::vector<double> buf_;
+  std::vector<double> row_;  // AddRow's flat row
 };
 
 }  // namespace dar

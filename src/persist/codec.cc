@@ -122,10 +122,8 @@ void PersistPeer::EncodeCf(const CfVector& cf, WireWriter& w) {
   w.U8(static_cast<uint8_t>(cf.metric_));
   w.U32(static_cast<uint32_t>(cf.dim()));
   w.I64(cf.n_);
-  for (double v : cf.ls_) w.F64(v);
-  for (double v : cf.ss_) w.F64(v);
-  for (double v : cf.min_) w.F64(v);
-  for (double v : cf.max_) w.F64(v);
+  // The block's order, ls | ss | min | max, is the wire order.
+  for (double v : cf.block_) w.F64(v);
   if (cf.metric_ == MetricKind::kDiscrete) {
     // std::map iterates keys in ascending order, so the histogram encoding
     // (and therefore the whole checkpoint) is canonical for a given state.
@@ -157,10 +155,7 @@ Result<CfVector> PersistPeer::DecodeCf(WireReader& r) {
   }
   CfVector cf(dim, metric);
   cf.n_ = n;
-  DAR_RETURN_IF_ERROR(ReadF64s(r, dim, cf.ls_, "CF linear sums"));
-  DAR_RETURN_IF_ERROR(ReadF64s(r, dim, cf.ss_, "CF squared sums"));
-  DAR_RETURN_IF_ERROR(ReadF64s(r, dim, cf.min_, "CF minima"));
-  DAR_RETURN_IF_ERROR(ReadF64s(r, dim, cf.max_, "CF maxima"));
+  DAR_RETURN_IF_ERROR(ReadF64s(r, 4ull * dim, cf.block_, "CF moments"));
   if (metric == MetricKind::kDiscrete) {
     for (size_t d = 0; d < dim; ++d) {
       DAR_ASSIGN_OR_RETURN(size_t entries,
@@ -223,6 +218,22 @@ Result<Acf> PersistPeer::DecodeAcf(WireReader& r,
           std::to_string(static_cast<int>(spec.metric)));
     }
     images.push_back(std::move(image));
+  }
+  // Every image summarizes the cluster's tuples (Eq. 7), and every encoder
+  // writes clusters of at least one tuple. A zero mass would pass here and
+  // abort the process in the first distance computed from it.
+  const int64_t mass = images[own_part].n();
+  if (mass < 1) {
+    return Status::InvalidArgument("ACF own mass " + std::to_string(mass) +
+                                   " is below 1");
+  }
+  for (uint32_t p = 0; p < num_images; ++p) {
+    if (images[p].n() != mass) {
+      return Status::InvalidArgument(
+          "ACF image " + std::to_string(p) + " has mass " +
+          std::to_string(images[p].n()) + ", the own part has mass " +
+          std::to_string(mass));
+    }
   }
   Acf acf(std::move(layout), own_part);
   acf.images_ = std::move(images);
@@ -295,6 +306,11 @@ Result<std::unique_ptr<Node>> PersistPeer::DecodeNode(
             "/metric " + std::to_string(static_cast<int>(cf.metric())) +
             ", tree's own part expects dim " + std::to_string(own_spec.dim) +
             "/metric " + std::to_string(static_cast<int>(own_spec.metric)));
+      }
+      if (cf.n() < 1) {
+        return Status::InvalidArgument("internal child CF mass " +
+                                       std::to_string(cf.n()) +
+                                       " is below 1");
       }
       DAR_ASSIGN_OR_RETURN(
           std::unique_ptr<Node> child,

@@ -110,6 +110,43 @@ TEST(AcfTest, LayoutApproxBytesPositive) {
   EXPECT_GT(acf.ApproxBytes(), 0u);
 }
 
+TEST(AcfTest, FlatRowOffsetsFollowPartOrder) {
+  auto layout = std::make_shared<AcfLayout>();
+  layout->parts = {{2, MetricKind::kEuclidean, "A"},
+                   {1, MetricKind::kManhattan, "B"},
+                   {3, MetricKind::kDiscrete, "C"}};
+  EXPECT_EQ(layout->offset(0), 0u);
+  EXPECT_EQ(layout->offset(1), 2u);
+  EXPECT_EQ(layout->offset(2), 3u);
+  EXPECT_EQ(layout->row_width(), 6u);
+}
+
+TEST(AcfTest, BudgetChargesArePinned) {
+  // The memory budget's model (birch/budget.h): 48 bytes per ACF, plus per
+  // image 136 bytes and 4 * dim doubles, plus an estimate of 16 histogram
+  // entries of 64 bytes per discrete dimension. Rebuilds fire on these
+  // numbers, so they must not follow the storage layout.
+  auto flat = std::make_shared<AcfLayout>();
+  for (int p = 0; p < 30; ++p) {
+    flat->parts.push_back({1, MetricKind::kEuclidean, "p"});
+  }
+  EXPECT_EQ(flat->ApproxAcfBytes(), 5088u);  // 48 + 30 * (136 + 32)
+  EXPECT_EQ(Acf(flat, 0).ApproxBytes(), 5088u);
+
+  auto mixed = std::make_shared<AcfLayout>();
+  mixed->parts = {{2, MetricKind::kEuclidean, "A"},
+                  {1, MetricKind::kManhattan, "B"},
+                  {3, MetricKind::kDiscrete, "C"}};
+  // 48 + (136 + 64) + (136 + 32) + (136 + 96 + 3 * 16 * 64)
+  EXPECT_EQ(mixed->ApproxAcfBytes(), 3720u);
+  // An ACF charges its actual histograms: none yet, then one value per
+  // discrete dimension at 64 bytes each.
+  Acf acf(mixed, 2);
+  EXPECT_EQ(acf.ApproxBytes(), 648u);
+  acf.AddRow({{1, 2}, {3}, {4, 5, 6}});
+  EXPECT_EQ(acf.ApproxBytes(), 648u + 3 * 64);
+}
+
 TEST(AcfTest, ToStringShowsBoxAndCount) {
   Acf acf(TwoPartLayout(), 0);
   acf.AddRow(Row(2, 0, 0));

@@ -120,6 +120,23 @@ TEST(AcfTreeTest, MemoryPressureTriggersRebuild) {
   EXPECT_LE(tree.Stats().approx_bytes, opts.memory_budget_bytes);
 }
 
+TEST(AcfTreeTest, BudgetAccountingIsPinned) {
+  // A fixed-seed tree under memory pressure. Its charged bytes and rebuild
+  // count are pinned, so a change that moves the budget's model
+  // (birch/budget.h) fails here instead of silently moving every rebuild.
+  AcfTreeOptions opts = SmallTreeOptions();
+  opts.memory_budget_bytes = 16 << 10;
+  AcfTree tree(TwoPartLayout(), 0, opts);
+  Rng rng(8);
+  for (int i = 0; i < 3000; ++i) {
+    const double x = rng.Uniform(0, 1e6);
+    ASSERT_TRUE(tree.InsertPoint({{x}, {rng.Uniform(0, 1e3)}}).ok());
+  }
+  const AcfTreeStats stats = tree.Stats();
+  EXPECT_EQ(stats.approx_bytes, 11512u);
+  EXPECT_EQ(stats.rebuild_count, 5);
+}
+
 TEST(AcfTreeTest, RebuildPreservesLinearSums) {
   AcfTreeOptions opts = SmallTreeOptions();
   opts.memory_budget_bytes = 16 << 10;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "birch/acf.h"
@@ -26,8 +27,12 @@ struct InvariantTestPeer {
     return node;
   }
   static CfVector& Image(Acf& acf, size_t part) { return acf.images_[part]; }
-  static std::vector<double>& Ls(CfVector& cf) { return cf.ls_; }
-  static std::vector<double>& Ss(CfVector& cf) { return cf.ss_; }
+  static std::span<double> Ls(CfVector& cf) {
+    return std::span<double>(cf.block_).first(cf.dim());
+  }
+  static std::span<double> Ss(CfVector& cf) {
+    return std::span<double>(cf.block_).subspan(cf.dim(), cf.dim());
+  }
   static int64_t& N(CfVector& cf) { return cf.n_; }
 };
 

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -814,6 +815,113 @@ TEST_F(FaultInjectionTest, CrcValidCorruptionsReturnCleanly) {
   // structure the decoders refuse: the sweep must see both.
   EXPECT_GT(restored, 0u);
   EXPECT_LT(restored, trials);
+}
+
+// Byte offsets, within a builder-section payload, of three CF masses: the
+// own-part and the next part's image of the first ACF on the wire, and the
+// first internal child CF. Walks the codec's layout (codec.cc); interval
+// parts only.
+struct MassFields {
+  size_t own = 0;
+  size_t foreign = 0;
+  size_t internal = 0;
+};
+
+MassFields FindMassFields(const std::string& payload) {
+  WireReader r(payload);
+  MassFields fields;
+  bool have_acf = false, have_internal = false;
+  auto cf = [&]() -> size_t {  // offset of the CF's mass
+    EXPECT_NE(*r.U8(), static_cast<uint8_t>(MetricKind::kDiscrete));
+    const uint32_t dim = *r.U32();
+    const size_t mass_at = payload.size() - r.remaining();
+    (void)r.I64();
+    for (uint32_t k = 0; k < 4 * dim; ++k) (void)r.F64();
+    return mass_at;
+  };
+  auto acf = [&] {
+    const uint32_t own = *r.U32();
+    const uint32_t images = *r.U32();
+    for (uint32_t p = 0; p < images; ++p) {
+      const size_t mass_at = cf();
+      if (have_acf) continue;
+      if (p == own) fields.own = mass_at;
+      if (p == (own + 1) % images) fields.foreign = mass_at;
+    }
+    have_acf = true;
+  };
+  std::function<void()> node = [&] {
+    const bool leaf = *r.U8() != 0;
+    const uint32_t count = *r.U32();
+    for (uint32_t i = 0; i < count; ++i) {
+      if (leaf) {
+        acf();
+        continue;
+      }
+      const size_t mass_at = cf();
+      if (!have_internal) fields.internal = mass_at;
+      have_internal = true;
+      node();
+    }
+  };
+  (void)r.I64();  // rows_added
+  const uint32_t trees = *r.U32();
+  for (uint32_t t = 0; t < trees; ++t) {
+    // Blob length, then the 92 bytes of options and counters.
+    (void)r.U64();
+    for (int i = 0; i < 92; ++i) (void)r.U8();
+    // The paged-out and the confirmed outliers, then the root.
+    for (int buffer = 0; buffer < 2; ++buffer) {
+      const uint32_t count = *r.U32();
+      for (uint32_t i = 0; i < count; ++i) acf();
+    }
+    node();
+  }
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_TRUE(have_acf && have_internal);
+  return fields;
+}
+
+TEST_F(FaultInjectionTest, ZeroAndUnequalMassesAreRefused) {
+  // Behind valid CRCs: an ACF whose own mass is 0, an ACF whose foreign
+  // image is one tuple heavier than its own part, and an internal CF of
+  // mass 0. Each used to restore, then abort the process in the first
+  // distance computed from it.
+  auto reader = CheckpointReader::Parse(*bytes_);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const std::string builder(*reader->Section(SectionId::kBuilder));
+  const MassFields fields = FindMassFields(builder);
+  if (HasFailure()) return;
+  auto with_mass = [&](size_t at, int64_t mass) {
+    WireWriter w;
+    w.I64(mass);
+    std::string mutated = builder;
+    mutated.replace(at, 8, w.bytes());
+    return WithSection(*bytes_, SectionId::kBuilder, std::move(mutated));
+  };
+  auto mass_at = [&](size_t at) {
+    WireReader r(std::string_view(builder).substr(at, 8));
+    return *r.I64();
+  };
+  const std::string path = testutil::TempPath("mass.ckpt");
+  for (const std::string& corrupt :
+       {with_mass(fields.own, 0),
+        with_mass(fields.foreign, mass_at(fields.foreign) + 1),
+        with_mass(fields.internal, 0)}) {
+    WriteFileBytes(path, corrupt);
+    auto restored = StreamingMiner::RestoreFromFile(
+        path, TestConfig(), /*executor=*/nullptr, /*registry=*/nullptr);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_TRUE(restored.status().IsInvalidArgument()) << restored.status();
+    EXPECT_NE(restored.status().message().find("mass"), std::string::npos)
+        << restored.status();
+    auto merged = persist::MergeCheckpoints({&path, 1});
+    ASSERT_FALSE(merged.ok());
+    EXPECT_TRUE(merged.status().IsInvalidArgument()) << merged.status();
+    EXPECT_NE(merged.status().message().find("mass"), std::string::npos)
+        << merged.status();
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/executor.h"
 #include "common/random.h"
 #include "core/session.h"
 #include "datagen/planted.h"
+#include "persist/codec.h"
 
 namespace dar {
 namespace {
@@ -119,6 +127,195 @@ TEST(Phase1BuilderTest, StreamingMassAccounting) {
   ASSERT_TRUE(phase1.ok());
   ASSERT_EQ(phase1->tree_stats.size(), 1u);
   EXPECT_EQ(phase1->tree_stats[0].points_inserted, 5000);
+}
+
+// Rows [begin, end) of `rel`; column 1 of row `nan_row`, if among them,
+// becomes NaN.
+Relation Batch(const Relation& rel, size_t begin, size_t end,
+               size_t nan_row = std::numeric_limits<size_t>::max()) {
+  Relation out(rel.schema());
+  for (size_t r = begin; r < end; ++r) {
+    std::vector<double> row = rel.Row(r);
+    if (r == nan_row) row[1] = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(out.AppendRow(row).ok());
+  }
+  return out;
+}
+
+TEST(Phase1BuilderTest, RejectedBatchFeedsNoTree) {
+  // A 50-row batch with a NaN in row 5 is refused before any tree sees a
+  // row: the builder still encodes as an untouched one, and after a clean
+  // batch every tree's insert count equals rows_added and the builder
+  // encodes as one that never saw the bad batch. At 1 and at 4 threads.
+  PlantedDataSpec spec = WbcdLikeSpec(3, 3, 0.05, 61);
+  auto data = GeneratePlanted(spec, 100, 62);
+  ASSERT_TRUE(data.ok());
+  const Relation bad = Batch(data->relation, 0, 50, /*nan_row=*/5);
+  const Relation clean = Batch(data->relation, 50, 100);
+  DarConfig config = TestConfig();
+  config.initial_diameters.assign(3, 80.0);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    std::shared_ptr<Executor> executor = MakeExecutor(threads);
+    auto offered = Phase1Builder::Make(config, data->relation.schema(),
+                                       data->partition, executor.get());
+    ASSERT_TRUE(offered.ok());
+    auto never = Phase1Builder::Make(config, data->relation.schema(),
+                                     data->partition, executor.get());
+    ASSERT_TRUE(never.ok());
+
+    Status refused = offered->AddRelation(bad);
+    ASSERT_TRUE(refused.IsInvalidArgument()) << refused;
+    EXPECT_NE(refused.message().find("row 5"), std::string::npos) << refused;
+    EXPECT_EQ(offered->rows_added(), 0);
+    EXPECT_EQ(persist::EncodeBuilderSection(*offered),
+              persist::EncodeBuilderSection(*never));
+
+    ASSERT_TRUE(offered->AddRelation(clean).ok());
+    ASSERT_TRUE(never->AddRelation(clean).ok());
+    EXPECT_EQ(offered->rows_added(), 50);
+    auto snapshot = offered->Snapshot();
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    for (const AcfTreeStats& stats : snapshot->tree_stats) {
+      EXPECT_EQ(stats.points_inserted, offered->rows_added());
+    }
+    EXPECT_EQ(persist::EncodeBuilderSection(*offered),
+              persist::EncodeBuilderSection(*never));
+  }
+}
+
+// Parts of dimension 2, 1 and 3 under the Euclidean, Manhattan and discrete
+// metrics, listed out of schema order: the flat row is (a, d | f | b, c, e),
+// not the schema's (a, b, c, d, e, f).
+struct MixedLayoutData {
+  Relation rel;
+  AttributePartition partition;
+};
+
+MixedLayoutData MakeMixedLayoutData(size_t rows) {
+  Schema schema = *Schema::Make({{"a", AttributeKind::kInterval},
+                                 {"b", AttributeKind::kNominal},
+                                 {"c", AttributeKind::kNominal},
+                                 {"d", AttributeKind::kInterval},
+                                 {"e", AttributeKind::kNominal},
+                                 {"f", AttributeKind::kInterval}});
+  auto partition = AttributePartition::Make(
+      schema, {{{"d", "a"}, MetricKind::kEuclidean},
+               {{"f"}, MetricKind::kManhattan},
+               {{"e", "b", "c"}, MetricKind::kDiscrete}});
+  EXPECT_TRUE(partition.ok()) << partition.status();
+  MixedLayoutData out{Relation(schema), *partition};
+  Rng rng(63);
+  for (size_t r = 0; r < rows; ++r) {
+    // Integer values, so every sum below is exact in any order.
+    std::vector<double> row(6);
+    for (size_t c : {0, 3, 5}) row[c] = std::floor(rng.Uniform(0, 200));
+    for (size_t c : {1, 2, 4}) row[c] = std::floor(rng.Uniform(0, 4));
+    EXPECT_TRUE(out.rel.AppendRow(row).ok());
+  }
+  return out;
+}
+
+TEST(Phase1BuilderTest, FlatRowOnMixedLayoutIsFeedOrderIndependent) {
+  const MixedLayoutData data = MakeMixedLayoutData(600);
+  const Relation& rel = data.rel;
+  const AttributePartition& partition = data.partition;
+  ASSERT_EQ(partition.part(0).columns, (std::vector<size_t>{0, 3}));
+  ASSERT_EQ(partition.part(2).columns, (std::vector<size_t>{1, 2, 4}));
+  DarConfig config;
+  config.memory_budget_bytes = 96u << 10;  // small enough to rebuild
+  config.frequency_fraction = 1e-9;        // s0 = 1
+
+  auto make = [&](Executor* executor) -> Phase1Builder {
+    auto builder =
+        Phase1Builder::Make(config, rel.schema(), partition, executor);
+    EXPECT_TRUE(builder.ok()) << builder.status();
+    return std::move(*builder);
+  };
+  std::shared_ptr<Executor> pool = MakeExecutor(4);
+  Phase1Builder serial = make(nullptr);
+  ASSERT_TRUE(serial.AddRelation(rel).ok());
+  Phase1Builder parallel = make(pool.get());
+  ASSERT_TRUE(parallel.AddRelation(rel).ok());
+  Phase1Builder by_row = make(nullptr);
+  for (size_t r = 0; r < rel.num_rows(); ++r) {
+    ASSERT_TRUE(by_row.AddRow(rel.Row(r)).ok());
+  }
+
+  // The fourth way: standalone trees fed parted rows, with the options
+  // Phase1Builder::Make gives its trees (the budget split evenly over the
+  // parts; under 4096 rows outlier paging never switches on).
+  auto layout = std::make_shared<AcfLayout>();
+  for (const AttributeSet& part : partition.parts()) {
+    layout->parts.push_back({part.dimension(), part.metric, part.label});
+  }
+  AcfTreeOptions options = config.tree;
+  options.memory_budget_bytes =
+      config.memory_budget_bytes / partition.num_parts();
+  std::vector<std::unique_ptr<AcfTree>> trees;
+  for (size_t p = 0; p < partition.num_parts(); ++p) {
+    trees.push_back(std::make_unique<AcfTree>(layout, p, options));
+  }
+  for (size_t r = 0; r < rel.num_rows(); ++r) {
+    PartedRow row;
+    for (const AttributeSet& part : partition.parts()) {
+      std::vector<double> values;
+      for (size_t col : part.columns) values.push_back(rel.at(r, col));
+      row.push_back(std::move(values));
+    }
+    for (auto& tree : trees) ASSERT_TRUE(tree->InsertPoint(row).ok());
+  }
+  persist::WireWriter w;  // the builder section's layout, tree by tree
+  w.I64(static_cast<int64_t>(rel.num_rows()));
+  w.U32(static_cast<uint32_t>(trees.size()));
+  for (const auto& tree : trees) {
+    persist::WireWriter blob;
+    persist::EncodeTree(*tree, blob);
+    w.U64(blob.size());
+    w.Raw(blob.bytes());
+  }
+  const std::string want = std::move(w).Take();
+  EXPECT_EQ(persist::EncodeBuilderSection(serial), want);
+  EXPECT_EQ(persist::EncodeBuilderSection(parallel), want);
+  EXPECT_EQ(persist::EncodeBuilderSection(by_row), want);
+
+  // Every tree's leaf entries and outliers together summarize every row
+  // on every part (Eq. 7): their sums are the column totals.
+  for (size_t p = 0; p < trees.size(); ++p) {
+    SCOPED_TRACE(p);
+    EXPECT_GT(trees[p]->rebuild_count(), 0);
+    std::vector<Acf> entries = trees[p]->ExtractClusters();
+    for (const Acf& acf : trees[p]->outliers()) entries.push_back(acf);
+    for (size_t q = 0; q < partition.num_parts(); ++q) {
+      int64_t n = 0;
+      for (const Acf& acf : entries) n += acf.image(q).n();
+      EXPECT_EQ(n, static_cast<int64_t>(rel.num_rows()));
+      const std::vector<size_t>& cols = partition.part(q).columns;
+      for (size_t d = 0; d < cols.size(); ++d) {
+        const std::span<const double> column = rel.column(cols[d]);
+        double ls = 0, ss = 0, lo = column[0], hi = column[0];
+        for (double v : column) {
+          ls += v;
+          ss += v * v;
+          lo = std::min(lo, v);
+          hi = std::max(hi, v);
+        }
+        double got_ls = 0, got_ss = 0;
+        double got_lo = std::numeric_limits<double>::infinity();
+        double got_hi = -got_lo;
+        for (const Acf& acf : entries) {
+          got_ls += acf.image(q).ls()[d];
+          got_ss += acf.image(q).ss()[d];
+          got_lo = std::min(got_lo, acf.image(q).min()[d]);
+          got_hi = std::max(got_hi, acf.image(q).max()[d]);
+        }
+        EXPECT_EQ(got_ls, ls) << "part " << q << " dim " << d;
+        EXPECT_EQ(got_ss, ss) << "part " << q << " dim " << d;
+        EXPECT_EQ(got_lo, lo) << "part " << q << " dim " << d;
+        EXPECT_EQ(got_hi, hi) << "part " << q << " dim " << d;
+      }
+    }
+  }
 }
 
 }  // namespace

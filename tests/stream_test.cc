@@ -10,6 +10,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -644,6 +646,57 @@ TEST(StreamTest, KillRestoreContinueEqualsUninterruptedStream) {
   EXPECT_EQ(final_snapshot->phase2().cliques, reference->phase2().cliques);
   ExpectSameRules(final_snapshot->rules(), reference->rules());
   std::remove(ckpt.c_str());
+}
+
+TEST(StreamTest, RejectedBatchLeavesNoTrace) {
+  // Row 5 of a 50-row batch carries a NaN. Ingest refuses the whole batch:
+  // no tree keeps its first five rows, and after a clean batch the stream
+  // checkpoints to the same bytes as one that never saw the bad batch.
+  // (Both checkpoints are saved before any re-mine: a snapshot carries
+  // its wall-clock seconds.)
+  PlantedDataset data = TestData();
+  Relation bad(data.relation.schema());
+  for (size_t r = 0; r < 50; ++r) {
+    std::vector<double> row = data.relation.Row(r);
+    if (r == 5) row[2] = std::numeric_limits<double>::quiet_NaN();
+    ASSERT_TRUE(bad.AppendRow(row).ok());
+  }
+  const Relation clean = Slice(data.relation, 50, 100);
+  auto session = TestSession();
+  ASSERT_TRUE(session.ok());
+  auto offered = session->OpenStream(data.relation.schema(), data.partition,
+                                     Cadence(0));
+  ASSERT_TRUE(offered.ok()) << offered.status();
+  auto never = session->OpenStream(data.relation.schema(), data.partition,
+                                   Cadence(0));
+  ASSERT_TRUE(never.ok()) << never.status();
+
+  Status refused = (*offered)->Ingest(bad);
+  ASSERT_TRUE(refused.IsInvalidArgument()) << refused;
+  EXPECT_EQ((*offered)->rows_ingested(), 0);
+  ASSERT_TRUE((*offered)->Ingest(clean).ok());
+  ASSERT_TRUE((*never)->Ingest(clean).ok());
+
+  const std::string offered_path = testutil::TempPath("offered.ckpt");
+  const std::string never_path = testutil::TempPath("never.ckpt");
+  ASSERT_TRUE((*offered)->SaveCheckpoint(offered_path).ok());
+  ASSERT_TRUE((*never)->SaveCheckpoint(never_path).ok());
+  auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string offered_bytes = bytes(offered_path);
+  EXPECT_FALSE(offered_bytes.empty());
+  EXPECT_EQ(offered_bytes, bytes(never_path));
+  std::remove(offered_path.c_str());
+  std::remove(never_path.c_str());
+
+  auto snapshot = (*offered)->Remine();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  for (const AcfTreeStats& stats : (*snapshot)->phase1().tree_stats) {
+    EXPECT_EQ(stats.points_inserted, (*offered)->rows_ingested());
+  }
 }
 
 // --- dar::quality integration: support post-scan on the streaming path,

@@ -73,7 +73,13 @@ hold a "micro/post_scan" run whose telemetry counts zero rules whose
 contingency table differs from a brute-force recount
 (counters["micro.post_scan.mismatches"]), with at least one rule and one
 matched tuple (counters["micro.post_scan.rules"] and
-counters["micro.post_scan.matched"] > 0, or the check is vacuous).
+counters["micro.post_scan.matched"] > 0, or the check is vacuous). And it
+must hold a "micro/acf_feed" run whose telemetry counts zero (tree, image
+part) pairs whose summed n, ls, ss, min or max over clusters and outliers
+differs from the column totals (counters["micro.acf_feed.mismatches"]),
+with at least one cluster and one rebuild (counters["micro.acf_feed.
+clusters"] and counters["micro.acf_feed.rebuilds"] > 0, or the check
+misses the rebuild path).
 
 Usage: tools/check_bench_json.py FILE [FILE...]
 Prints one `file: message` per violation and exits 1 when anything is
@@ -370,10 +376,27 @@ def micro_counters(errors, runs, name, keys, what):
 
 
 def check_micro_suite(errors, runs):
-    """The micro suite's RuleIndex and post-scan runs must exist and agree
-    with their brute-force oracles, and neither oracle may be vacuous."""
+    """The micro suite's RuleIndex, post-scan and Phase I feed runs must
+    exist and agree with their brute-force oracles, and no oracle may be
+    vacuous."""
     check_rule_index_run(errors, runs)
     check_post_scan_run(errors, runs)
+    check_acf_feed_run(errors, runs)
+
+
+def check_acf_feed_run(errors, runs):
+    values = micro_counters(errors, runs, "acf_feed",
+                            ("mismatches", "clusters", "rebuilds"),
+                            "the Phase I feed oracle run")
+    if values is None:
+        return
+    if values["mismatches"] != 0:
+        errors.append(f"micro/acf_feed: {values['mismatches']} (tree, image "
+                      "part) sums disagree with the column totals (must be "
+                      "0)")
+    if values["clusters"] <= 0 or values["rebuilds"] <= 0:
+        errors.append("micro/acf_feed: no cluster or no rebuild — the "
+                      "oracle check misses the rebuild path")
 
 
 def check_post_scan_run(errors, runs):
