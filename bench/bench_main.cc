@@ -47,6 +47,8 @@
 #include "datagen/planted.h"
 #include "graph/clique.h"
 #include "graph/graph.h"
+#include "persist/codec.h"
+#include "persist/wire.h"
 #include "qar/equidepth.h"
 #include "quality/diff.h"
 #include "quality/scored_rules.h"
@@ -1440,6 +1442,24 @@ int MicroPostScan(const BenchOptions& options, std::vector<RunRecord>& runs) {
   return 0;
 }
 
+// The per-tree blobs of a Phase1Builder section (persist::
+// EncodeBuilderSection): an i64 row count, a u32 tree count, then each tree
+// as a u64 length and its bytes. Stops at the first malformed field.
+std::vector<std::string_view> TreeBlobs(std::string_view section) {
+  persist::WireReader r(section);
+  std::vector<std::string_view> blobs;
+  if (!r.I64().ok()) return blobs;
+  Result<uint32_t> trees = r.U32();
+  for (uint32_t t = 0; trees.ok() && t < *trees; ++t) {
+    Result<uint64_t> length = r.U64();
+    if (!length.ok()) break;
+    const size_t at = section.size() - r.remaining();
+    if (!r.Slice(*length).ok()) break;
+    blobs.push_back(section.substr(at, *length));
+  }
+  return blobs;
+}
+
 // Phase I's feed at the perfbench mine_sec72 shape (the §7.2 data of
 // MicroPostScan, its 32 MB budget over 30 parts), with every value rounded
 // to an integer so that sums are exact in any order: Phase1Builder::
@@ -1447,8 +1467,12 @@ int MicroPostScan(const BenchOptions& options, std::vector<RunRecord>& runs) {
 // executor. The last feed is finished with s0 = 1 and no refinement, so
 // every leaf cluster is kept; then, per tree and per image part, the n,
 // ls, ss, min and max summed over its clusters and outliers are checked
-// against the column totals. check_bench_json.py requires zero mismatching
-// (tree, image part) pairs and at least one cluster and one rebuild.
+// against the column totals. Then the same rows are fed twice more,
+// untimed: in 1,000-row AddRelation batches (stream_drift's batch size)
+// and row by row through AddRow; every tree of both must encode to the
+// bytes of the one-batch feed. check_bench_json.py requires zero
+// mismatching (tree, image part) pairs, zero mismatching trees, and at
+// least one cluster and one rebuild.
 int MicroAcfFeed(const BenchOptions& options, std::vector<RunRecord>& runs) {
   const size_t n = options.smoke ? 5000 : 50000;
   const size_t feeds = options.smoke ? 3 : 5;
@@ -1483,11 +1507,15 @@ int MicroAcfFeed(const BenchOptions& options, std::vector<RunRecord>& runs) {
     return 1;
   }
 
+  auto make_builder = [&]() {
+    return Phase1Builder::Make(config, rel.schema(), partition,
+                               &session->executor());
+  };
   std::vector<double> feed_seconds;
   Result<Phase1Result> phase1 = Status::Internal("no feed ran");
+  std::string one_batch;  // the last timed feed's builder section
   for (size_t f = 0; f < feeds; ++f) {
-    auto builder = Phase1Builder::Make(config, rel.schema(), partition,
-                                       &session->executor());
+    auto builder = make_builder();
     if (!builder.ok()) {
       std::cerr << builder.status() << "\n";
       return 1;
@@ -1499,6 +1527,7 @@ int MicroAcfFeed(const BenchOptions& options, std::vector<RunRecord>& runs) {
       std::cerr << fed << "\n";
       return 1;
     }
+    one_batch = persist::EncodeBuilderSection(*builder);
     phase1 = std::move(*builder).Finish();
     if (!phase1.ok()) {
       std::cerr << phase1.status() << "\n";
@@ -1553,6 +1582,43 @@ int MicroAcfFeed(const BenchOptions& options, std::vector<RunRecord>& runs) {
     rebuilds += stats.rebuild_count;
   }
 
+  // The same rows in 1,000-row batches, then row by row.
+  auto batched = make_builder();
+  auto by_row = make_builder();
+  if (!batched.ok() || !by_row.ok()) {
+    std::cerr << (batched.ok() ? by_row.status() : batched.status()) << "\n";
+    return 1;
+  }
+  for (size_t begin = 0; begin < n; begin += 1000) {
+    Relation batch(rel.schema());
+    for (size_t r = begin; r < std::min(n, begin + 1000); ++r) {
+      if (Status s = batch.AppendRow(rel.Row(r)); !s.ok()) {
+        std::cerr << s << "\n";
+        return 1;
+      }
+    }
+    if (Status s = batched->AddRelation(batch); !s.ok()) {
+      std::cerr << s << "\n";
+      return 1;
+    }
+  }
+  for (size_t r = 0; r < n; ++r) {
+    if (Status s = by_row->AddRow(rel.Row(r)); !s.ok()) {
+      std::cerr << s << "\n";
+      return 1;
+    }
+  }
+  const std::vector<std::string_view> want = TreeBlobs(one_batch);
+  int64_t batch_mismatches = 0;
+  for (const Phase1Builder* other : {&*batched, &*by_row}) {
+    const std::string section = persist::EncodeBuilderSection(*other);
+    const std::vector<std::string_view> got = TreeBlobs(section);
+    for (size_t p = 0; p < parts; ++p) {
+      const bool same = p < want.size() && p < got.size() && got[p] == want[p];
+      batch_mismatches += same ? 0 : 1;
+    }
+  }
+
   telemetry::MetricsRegistry registry;
   registry.GetCounter("micro.acf_feed.rows")
       ->Increment(static_cast<int64_t>(n));
@@ -1564,6 +1630,8 @@ int MicroAcfFeed(const BenchOptions& options, std::vector<RunRecord>& runs) {
       ->Increment(static_cast<int64_t>(phase1->outliers.size()));
   registry.GetCounter("micro.acf_feed.rebuilds")->Increment(rebuilds);
   registry.GetCounter("micro.acf_feed.mismatches")->Increment(mismatches);
+  registry.GetCounter("micro.acf_feed.batch_mismatches")
+      ->Increment(batch_mismatches);
   RunRecord run;
   run.name = "micro/acf_feed";
   run.params = {{"n", static_cast<double>(n)},

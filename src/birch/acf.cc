@@ -50,26 +50,30 @@ Acf::Acf(std::shared_ptr<const AcfLayout> layout, size_t own_part)
 
 void Acf::AddRow(const PartedRow& row) {
   DAR_CHECK_EQ(row.size(), images_.size());
-  std::vector<double> flat;
+  std::vector<const double*> columns;  // a one-row block
   for (size_t i = 0; i < images_.size(); ++i) {
     DAR_CHECK_EQ(row[i].size(), images_[i].dim());
-    flat.insert(flat.end(), row[i].begin(), row[i].end());
+    for (const double& v : row[i]) columns.push_back(&v);
   }
-  AddFlatRow(flat);
+  AbsorbRow(row[own_part_].data(), 0);
+  FlushQueue(columns, 0);
 }
 
-void Acf::AddFlatRow(std::span<const double> row) {
-  DAR_DCHECK_EQ(row.size(), layout_->row_width());
-  const double* x = row.data();
-  for (CfVector& image : images_) {
-    image.Accumulate(x);
-    x += image.dim();
+void Acf::FlushQueue(std::span<const double* const> columns, size_t begin) {
+  if (queue_.empty()) return;
+  DAR_DCHECK_EQ(columns.size(), layout_->row_width());
+  const double* const* column = columns.data();
+  for (size_t p = 0; p < images_.size(); ++p) {
+    if (p != own_part_) images_[p].AccumulateRows(column, begin, queue_);
+    column += images_[p].dim();
   }
+  queue_.clear();
 }
 
 void Acf::Merge(const Acf& other) {
   DAR_CHECK_EQ(own_part_, other.own_part_);
   DAR_CHECK_EQ(images_.size(), other.images_.size());
+  DAR_DCHECK(queue_.empty() && other.queue_.empty());
   for (size_t i = 0; i < images_.size(); ++i) {
     images_[i].Merge(other.images_[i]);
   }

@@ -1,6 +1,7 @@
 #ifndef DAR_BIRCH_ACF_H_
 #define DAR_BIRCH_ACF_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -51,7 +52,7 @@ struct AcfLayout {
 
 /// A tuple projected per attribute set: values[i] are the tuple's
 /// coordinates on part i. The convenient form for literals; the insert
-/// paths flatten it into a flat row (AcfLayout) first.
+/// paths take it as a one-row block in flat-row order (AcfLayout).
 using PartedRow = std::vector<std::vector<double>>;
 
 /// Association Clustering Feature (§6.1): the summary of a cluster *defined
@@ -79,8 +80,8 @@ class Acf {
   /// returns cf().
   [[nodiscard]] const CfVector& image(size_t p) const { return images_.at(p); }
 
-  /// Adds a tuple. `row[i]` must match part i's dimension. Flattens the
-  /// row and adds it as AcfTree::InsertFlatRow does.
+  /// Adds a tuple. `row[i]` must match part i's dimension. Adds it as a
+  /// one-row block of AcfTree::InsertRows: absorbed, queued and flushed.
   void AddRow(const PartedRow& row);
 
   /// Additivity: absorbs another ACF with the same layout and own part.
@@ -112,16 +113,39 @@ class Acf {
   friend struct InvariantTestPeer;
   // Serialization backdoor for dar::persist (persist/persist_peer.h).
   friend struct PersistPeer;
-  // The tree adds the flat rows it has checked.
+  // The tree absorbs and flushes the rows it has checked.
   friend class AcfTree;
 
-  // Adds a flat row (AcfLayout) to every image, in part order. The caller
-  // has checked that `row` holds layout().row_width() values.
-  void AddFlatRow(std::span<const double> row);
+  // Rows reach an ACF in blocks (AcfTree::InsertRows): one pointer per
+  // flat-row slot, in layout order, each into a column of the block. A row
+  // is absorbed in two steps. AbsorbRow adds its own values to cf() at
+  // once, because the descent, the threshold tests and splits read cf(),
+  // and queues the row's offset in the block. FlushQueue adds every queued
+  // row to every other image, in queue order, and empties the queue. Each
+  // image element thus sees the same additions in the same order as when
+  // each row went to every image at once, so the sums are bit-identical;
+  // only when they are made changes. The tree flushes every entry before a
+  // rebuild (which merges whole ACFs) and at the end of each block, so no
+  // ACF holds queued rows between tree calls.
+
+  // Adds `own` (the own part's dim values of the row at `offset` in the
+  // block) to cf() and queues the offset for the other images.
+  void AbsorbRow(const double* own, uint32_t offset) {
+    images_[own_part_].Accumulate(own);
+    queue_.push_back(offset);
+  }
+
+  // Adds the queued rows of the block `columns` (its rows start at
+  // `begin`) to every image but cf(), then empties the queue and keeps its
+  // capacity.
+  void FlushQueue(std::span<const double* const> columns, size_t begin);
 
   std::shared_ptr<const AcfLayout> layout_;
   size_t own_part_ = 0;
   std::vector<CfVector> images_;
+  // Offsets in the current block of the rows cf() holds and the other
+  // images do not yet; empty outside AcfTree::InsertRows.
+  std::vector<uint32_t> queue_;
 };
 
 }  // namespace dar

@@ -1,7 +1,9 @@
 #include "birch/acf_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -51,6 +53,8 @@ AcfTree::AcfTree(std::shared_ptr<const AcfLayout> layout, size_t own_part,
   DAR_CHECK_LT(own_part_, layout_->num_parts());
   own_offset_ = layout_->offset(own_part_);
   row_width_ = layout_->row_width();
+  own_.resize(layout_->parts[own_part_].dim);
+  flat_columns_.resize(row_width_);
   DAR_CHECK_GE(options_.branching_factor, 2);
   DAR_CHECK_GE(options_.leaf_capacity, 1);
   acf_bytes_estimate_ = layout_->ApproxAcfBytes();
@@ -60,6 +64,7 @@ std::unique_ptr<AcfTree::Node> AcfTree::CloneNode(const Node& node) const {
   auto copy = std::make_unique<Node>();
   copy->is_leaf = node.is_leaf;
   copy->entries = node.entries;  // Acf is value-copyable (shared layout)
+  copy->centroids = node.centroids;
   copy->children.reserve(node.children.size());
   for (const ChildRef& ref : node.children) {
     copy->children.push_back(ChildRef{ref.cf, CloneNode(*ref.child)});
@@ -87,16 +92,15 @@ Status AcfTree::InsertPoint(const PartedRow& row) {
         "parted row has " + std::to_string(row.size()) + " parts, expected " +
         std::to_string(layout_->num_parts()));
   }
-  std::vector<double> flat;
-  flat.reserve(row_width_);
+  size_t k = 0;
   for (size_t i = 0; i < row.size(); ++i) {
     if (row[i].size() != layout_->parts[i].dim) {
       return Status::InvalidArgument("part " + std::to_string(i) +
                                      " has wrong dimension");
     }
-    flat.insert(flat.end(), row[i].begin(), row[i].end());
+    for (const double& v : row[i]) flat_columns_[k++] = &v;
   }
-  return InsertFlatRow(flat);
+  return InsertRows(flat_columns_, 0, 1);
 }
 
 Status AcfTree::InsertFlatRow(std::span<const double> row) {
@@ -105,32 +109,70 @@ Status AcfTree::InsertFlatRow(std::span<const double> row) {
         "flat row has " + std::to_string(row.size()) +
         " values, the layout's rows have " + std::to_string(row_width_));
   }
-  for (size_t k = 0; k < row.size(); ++k) {
-    if (!std::isfinite(row[k])) {
-      size_t part = 0;
-      while (layout_->offset(part + 1) <= k) ++part;
-      return Status::InvalidArgument(
-          "non-finite value in part " + std::to_string(part) +
-          "; CF summaries require finite coordinates");
-    }
-  }
-  InsertOutcome out = InsertPointRec(root_.get(), row);
-  if (out.split) GrowRoot(std::move(out.sibling));
-  ++points_inserted_;
+  for (size_t k = 0; k < row_width_; ++k) flat_columns_[k] = row.data() + k;
+  return InsertRows(flat_columns_, 0, 1);
+}
 
-  if (in_rebuild_) return Status::OK();
-  int rebuilds = 0;
-  while (ApproxBytesNow() > options_.memory_budget_bytes) {
-    if (++rebuilds > options_.max_rebuilds_per_insert) {
-      return Status::ResourceExhausted(
-          "ACF-tree cannot fit in " +
-          std::to_string(options_.memory_budget_bytes) +
-          " bytes after " + std::to_string(rebuilds - 1) + " rebuilds");
-    }
-    DAR_RETURN_IF_ERROR(Rebuild());
+Status AcfTree::InsertRows(std::span<const double* const> columns,
+                           size_t begin, size_t end) {
+  if (columns.size() != row_width_) {
+    return Status::InvalidArgument(
+        "block has " + std::to_string(columns.size()) +
+        " columns, the layout's rows have " + std::to_string(row_width_));
   }
-  DAR_VALIDATE_TREE();
+  // Offsets in the block are queued as 32-bit values.
+  if (begin > end || end - begin > (uint64_t{1} << 32)) {
+    return Status::InvalidArgument(
+        "block rows [" + std::to_string(begin) + ", " + std::to_string(end) +
+        ") are reversed or span more than 2^32 rows");
+  }
+  for (size_t k = 0; k < row_width_; ++k) {
+    size_t r = begin;
+    while (r < end && std::isfinite(columns[k][r])) ++r;
+    if (r == end) continue;
+    size_t part = 0;
+    while (layout_->offset(part + 1) <= k) ++part;
+    return Status::InvalidArgument(
+        "non-finite value in part " + std::to_string(part) + ", row " +
+        std::to_string(r) + "; CF summaries require finite coordinates");
+  }
+  const double* const* own_columns = columns.data() + own_offset_;
+  for (size_t r = begin; r < end; ++r) {
+    for (size_t d = 0; d < own_.size(); ++d) own_[d] = own_columns[d][r];
+    InsertOutcome out = InsertRowRec(root_.get(), own_.data(),
+                                     static_cast<uint32_t>(r - begin));
+    if (out.split) GrowRoot(std::move(out.sibling));
+    ++points_inserted_;
+    if (ApproxBytesNow() > options_.memory_budget_bytes) {
+      // A rebuild merges whole ACFs, so every image must hold its rows.
+      FlushQueues(columns, begin);
+      int rebuilds = 0;
+      while (ApproxBytesNow() > options_.memory_budget_bytes) {
+        if (++rebuilds > options_.max_rebuilds_per_insert) {
+          return Status::ResourceExhausted(
+              "ACF-tree cannot fit in " +
+              std::to_string(options_.memory_budget_bytes) + " bytes after " +
+              std::to_string(rebuilds - 1) + " rebuilds");
+        }
+        DAR_RETURN_IF_ERROR(Rebuild());
+      }
+    }
+#ifdef DAR_VALIDATE_INVARIANTS
+    FlushQueues(columns, begin);
+    DAR_VALIDATE_TREE();
+#endif
+  }
+  FlushQueues(columns, begin);
   return Status::OK();
+}
+
+void AcfTree::FlushQueues(std::span<const double* const> columns,
+                          size_t begin) {
+  for (Node* leaf : queued_leaves_) {
+    for (Acf& entry : leaf->entries) entry.FlushQueue(columns, begin);
+    leaf->queued = false;
+  }
+  queued_leaves_.clear();
 }
 
 Status AcfTree::InsertSummary(Acf acf) {
@@ -159,38 +201,72 @@ Status AcfTree::InsertSummary(Acf acf) {
   return Status::OK();
 }
 
-AcfTree::InsertOutcome AcfTree::InsertPointRec(Node* node,
-                                               std::span<const double> row) {
-  const std::span<const double> own =
-      row.subspan(own_offset_, layout_->parts[own_part_].dim);
+void AcfTree::Node::SetCentroid(size_t i) {
+  const CfVector& cf = SlotCf(i);
+  const size_t dim = cf.dim();
+  centroids.resize(size() * dim);
+  // PointClusterDistance's division: ls[d] / n, n converted to double.
+  const double n = static_cast<double>(cf.n());
+  for (size_t d = 0; d < dim; ++d) centroids[i * dim + d] = cf.ls()[d] / n;
+}
+
+void AcfTree::Node::SetCentroids() {
+  centroids.clear();
+  for (size_t i = 0; i < size(); ++i) SetCentroid(i);
+}
+
+AcfTree::Nearest AcfTree::NearestSlot(const Node& node,
+                                      const double* own) const {
+  const PartSpec& spec = layout_->parts[own_part_];
+  Nearest best{0, std::numeric_limits<double>::infinity()};
+  if (spec.metric == MetricKind::kDiscrete) {
+    for (size_t i = 0; i < node.size(); ++i) {
+      const double d = PointClusterDistance({own, spec.dim}, node.SlotCf(i));
+      if (d < best.distance) best = {i, d};
+    }
+    return best;
+  }
+  // PointClusterDistance's arithmetic, term for term, on the cached
+  // centroids. The root stays: two sums can round to one root, and the
+  // strict `<` must see what PointClusterDistance returns.
+  const bool manhattan = spec.metric == MetricKind::kManhattan;
+  const double* centroid = node.centroids.data();
+  for (size_t i = 0; i < node.size(); ++i, centroid += spec.dim) {
+    double s = 0;
+    for (size_t d = 0; d < spec.dim; ++d) {
+      const double diff = own[d] - centroid[d];
+      s += manhattan ? std::fabs(diff) : diff * diff;
+    }
+    const double dist = manhattan ? s : std::sqrt(s);
+    if (dist < best.distance) best = {i, dist};
+  }
+  return best;
+}
+
+AcfTree::InsertOutcome AcfTree::InsertRowRec(Node* node, const double* own,
+                                             uint32_t offset) {
+  const Nearest nearest = NearestSlot(*node, own);
+  const std::span<const double> point(own, own_.size());
   if (node->is_leaf) {
-    // Find the closest existing cluster.
-    size_t best = 0;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      double d = PointClusterDistance(own, node->entries[i].cf());
-      if (d < best_d) {
-        best_d = d;
-        best = i;
-      }
+    // Absorb only if the point is within the threshold of the centroid AND
+    // the merged diameter stays within the threshold. The first condition
+    // guards against mass dilution: for a heavy cluster the average
+    // pairwise diameter moves by only O(D^2/N) when one point at distance D
+    // is added, so the diameter test alone would let large clusters swallow
+    // arbitrarily distant points. Otherwise start a new cluster.
+    size_t slot = nearest.slot;
+    if (node->entries.empty() || !(nearest.distance <= threshold_) ||
+        !(node->entries[slot].cf().DiameterWithPoint(point) <= threshold_)) {
+      node->entries.emplace_back(layout_, own_part_);
+      slot = node->entries.size() - 1;
+      ++num_leaf_entries_;
     }
-    // Absorb only if the merged diameter stays within the threshold AND
-    // the point itself is within the threshold of the centroid. The second
-    // condition guards against mass dilution: for a heavy cluster the
-    // average pairwise diameter moves by only O(D^2/N) when one point at
-    // distance D is added, so the diameter test alone would let large
-    // clusters swallow arbitrarily distant points.
-    if (!node->entries.empty() &&
-        node->entries[best].cf().DiameterWithPoint(own) <= threshold_ &&
-        best_d <= threshold_) {
-      node->entries[best].AddFlatRow(row);
-      return {};
+    node->entries[slot].AbsorbRow(own, offset);
+    node->SetCentroid(slot);
+    if (!node->queued) {
+      node->queued = true;
+      queued_leaves_.push_back(node);
     }
-    // Start a new cluster.
-    Acf fresh(layout_, own_part_);
-    fresh.AddFlatRow(row);
-    node->entries.push_back(std::move(fresh));
-    ++num_leaf_entries_;
     if (node->entries.size() <=
         static_cast<size_t>(options_.leaf_capacity)) {
       return {};
@@ -199,22 +275,18 @@ AcfTree::InsertOutcome AcfTree::InsertPointRec(Node* node,
   }
 
   // Internal node: descend into the closest child.
-  size_t best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < node->children.size(); ++i) {
-    double d = PointClusterDistance(own, node->children[i].cf);
-    if (d < best_d) {
-      best_d = d;
-      best = i;
-    }
-  }
-  InsertOutcome below = InsertPointRec(node->children[best].child.get(), row);
+  const size_t best = nearest.slot;
+  InsertOutcome below =
+      InsertRowRec(node->children[best].child.get(), own, offset);
   if (!below.split) {
-    node->children[best].cf.AddPoint(own);
+    node->children[best].cf.AddPoint(point);
+    node->SetCentroid(best);
   } else {
     node->children[best].cf = ComputeNodeCf(*node->children[best].child);
+    node->SetCentroid(best);
     ChildRef fresh{ComputeNodeCf(*below.sibling), std::move(below.sibling)};
     node->children.push_back(std::move(fresh));
+    node->SetCentroid(node->children.size() - 1);
     if (node->children.size() >
         static_cast<size_t>(options_.branching_factor)) {
       return {true, SplitNode(node)};
@@ -241,9 +313,11 @@ AcfTree::InsertOutcome AcfTree::InsertSummaryRec(Node* node, Acf&& acf) {
         node->entries[best].cf().DiameterWithMerge(acf.cf()) <= threshold_ &&
         best_d <= threshold_) {
       node->entries[best].Merge(acf);
+      node->SetCentroid(best);
       return {};
     }
     node->entries.push_back(std::move(acf));
+    node->SetCentroid(node->entries.size() - 1);
     ++num_leaf_entries_;
     if (node->entries.size() <=
         static_cast<size_t>(options_.leaf_capacity)) {
@@ -267,10 +341,13 @@ AcfTree::InsertOutcome AcfTree::InsertSummaryRec(Node* node, Acf&& acf) {
       InsertSummaryRec(node->children[best].child.get(), std::move(acf));
   if (!below.split) {
     node->children[best].cf.Merge(acf_cf);
+    node->SetCentroid(best);
   } else {
     node->children[best].cf = ComputeNodeCf(*node->children[best].child);
+    node->SetCentroid(best);
     ChildRef fresh{ComputeNodeCf(*below.sibling), std::move(below.sibling)};
     node->children.push_back(std::move(fresh));
+    node->SetCentroid(node->children.size() - 1);
     if (node->children.size() >
         static_cast<size_t>(options_.branching_factor)) {
       return {true, SplitNode(node)};
@@ -328,6 +405,10 @@ std::unique_ptr<AcfTree::Node> AcfTree::SplitNode(Node* node) {
     }
     node->entries = std::move(keep);
     sibling->entries = std::move(move_out);
+    if (node->queued) {  // moved entries may hold queued rows
+      sibling->queued = true;
+      queued_leaves_.push_back(sibling.get());
+    }
   } else {
     size_t n = node->children.size();
     DAR_CHECK_GE(n, 2u);
@@ -369,6 +450,8 @@ std::unique_ptr<AcfTree::Node> AcfTree::SplitNode(Node* node) {
     node->children = std::move(keep);
     sibling->children = std::move(move_out);
   }
+  node->SetCentroids();
+  sibling->SetCentroids();
   return sibling;
 }
 
@@ -390,6 +473,7 @@ void AcfTree::GrowRoot(std::unique_ptr<Node> sibling) {
   ChildRef right{ComputeNodeCf(*sibling), std::move(sibling)};
   new_root->children.push_back(std::move(left));
   new_root->children.push_back(std::move(right));
+  new_root->SetCentroids();
   root_ = std::move(new_root);
   ++num_nodes_;
 }
@@ -445,6 +529,7 @@ double AcfTree::NextThreshold() const {
 }
 
 Status AcfTree::Rebuild() {
+  DAR_DCHECK(queued_leaves_.empty());  // the old nodes are about to go
   double next = NextThreshold();
   std::vector<Acf> entries;
   CollectLeafEntries(root_.get(), entries);
@@ -503,7 +588,7 @@ Status AcfTree::FinishScan() {
     // the diameter within the threshold, else the cluster is a confirmed
     // outlier.
     Node* node = root_.get();
-    std::vector<CfVector*> path;
+    std::vector<std::pair<Node*, size_t>> path;  // (parent, child slot)
     while (!node->is_leaf) {
       size_t best = 0;
       double best_d = std::numeric_limits<double>::infinity();
@@ -515,7 +600,7 @@ Status AcfTree::FinishScan() {
           best = i;
         }
       }
-      path.push_back(&node->children[best].cf);
+      path.emplace_back(node, best);
       node = node->children[best].child.get();
     }
     size_t best = 0;
@@ -531,9 +616,12 @@ Status AcfTree::FinishScan() {
     if (!node->entries.empty() &&
         node->entries[best].cf().DiameterWithMerge(acf.cf()) <= threshold_ &&
         best_d <= threshold_) {
-      const CfVector acf_cf = acf.cf();
       node->entries[best].Merge(acf);
-      for (CfVector* cf : path) cf->Merge(acf_cf);
+      node->SetCentroid(best);
+      for (auto [parent, slot] : path) {
+        parent->children[slot].cf.Merge(acf.cf());
+        parent->SetCentroid(slot);
+      }
     } else {
       outliers_.push_back(std::move(acf));
     }
@@ -590,33 +678,30 @@ std::vector<Acf> AcfTree::ExtractClusters() const {
 
 Result<size_t> AcfTree::NearestClusterIndex(
     std::span<const double> own_values) const {
+  if (own_values.size() != own_.size()) {
+    return Status::InvalidArgument(
+        "probe has " + std::to_string(own_values.size()) + " values, part " +
+        std::to_string(own_part_) + " has dimension " +
+        std::to_string(own_.size()));
+  }
+  for (const double v : own_values) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("non-finite probe value on part " +
+                                     std::to_string(own_part_));
+    }
+  }
   if (num_leaf_entries_ == 0) {
     return Status::NotFound("tree has no clusters");
   }
-  // Descend to the leaf the insertion path would reach.
+  // Descend to the leaf the insertion path would reach; only the root may
+  // be an empty leaf, so the leaf reached holds the target.
   const Node* node = root_.get();
   while (!node->is_leaf) {
-    size_t best = 0;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < node->children.size(); ++i) {
-      double d = PointClusterDistance(own_values, node->children[i].cf);
-      if (d < best_d) {
-        best_d = d;
-        best = i;
-      }
-    }
-    node = node->children[best].child.get();
+    const size_t slot = NearestSlot(*node, own_values.data()).slot;
+    node = node->children[slot].child.get();
   }
-  const Acf* target = nullptr;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (const auto& e : node->entries) {
-    double d = PointClusterDistance(own_values, e.cf());
-    if (d < best_d) {
-      best_d = d;
-      target = &e;
-    }
-  }
-  DAR_CHECK(target != nullptr);
+  const Acf* target =
+      &node->entries[NearestSlot(*node, own_values.data()).slot];
   // Map the entry pointer to its DFS (ExtractClusters) index.
   size_t index = 0;
   bool found = false;
@@ -888,6 +973,46 @@ Status AcfTree::ValidateInvariants() const {
     return Status::Internal("total mass " + std::to_string(TotalMass()) +
                             " != points inserted " +
                             std::to_string(points_inserted_));
+  }
+  return ValidateTablesRec(*root_, "root");
+}
+
+Status AcfTree::ValidateTablesRec(const Node& node,
+                                  const std::string& path) const {
+  const size_t dim = own_.size();
+  if (node.centroids.size() != node.size() * dim) {
+    return Status::Internal(path + ": centroid table holds " +
+                            std::to_string(node.centroids.size()) +
+                            " values for " + std::to_string(node.size()) +
+                            " slots of dimension " + std::to_string(dim));
+  }
+  const char* slot_kind = node.is_leaf ? "/e" : "/c";
+  for (size_t i = 0; i < node.size(); ++i) {
+    const CfVector& cf = node.SlotCf(i);
+    for (size_t d = 0; d < dim; ++d) {
+      const double want = cf.ls()[d] / static_cast<double>(cf.n());
+      if (std::bit_cast<uint64_t>(node.centroids[i * dim + d]) !=
+          std::bit_cast<uint64_t>(want)) {
+        return Status::Internal(path + slot_kind + std::to_string(i) +
+                                ": cached centroid differs from ls / n on "
+                                "dimension " + std::to_string(d));
+      }
+    }
+  }
+  if (node.is_leaf) {
+    for (size_t i = 0; i < node.entries.size(); ++i) {
+      if (!node.entries[i].queue_.empty()) {
+        return Status::Internal(
+            path + "/e" + std::to_string(i) + ": entry holds " +
+            std::to_string(node.entries[i].queue_.size()) +
+            " queued rows outside InsertRows");
+      }
+    }
+    return Status::OK();
+  }
+  for (size_t i = 0; i < node.children.size(); ++i) {
+    DAR_RETURN_IF_ERROR(ValidateTablesRec(*node.children[i].child,
+                                          path + "/c" + std::to_string(i)));
   }
   return Status::OK();
 }

@@ -79,6 +79,15 @@ struct AcfTreeStats {
 /// One AcfTree is built per attribute set X_i of the user partitioning; the
 /// tree clusters on X_i while its leaf ACFs accumulate image summaries over
 /// every part.
+///
+/// Centroid tables: every node keeps the own-part centroids `ls[d] / n` of
+/// its children (internal nodes) or entries (leaves) in one contiguous
+/// table, refreshed whenever a slot's CF changes. A point descends by
+/// scanning those tables with PointClusterDistance's arithmetic, term for
+/// term (its division, summation order and square root), the strict `<`
+/// and the first index on ties, so it reaches the leaf and cluster that
+/// calling PointClusterDistance would. Discrete parts call
+/// PointClusterDistance, which stays the definition.
 class AcfTree {
  public:
   /// `own_part` selects which part of `layout` this tree clusters on.
@@ -96,14 +105,34 @@ class AcfTree {
   /// the originals. O(tree size).
   [[nodiscard]] std::unique_ptr<AcfTree> Clone() const;
 
+  /// Inserts the rows [begin, end) of a block given as columns: one pointer
+  /// per flat-row slot (AcfLayout), in layout order, each to a column whose
+  /// values are indexed by row. Rows are inserted in order, exactly as
+  /// InsertFlatRow would insert them one by one, and may trigger rebuilds.
+  ///
+  /// Checks the column count, that the block has at most 2^32 rows, and
+  /// that every value is finite before touching the tree, so a refused
+  /// block changes nothing (InvalidArgument naming the part and row).
+  ///
+  /// Each row descends on its own-part values and is absorbed into the own
+  /// CF of a leaf entry at once; its offset is queued on that entry, and the
+  /// queued rows are added to the entry's other images in queue order
+  /// before every rebuild and before the call returns (birch/acf.h). No row
+  /// stays queued between calls, on the error paths too, so every other
+  /// operation sees complete summaries. The block length changes no result.
+  /// Builds with -DDAR_VALIDATE_INVARIANTS flush and validate after every
+  /// row.
+  Status InsertRows(std::span<const double* const> columns, size_t begin,
+                    size_t end);
+
   /// Inserts one tuple given as a flat row (AcfLayout): layout().
-  /// row_width() values in layout order. Checks the width and that every
-  /// value is finite before touching the tree, so a refused row changes
-  /// nothing. May trigger rebuilds.
+  /// row_width() values in layout order, as a one-row InsertRows block.
+  /// Checks the width and that every value is finite before touching the
+  /// tree, so a refused row changes nothing. May trigger rebuilds.
   Status InsertFlatRow(std::span<const double> row);
 
   /// Inserts one tuple projected per part: checks the part count and
-  /// dimensions, flattens the row and calls InsertFlatRow.
+  /// dimensions, then inserts it as InsertFlatRow does.
   Status InsertPoint(const PartedRow& row);
 
   /// Inserts a pre-aggregated cluster summary (used by rebuilds and by
@@ -136,7 +165,10 @@ class AcfTree {
 
   /// Index (into ExtractClusters() order) of the leaf cluster whose
   /// centroid is closest to `own_values`, following the tree as a search
-  /// structure (§4.3.2). Returns NotFound on an empty tree.
+  /// structure (§4.3.2): the descent an insert of that point would make.
+  /// Returns InvalidArgument when `own_values` does not hold the own part's
+  /// dimension of values or holds a non-finite one, and NotFound on an
+  /// empty tree.
   [[nodiscard]] Result<size_t> NearestClusterIndex(std::span<const double> own_values) const;
 
   [[nodiscard]] double threshold() const { return threshold_; }
@@ -167,7 +199,10 @@ class AcfTree {
   ///  - ACF cross-attribute consistency: every image summarizes exactly
   ///    cf().n() tuples on the right dimensions/metric;
   ///  - cached counters (num_nodes, num_leaf_entries, total mass) match a
-  ///    recount.
+  ///    recount;
+  ///  - then, on a tree that passed all of the above: every node's
+  ///    centroid table equals `ls[d] / n` of its slots bit for bit, and no
+  ///    entry holds queued rows (none may outside InsertRows).
   ///
   /// Returns the first violation as an Internal status naming the offending
   /// node path (e.g. "root/c2/e0"), or OK. O(tree size); automatically run
@@ -184,8 +219,25 @@ class AcfTree {
   };
   struct Node {
     bool is_leaf = true;
+    // A leaf whose entries may hold queued rows; it is on queued_leaves_.
+    bool queued = false;
     std::vector<ChildRef> children;  // internal nodes
     std::vector<Acf> entries;        // leaf nodes
+    // The centroid table: slot i's own-part centroid `ls[d] / n` at
+    // [i * dim, (i + 1) * dim). A slot is a child or an entry.
+    std::vector<double> centroids;
+
+    [[nodiscard]] size_t size() const {
+      return is_leaf ? entries.size() : children.size();
+    }
+    [[nodiscard]] const CfVector& SlotCf(size_t i) const {
+      return is_leaf ? entries[i].cf() : children[i].cf;
+    }
+    // Writes slot i's centroid, sizing the table to size() slots. Call
+    // after every change to the slot's CF.
+    void SetCentroid(size_t i);
+    // Rewrites the whole table, after slots move.
+    void SetCentroids();
   };
 
   // Outcome of a recursive insert: whether the node split, and if so the
@@ -195,8 +247,22 @@ class AcfTree {
     std::unique_ptr<Node> sibling;
   };
 
-  InsertOutcome InsertPointRec(Node* node, std::span<const double> row);
+  // The slot of `node` whose centroid is nearest to the own-part values
+  // `own`, and its PointClusterDistance; slot 0 and infinity when no
+  // distance is below infinity.
+  struct Nearest {
+    size_t slot = 0;
+    double distance = 0;
+  };
+  [[nodiscard]] Nearest NearestSlot(const Node& node, const double* own) const;
+
+  // Inserts the row at `offset` in the current block, whose own-part
+  // values are `own`.
+  InsertOutcome InsertRowRec(Node* node, const double* own, uint32_t offset);
   InsertOutcome InsertSummaryRec(Node* node, Acf&& acf);
+
+  // Adds every queued row of the block to its entry's other images.
+  void FlushQueues(std::span<const double* const> columns, size_t begin);
 
   // Splits an over-full node; returns the new sibling holding roughly half
   // the entries. `node` keeps the other half.
@@ -234,11 +300,17 @@ class AcfTree {
                            MetricKind expect_metric,
                            const std::string& path) const;
   [[nodiscard]] Status ValidateAcfEntry(const Acf& acf, const std::string& path) const;
+  // The centroid-table and queue checks, run after all the others.
+  Status ValidateTablesRec(const Node& node, const std::string& path) const;
 
   std::shared_ptr<const AcfLayout> layout_;
   size_t own_part_;
   size_t own_offset_;  // of the own part's values in a flat row
   size_t row_width_;   // values in a flat row
+  std::vector<double> own_;  // the own-part values of the row inserted now
+  // The one-row block of InsertFlatRow and InsertPoint.
+  std::vector<const double*> flat_columns_;
+  std::vector<Node*> queued_leaves_;  // leaves with Node::queued set
   AcfTreeOptions options_;
   double threshold_;
   std::unique_ptr<Node> root_;

@@ -113,7 +113,8 @@ class CfVector {
   friend struct InvariantTestPeer;
   // Serialization backdoor for dar::persist (persist/persist_peer.h).
   friend struct PersistPeer;
-  // Acf's flat-row add calls Accumulate on a row its tree already checked.
+  // Acf adds the rows its tree already checked through Accumulate and
+  // AccumulateRows.
   friend class Acf;
 
   // Moment vector `k` of the block: 0 ls, 1 ss, 2 min, 3 max.
@@ -137,6 +138,40 @@ class CfVector {
     }
     if (has_histogram()) {
       for (size_t d = 0; d < dim; ++d) ++hist_[d][x[d]];
+    }
+  }
+
+  // Accumulate for the rows `begin + rows[i]` of `columns` (dim() column
+  // pointers), in the order of `rows`. Each element keeps its one
+  // accumulator chain and sees the values in that order, so the result is
+  // bit-identical to calling Accumulate row by row.
+  void AccumulateRows(const double* const* columns, size_t begin,
+                      std::span<const uint32_t> rows) {
+    const size_t dim = this->dim();
+    double* ls = block_.data();
+    double* ss = ls + dim;
+    double* lo = ss + dim;
+    double* hi = lo + dim;
+    n_ += static_cast<int64_t>(rows.size());
+    for (size_t d = 0; d < dim; ++d) {
+      const double* x = columns[d] + begin;
+      double l = ls[d], s = ss[d], a = lo[d], b = hi[d];
+      for (const uint32_t r : rows) {
+        const double v = x[r];
+        l += v;
+        s += v * v;
+        a = std::min(a, v);
+        b = std::max(b, v);
+      }
+      ls[d] = l;
+      ss[d] = s;
+      lo[d] = a;
+      hi[d] = b;
+    }
+    if (has_histogram()) {
+      for (size_t d = 0; d < dim; ++d) {
+        for (const uint32_t r : rows) ++hist_[d][columns[d][begin + r]];
+      }
     }
   }
 

@@ -23,7 +23,19 @@ ClusterSet::ClusterSet(std::shared_ptr<const AcfLayout> layout,
 
 Result<size_t> ClusterSet::AssignToCluster(
     size_t p, std::span<const double> values) const {
-  const std::vector<size_t>& ids = by_part_.at(p);
+  if (p >= by_part_.size()) {
+    return Status::InvalidArgument("part " + std::to_string(p) +
+                                   " is outside the " +
+                                   std::to_string(by_part_.size()) +
+                                   "-part cluster set");
+  }
+  if (values.size() != layout_->parts[p].dim) {
+    return Status::InvalidArgument(
+        "point has " + std::to_string(values.size()) + " values, part " +
+        std::to_string(p) + " has dimension " +
+        std::to_string(layout_->parts[p].dim));
+  }
+  const std::vector<size_t>& ids = by_part_[p];
   if (ids.empty()) {
     return Status::NotFound("part " + std::to_string(p) +
                             " has no frequent clusters");

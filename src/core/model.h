@@ -43,8 +43,10 @@ class ClusterSet {
   [[nodiscard]] size_t num_parts() const { return by_part_.size(); }
 
   /// Id of the cluster on part `p` whose centroid is nearest to `values`
-  /// (the §4.3.2 point-to-cluster assignment), or NotFound when the part
-  /// has no frequent clusters. Clusters are tried in ascending id order
+  /// (the §4.3.2 point-to-cluster assignment). InvalidArgument when `p` is
+  /// not a part of the set or `values` does not hold its dimension of
+  /// values; NotFound when the part has no frequent clusters. Clusters are
+  /// tried in ascending id order
   /// with a strict `<`, so the lowest id wins a tie, and a point whose
   /// distance to every cluster is NaN or infinite lands on the first.
   ///

@@ -9,6 +9,9 @@ namespace dar {
 
 namespace {
 
+// Rows between updates of the trees' outlier paging threshold.
+constexpr int64_t kPagingRows = 4096;
+
 // InvalidArgument naming the first non-finite value in a column of
 // `partition` (by part, then column, then row), else OK.
 Status CheckFinite(const Relation& rel, const AttributePartition& partition) {
@@ -100,7 +103,7 @@ Phase1Builder::Phase1Builder(DarConfig config, AttributePartition partition,
     row_columns_.insert(row_columns_.end(), part.columns.begin(),
                         part.columns.end());
   }
-  row_.resize(row_columns_.size());
+  row_block_.resize(row_columns_.size());
 }
 
 int64_t Phase1Builder::OutlierMinN(int64_t rows) const {
@@ -122,17 +125,17 @@ Status Phase1Builder::AddRow(std::span<const double> row) {
         std::to_string(schema_width_));
   }
   for (size_t k = 0; k < row_columns_.size(); ++k) {
-    row_[k] = row[row_columns_[k]];
+    row_block_[k] = row.data() + row_columns_[k];
   }
   // The first tree checks the row before inserting it, so a refused row
   // reaches no tree.
   for (auto& tree : trees_) {
-    DAR_RETURN_IF_ERROR(tree->InsertFlatRow(row_));
+    DAR_RETURN_IF_ERROR(tree->InsertRows(row_block_, 0, 1));
   }
   ++rows_added_;
   // Keep outlier paging roughly in step with the running count; the exact
   // value only matters at rebuild time, so a coarse cadence is fine.
-  if ((rows_added_ & 0xFFF) == 0) UpdateOutlierThresholds();
+  if (rows_added_ % kPagingRows == 0) UpdateOutlierThresholds();
   return Status::OK();
 }
 
@@ -151,36 +154,38 @@ Status Phase1Builder::ForEachPart(
 
 Status Phase1Builder::FeedPart(const Relation& rel, size_t p) {
   if (observer_ != nullptr) observer_->OnPhase1PartStart(p);
-  // Sampled absorb latency: every 64th insert is individually timed. The
-  // histogram handle is resolved once per part (the lookup locks), and
-  // recording is lock-free and safe from this worker thread.
+  // Absorb latency, one sample per block in seconds per row. The histogram
+  // handle is resolved once per part (the lookup locks), and recording is
+  // lock-free and safe from this worker thread.
   telemetry::Histogram* absorb_hist = telemetry_.GetHistogram(
       "phase1.absorb_seconds", telemetry::Histogram::LatencyBounds());
   Stopwatch feed_watch;
   // Each tree sees the exact insert sequence and outlier-paging cadence it
   // would under the streaming AddRow loop — trees only observe their own
   // insertions, so interleaving across trees is immaterial and the result
-  // is bit-identical for any executor.
+  // is bit-identical for any executor. Blocks end where the running row
+  // count reaches a multiple of kPagingRows, so the paging threshold moves
+  // between the same inserts as in that loop.
   //
   // ACFs summarize the cluster's image on *every* part (Eq. 7), so each
-  // tree reads the full flat row, straight from the relation's columns.
-  std::vector<std::span<const double>> columns;
+  // tree reads every partitioned column, in layout order.
+  std::vector<const double*> columns;
   columns.reserve(row_columns_.size());
-  for (size_t col : row_columns_) columns.push_back(rel.column(col));
-  std::vector<double> row(columns.size());
+  for (size_t col : row_columns_) columns.push_back(rel.column(col).data());
   AcfTree& tree = *trees_[p];
-  const int64_t start = rows_added_;
-  for (size_t r = 0; r < rel.num_rows(); ++r) {
-    for (size_t k = 0; k < columns.size(); ++k) row[k] = columns[k][r];
-    if (absorb_hist != nullptr && (r & 63) == 0) {
-      Stopwatch insert_watch;
-      DAR_RETURN_IF_ERROR(tree.InsertFlatRow(row));
-      absorb_hist->Record(insert_watch.ElapsedSeconds());
-    } else {
-      DAR_RETURN_IF_ERROR(tree.InsertFlatRow(row));
+  int64_t count = rows_added_;
+  for (size_t r = 0; r < rel.num_rows();) {
+    const int64_t room = kPagingRows - count % kPagingRows;
+    const size_t len = std::min(rel.num_rows() - r, static_cast<size_t>(room));
+    Stopwatch block_watch;
+    DAR_RETURN_IF_ERROR(tree.InsertRows(columns, r, r + len));
+    if (absorb_hist != nullptr) {
+      absorb_hist->Record(block_watch.ElapsedSeconds() /
+                          static_cast<double>(len));
     }
-    int64_t count = start + static_cast<int64_t>(r) + 1;
-    if ((count & 0xFFF) == 0 && config_.outlier_fraction > 0) {
+    r += len;
+    count += static_cast<int64_t>(len);
+    if (count % kPagingRows == 0 && config_.outlier_fraction > 0) {
       tree.set_outlier_entry_min_n(OutlierMinN(count));
     }
   }

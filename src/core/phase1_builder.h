@@ -32,9 +32,11 @@ namespace dar {
 /// tree independently — each part's ACF-tree only ever sees its own
 /// insertions (Theorem 6.1 keeps cross-attribute sums inside each ACF), so
 /// when an Executor with parallelism > 1 is supplied the parts run
-/// concurrently. Per-tree insertion order and outlier-paging cadence are
-/// identical in both modes and for every executor, so the resulting trees
-/// (and everything downstream) are bit-identical to a serial run.
+/// concurrently. Each tree reads blocks of rows straight from the
+/// relation's columns (AcfTree::InsertRows). Per-tree insertion order and
+/// outlier-paging cadence are identical in both modes, for every executor
+/// and every batch size, so the resulting trees (and everything
+/// downstream) are bit-identical to a serial run.
 ///
 /// Session::RunPhase1 feeds a Relation through this builder with the
 /// session's executor and observers.
@@ -45,7 +47,11 @@ class Phase1Builder {
   /// outlive the builder; null means serial / no callbacks. `telemetry` is
   /// an optional recording context (default: disabled); the batch
   /// AddRelation/Finish path records per-part insert/split/rebuild
-  /// counters, tree heights and sampled absorb latencies through it.
+  /// counters, tree heights and absorb latencies through it. The
+  /// phase1.absorb_seconds histogram takes one sample per tree and block
+  /// of AddRelation: the block's AcfTree::InsertRows time divided by its
+  /// rows, so it reads in seconds per row. Blocks end where the running
+  /// row count reaches a multiple of 4096.
   static Result<Phase1Builder> Make(
       const DarConfig& config, const Schema& schema,
       const AttributePartition& partition, Executor* executor = nullptr,
@@ -143,7 +149,8 @@ class Phase1Builder {
   std::vector<size_t> row_columns_;
   int64_t rows_added_ = 0;
   Stopwatch watch_;
-  std::vector<double> row_;  // AddRow's flat row
+  // AddRow's one-row block: one pointer per flat-row slot into its row.
+  std::vector<const double*> row_block_;
 };
 
 }  // namespace dar

@@ -323,6 +323,7 @@ Result<std::unique_ptr<Node>> PersistPeer::DecodeNode(
       node->children.push_back(std::move(ref));
     }
   }
+  node->SetCentroids();  // the centroid table is not on the wire
   return node;
 }
 

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
+#include "persist/codec.h"
 
 namespace dar {
 namespace {
@@ -260,6 +265,106 @@ TEST(AcfTreeTest, NearestClusterIndexEmptyTree) {
   AcfTree tree(OnePartLayout(), 0, SmallTreeOptions());
   std::vector<double> probe = {1.0};
   EXPECT_TRUE(tree.NearestClusterIndex(probe).status().IsNotFound());
+}
+
+TEST(AcfTreeTest, NearestClusterIndexRejectsBadProbes) {
+  AcfTree tree(OnePartLayout(), 0, SmallTreeOptions());
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(tree.InsertPoint({{static_cast<double>(i)}}).ok());
+  }
+  const std::vector<std::vector<double>> probes = {
+      {1.0, 2.0}, {}, {std::numeric_limits<double>::quiet_NaN()}};
+  for (const std::vector<double>& probe : probes) {
+    SCOPED_TRACE(probe.size());
+    EXPECT_TRUE(tree.NearestClusterIndex(probe).status().IsInvalidArgument());
+  }
+}
+
+// A 1-D Euclidean, a 2-D Manhattan and a 2-D discrete part.
+std::shared_ptr<const AcfLayout> MixedLayout() {
+  auto layout = std::make_shared<AcfLayout>();
+  layout->parts = {{1, MetricKind::kEuclidean, "x"},
+                   {2, MetricKind::kManhattan, "yz"},
+                   {2, MetricKind::kDiscrete, "ab"}};
+  return layout;
+}
+
+std::string Encode(const AcfTree& tree) {
+  persist::WireWriter w;
+  persist::EncodeTree(tree, w);
+  return std::move(w).Take();
+}
+
+TEST(AcfTreeTest, InsertRowsEncodesLikeFlatRowsAtAnyBlockLength) {
+  // Blocks of 1 row, 7 rows and the whole input, against InsertFlatRow row
+  // by row, on every part. The budget makes rebuilds (with outlier
+  // paging) fire inside the blocks.
+  const std::shared_ptr<const AcfLayout> layout = MixedLayout();
+  const size_t rows = 1500;
+  Rng rng(21);
+  std::vector<std::vector<double>> columns(layout->row_width(),
+                                           std::vector<double>(rows));
+  for (size_t r = 0; r < rows; ++r) {
+    columns[0][r] = rng.Uniform(0, 1000);
+    columns[1][r] = rng.Uniform(-50, 50);
+    columns[2][r] = rng.Uniform(0, 10);
+    columns[3][r] = std::floor(rng.Uniform(0, 5));
+    columns[4][r] = std::floor(rng.Uniform(0, 3));
+  }
+  std::vector<const double*> block;
+  for (const std::vector<double>& column : columns) {
+    block.push_back(column.data());
+  }
+  AcfTreeOptions opts = SmallTreeOptions();
+  opts.memory_budget_bytes = 48u << 10;
+  opts.outlier_entry_min_n = 2;
+  for (size_t own = 0; own < layout->num_parts(); ++own) {
+    SCOPED_TRACE("part " + std::to_string(own));
+    AcfTree by_row(layout, own, opts);
+    std::vector<double> flat(layout->row_width());
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t k = 0; k < flat.size(); ++k) flat[k] = columns[k][r];
+      ASSERT_TRUE(by_row.InsertFlatRow(flat).ok());
+    }
+    EXPECT_GE(by_row.rebuild_count(), 3);
+    const std::string want = Encode(by_row);
+    for (const size_t length : {size_t{1}, size_t{7}, rows}) {
+      SCOPED_TRACE("block of " + std::to_string(length));
+      AcfTree tree(layout, own, opts);
+      for (size_t begin = 0; begin < rows; begin += length) {
+        const size_t end = std::min(rows, begin + length);
+        ASSERT_TRUE(tree.InsertRows(block, begin, end).ok());
+      }
+      EXPECT_EQ(Encode(tree), want);
+      Status valid = tree.ValidateInvariants();
+      EXPECT_TRUE(valid.ok()) << valid;
+    }
+  }
+}
+
+TEST(AcfTreeTest, InsertRowsRefusesABadBlockWhole) {
+  AcfTree tree(TwoPartLayout(), 0, SmallTreeOptions());
+  const std::vector<double> x = {1, 2, 3};
+  const std::vector<double> y = {4, std::numeric_limits<double>::quiet_NaN(),
+                                 6};
+  const std::vector<const double*> block = {x.data(), y.data()};
+  Status st = tree.InsertRows(block, 0, 3);
+  ASSERT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_NE(st.message().find("part 1, row 1"), std::string::npos) << st;
+  EXPECT_TRUE(tree.InsertRows(std::span(block).first(1), 0, 1)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(tree.InsertRows(block, 2, 1).IsInvalidArgument());
+  // Longer than 32-bit offsets reach: refused before any value is read.
+  EXPECT_TRUE(
+      tree.InsertRows(block, 0, (uint64_t{1} << 32) + 1).IsInvalidArgument());
+  EXPECT_EQ(tree.TotalMass(), 0);
+
+  ASSERT_TRUE(tree.InsertRows(block, 2, 3).ok());
+  const std::vector<Acf> clusters = tree.ExtractClusters();
+  ASSERT_EQ(clusters.size(), 1u);
+  EXPECT_EQ(clusters[0].image(0).ls()[0], 3.0);
+  EXPECT_EQ(clusters[0].image(1).ls()[0], 6.0);
+  EXPECT_EQ(clusters[0].image(1).n(), 1);
 }
 
 TEST(AcfTreeTest, DeterministicForIdenticalInput) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -34,6 +37,8 @@ struct InvariantTestPeer {
     return std::span<double>(cf.block_).subspan(cf.dim(), cf.dim());
   }
   static int64_t& N(CfVector& cf) { return cf.n_; }
+  static std::vector<double>& Centroids(Node* node) { return node->centroids; }
+  static std::vector<uint32_t>& Queue(Acf& acf) { return acf.queue_; }
 };
 
 namespace {
@@ -194,6 +199,46 @@ TEST(ValidateInvariantsTest, DetectsMissingChild) {
   Status st = tree.ValidateInvariants();
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("!= recount"), std::string::npos) << st;
+}
+
+TEST(ValidateInvariantsTest, DetectsStaleCentroidTable) {
+  auto layout = TwoPartLayout();
+  auto tree_ptr = MakeDeepTree(layout);
+  AcfTree& tree = *tree_ptr;
+  auto* root = InvariantTestPeer::Root(tree);
+  ASSERT_FALSE(root->is_leaf);
+  // One ulp off child 1's cached centroid: every CF still agrees, and the
+  // descent would compare against a value PointClusterDistance never sees.
+  std::vector<double>& table = InvariantTestPeer::Centroids(root);
+  ASSERT_EQ(table.size(), InvariantTestPeer::Children(root).size());
+  table[1] = std::nextafter(table[1], std::numeric_limits<double>::infinity());
+
+  Status st = tree.ValidateInvariants();
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsInternal());
+  EXPECT_NE(st.message().find("cached centroid differs from ls / n"),
+            std::string::npos)
+      << st;
+  EXPECT_EQ(st.message().rfind("root/c1:", 0), 0u) << st;
+}
+
+TEST(ValidateInvariantsTest, DetectsQueuedRowsOutsideInsertRows) {
+  auto layout = TwoPartLayout();
+  auto tree_ptr = MakeDeepTree(layout);
+  AcfTree& tree = *tree_ptr;
+  // A row the own CF holds and the other images never received.
+  auto* leaf = InvariantTestPeer::FirstLeaf(tree);
+  Acf& entry = InvariantTestPeer::Entries(leaf).front();
+  InvariantTestPeer::Queue(entry).push_back(0);
+
+  Status st = tree.ValidateInvariants();
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsInternal());
+  EXPECT_NE(st.message().find("1 queued rows outside InsertRows"),
+            std::string::npos)
+      << st;
+  EXPECT_EQ(st.message().rfind("root/c0", 0), 0u) << st;
+  EXPECT_NE(st.message().find("/e0:"), std::string::npos) << st;
 }
 
 #ifdef DAR_VALIDATE_INVARIANTS

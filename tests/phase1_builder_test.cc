@@ -192,7 +192,9 @@ struct MixedLayoutData {
   AttributePartition partition;
 };
 
-MixedLayoutData MakeMixedLayoutData(size_t rows) {
+// Interval values drift up by `drift` per row, so late rows keep opening
+// clusters and rebuilds keep firing.
+MixedLayoutData MakeMixedLayoutData(size_t rows, double drift = 0) {
   Schema schema = *Schema::Make({{"a", AttributeKind::kInterval},
                                  {"b", AttributeKind::kNominal},
                                  {"c", AttributeKind::kNominal},
@@ -209,11 +211,63 @@ MixedLayoutData MakeMixedLayoutData(size_t rows) {
   for (size_t r = 0; r < rows; ++r) {
     // Integer values, so every sum below is exact in any order.
     std::vector<double> row(6);
-    for (size_t c : {0, 3, 5}) row[c] = std::floor(rng.Uniform(0, 200));
+    for (size_t c : {0, 3, 5}) {
+      row[c] = std::floor(rng.Uniform(0, 200) + drift * static_cast<double>(r));
+    }
     for (size_t c : {1, 2, 4}) row[c] = std::floor(rng.Uniform(0, 4));
     EXPECT_TRUE(out.rel.AppendRow(row).ok());
   }
   return out;
+}
+
+// Trees built outside any builder, with the options Phase1Builder::Make
+// gives its trees (the budget split evenly over the parts), fed every row
+// of `rel` as a parted row through InsertPoint. Every 4096 rows they move
+// the outlier paging threshold as the builder does.
+std::vector<std::unique_ptr<AcfTree>> StandaloneTrees(
+    const Relation& rel, const AttributePartition& partition,
+    const DarConfig& config) {
+  auto layout = std::make_shared<AcfLayout>();
+  for (const AttributeSet& part : partition.parts()) {
+    layout->parts.push_back({part.dimension(), part.metric, part.label});
+  }
+  AcfTreeOptions options = config.tree;
+  options.memory_budget_bytes =
+      config.memory_budget_bytes / partition.num_parts();
+  std::vector<std::unique_ptr<AcfTree>> trees;
+  for (size_t p = 0; p < partition.num_parts(); ++p) {
+    trees.push_back(std::make_unique<AcfTree>(layout, p, options));
+  }
+  for (size_t r = 0; r < rel.num_rows(); ++r) {
+    PartedRow row;
+    for (const AttributeSet& part : partition.parts()) {
+      std::vector<double> values;
+      for (size_t col : part.columns) values.push_back(rel.at(r, col));
+      row.push_back(std::move(values));
+    }
+    for (auto& tree : trees) EXPECT_TRUE(tree->InsertPoint(row).ok());
+    if ((r + 1) % 4096 != 0) continue;
+    const auto min_n = static_cast<int64_t>(config.outlier_fraction *
+                                            config.frequency_fraction *
+                                            static_cast<double>(r + 1));
+    for (auto& tree : trees) tree->set_outlier_entry_min_n(min_n);
+  }
+  return trees;
+}
+
+// The builder section of `trees` after `rows` rows, tree by tree.
+std::string BuilderSectionOf(const std::vector<std::unique_ptr<AcfTree>>& trees,
+                             size_t rows) {
+  persist::WireWriter w;
+  w.I64(static_cast<int64_t>(rows));
+  w.U32(static_cast<uint32_t>(trees.size()));
+  for (const auto& tree : trees) {
+    persist::WireWriter blob;
+    persist::EncodeTree(*tree, blob);
+    w.U64(blob.size());
+    w.Raw(blob.bytes());
+  }
+  return std::move(w).Take();
 }
 
 TEST(Phase1BuilderTest, FlatRowOnMixedLayoutIsFeedOrderIndependent) {
@@ -242,39 +296,11 @@ TEST(Phase1BuilderTest, FlatRowOnMixedLayoutIsFeedOrderIndependent) {
     ASSERT_TRUE(by_row.AddRow(rel.Row(r)).ok());
   }
 
-  // The fourth way: standalone trees fed parted rows, with the options
-  // Phase1Builder::Make gives its trees (the budget split evenly over the
-  // parts; under 4096 rows outlier paging never switches on).
-  auto layout = std::make_shared<AcfLayout>();
-  for (const AttributeSet& part : partition.parts()) {
-    layout->parts.push_back({part.dimension(), part.metric, part.label});
-  }
-  AcfTreeOptions options = config.tree;
-  options.memory_budget_bytes =
-      config.memory_budget_bytes / partition.num_parts();
-  std::vector<std::unique_ptr<AcfTree>> trees;
-  for (size_t p = 0; p < partition.num_parts(); ++p) {
-    trees.push_back(std::make_unique<AcfTree>(layout, p, options));
-  }
-  for (size_t r = 0; r < rel.num_rows(); ++r) {
-    PartedRow row;
-    for (const AttributeSet& part : partition.parts()) {
-      std::vector<double> values;
-      for (size_t col : part.columns) values.push_back(rel.at(r, col));
-      row.push_back(std::move(values));
-    }
-    for (auto& tree : trees) ASSERT_TRUE(tree->InsertPoint(row).ok());
-  }
-  persist::WireWriter w;  // the builder section's layout, tree by tree
-  w.I64(static_cast<int64_t>(rel.num_rows()));
-  w.U32(static_cast<uint32_t>(trees.size()));
-  for (const auto& tree : trees) {
-    persist::WireWriter blob;
-    persist::EncodeTree(*tree, blob);
-    w.U64(blob.size());
-    w.Raw(blob.bytes());
-  }
-  const std::string want = std::move(w).Take();
+  // The fourth way: standalone trees fed parted rows (under 4096 rows
+  // outlier paging never switches on).
+  const std::vector<std::unique_ptr<AcfTree>> trees =
+      StandaloneTrees(rel, partition, config);
+  const std::string want = BuilderSectionOf(trees, rel.num_rows());
   EXPECT_EQ(persist::EncodeBuilderSection(serial), want);
   EXPECT_EQ(persist::EncodeBuilderSection(parallel), want);
   EXPECT_EQ(persist::EncodeBuilderSection(by_row), want);
@@ -316,6 +342,54 @@ TEST(Phase1BuilderTest, FlatRowOnMixedLayoutIsFeedOrderIndependent) {
       }
     }
   }
+}
+
+TEST(Phase1BuilderTest, BlockBoundariesKeepTheOutlierCadence) {
+  // Past 4096 rows outlier paging switches on, so the feeds below cross
+  // the paging cadence and their block boundaries fall on both sides of
+  // it: 1 and 4 threads, row by row, uneven batches, and standalone trees.
+  const MixedLayoutData data = MakeMixedLayoutData(9500, /*drift=*/0.05);
+  const Relation& rel = data.rel;
+  const AttributePartition& partition = data.partition;
+  DarConfig config;
+  config.memory_budget_bytes = 384u << 10;
+  config.frequency_fraction = 0.3;  // pages clusters under 307, then 614
+  ASSERT_GT(config.outlier_fraction, 0);
+
+  auto make = [&](Executor* executor) -> Phase1Builder {
+    auto builder =
+        Phase1Builder::Make(config, rel.schema(), partition, executor);
+    EXPECT_TRUE(builder.ok()) << builder.status();
+    return std::move(*builder);
+  };
+  std::shared_ptr<Executor> pool = MakeExecutor(4);
+  Phase1Builder serial = make(nullptr);
+  ASSERT_TRUE(serial.AddRelation(rel).ok());
+  Phase1Builder parallel = make(pool.get());
+  ASSERT_TRUE(parallel.AddRelation(rel).ok());
+  Phase1Builder by_row = make(nullptr);
+  for (size_t r = 0; r < rel.num_rows(); ++r) {
+    ASSERT_TRUE(by_row.AddRow(rel.Row(r)).ok());
+  }
+  Phase1Builder batched = make(pool.get());
+  size_t begin = 0;
+  for (const size_t length : {size_t{1}, size_t{999}, size_t{4097},
+                              rel.num_rows() - 5097}) {
+    ASSERT_TRUE(batched.AddRelation(Batch(rel, begin, begin + length)).ok());
+    begin += length;
+  }
+  ASSERT_EQ(batched.rows_added(), static_cast<int64_t>(rel.num_rows()));
+
+  const std::vector<std::unique_ptr<AcfTree>> trees =
+      StandaloneTrees(rel, partition, config);
+  size_t paged = 0;
+  for (const auto& tree : trees) paged += tree->Stats().num_outliers;
+  EXPECT_GT(paged, 0u) << "no cluster was paged out: the cadence is untested";
+  const std::string want = BuilderSectionOf(trees, rel.num_rows());
+  EXPECT_EQ(persist::EncodeBuilderSection(serial), want);
+  EXPECT_EQ(persist::EncodeBuilderSection(parallel), want);
+  EXPECT_EQ(persist::EncodeBuilderSection(by_row), want);
+  EXPECT_EQ(persist::EncodeBuilderSection(batched), want);
 }
 
 }  // namespace

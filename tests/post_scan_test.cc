@@ -269,6 +269,26 @@ TEST(CentroidTableTest, TiesGoToTheLowestIdAndNonFiniteToTheFirst) {
   }
 }
 
+TEST(ClusterSetTest, AssignToClusterRejectsBadPartOrWidth) {
+  auto layout = std::make_shared<AcfLayout>();
+  layout->parts = {{1, MetricKind::kEuclidean, "a"},
+                   {1, MetricKind::kEuclidean, "b"}};
+  std::vector<FoundCluster> found;
+  found.push_back({0, 0, ClusterAt(layout, 0, {3})});
+  found.push_back({1, 1, ClusterAt(layout, 1, {5})});
+  const ClusterSet clusters(layout, std::move(found));
+  const std::vector<double> two = {1.0, 2.0};
+  const std::vector<double> one = {1.0};
+  EXPECT_TRUE(clusters.AssignToCluster(0, two).status().IsInvalidArgument());
+  EXPECT_TRUE(clusters.AssignToCluster(5, one).status().IsInvalidArgument());
+  // A non-finite point keeps its documented answer: the part's first
+  // cluster.
+  const std::vector<double> nan = {kNaN};
+  auto id = clusters.AssignToCluster(1, nan);
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_EQ(*id, 1u);
+}
+
 // 1001 rows: neither 3 nor 8 shards divide it, so the last shard is short.
 TEST(RuleStatsScanTest, EqualsBruteForceAtOneThreeAndEightThreads) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {

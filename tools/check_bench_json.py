@@ -77,9 +77,12 @@ counters["micro.post_scan.matched"] > 0, or the check is vacuous). And it
 must hold a "micro/acf_feed" run whose telemetry counts zero (tree, image
 part) pairs whose summed n, ls, ss, min or max over clusters and outliers
 differs from the column totals (counters["micro.acf_feed.mismatches"]),
-with at least one cluster and one rebuild (counters["micro.acf_feed.
-clusters"] and counters["micro.acf_feed.rebuilds"] > 0, or the check
-misses the rebuild path).
+zero trees that encode differently when the same rows are fed in
+1,000-row batches or row by row
+(counters["micro.acf_feed.batch_mismatches"]), with at least one cluster
+and one rebuild (counters["micro.acf_feed.clusters"] and
+counters["micro.acf_feed.rebuilds"] > 0, or the check misses the rebuild
+path).
 
 Usage: tools/check_bench_json.py FILE [FILE...]
 Prints one `file: message` per violation and exits 1 when anything is
@@ -386,7 +389,8 @@ def check_micro_suite(errors, runs):
 
 def check_acf_feed_run(errors, runs):
     values = micro_counters(errors, runs, "acf_feed",
-                            ("mismatches", "clusters", "rebuilds"),
+                            ("mismatches", "batch_mismatches", "clusters",
+                             "rebuilds"),
                             "the Phase I feed oracle run")
     if values is None:
         return
@@ -394,6 +398,10 @@ def check_acf_feed_run(errors, runs):
         errors.append(f"micro/acf_feed: {values['mismatches']} (tree, image "
                       "part) sums disagree with the column totals (must be "
                       "0)")
+    if values["batch_mismatches"] != 0:
+        errors.append(f"micro/acf_feed: {values['batch_mismatches']} trees "
+                      "encode differently when fed in 1,000-row batches or "
+                      "row by row (must be 0)")
     if values["clusters"] <= 0 or values["rebuilds"] <= 0:
         errors.append("micro/acf_feed: no cluster or no rebuild — the "
                       "oracle check misses the rebuild path")
