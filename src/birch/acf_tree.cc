@@ -26,6 +26,31 @@ bool ApproxEqual(double a, double b) {
   return std::fabs(a - b) <= kCfCompareTolerance * scale;
 }
 
+// The tree's one leaf walk: calls fn(leaf) for every leaf under `node`,
+// left to right, which is the order of ExtractClusters. `NodeT` is a tree
+// node type, const or not.
+template <typename NodeT, typename Fn>
+void ForEachLeaf(NodeT& node, const Fn& fn) {
+  if (node.is_leaf) {
+    fn(node);
+    return;
+  }
+  for (auto& c : node.children) ForEachLeaf<NodeT>(*c.child, fn);
+}
+
+// The smallest merged diameter over the pairs of the `count` ACFs `at(i)`,
+// pairs taken in (i, j) order.
+template <typename At>
+double ClosestMergeDiameter(size_t count, const At& at) {
+  double best = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < count; ++i) {
+    for (size_t j = i + 1; j < count; ++j) {
+      best = std::min(best, at(i).cf().DiameterWithMerge(at(j).cf()));
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 // When built with -DDAR_VALIDATE_INVARIANTS, every mutating operation
@@ -100,16 +125,6 @@ Status AcfTree::InsertPoint(const PartedRow& row) {
     }
     for (const double& v : row[i]) flat_columns_[k++] = &v;
   }
-  return InsertRows(flat_columns_, 0, 1);
-}
-
-Status AcfTree::InsertFlatRow(std::span<const double> row) {
-  if (row.size() != row_width_) {
-    return Status::InvalidArgument(
-        "flat row has " + std::to_string(row.size()) +
-        " values, the layout's rows have " + std::to_string(row_width_));
-  }
-  for (size_t k = 0; k < row_width_; ++k) flat_columns_[k] = row.data() + k;
   return InsertRows(flat_columns_, 0, 1);
 }
 
@@ -203,11 +218,8 @@ Status AcfTree::InsertSummary(Acf acf) {
 
 void AcfTree::Node::SetCentroid(size_t i) {
   const CfVector& cf = SlotCf(i);
-  const size_t dim = cf.dim();
-  centroids.resize(size() * dim);
-  // PointClusterDistance's division: ls[d] / n, n converted to double.
-  const double n = static_cast<double>(cf.n());
-  for (size_t d = 0; d < dim; ++d) centroids[i * dim + d] = cf.ls()[d] / n;
+  centroids.resize(size() * cf.dim());
+  WriteCentroid(cf, centroids.data() + i * cf.dim());
 }
 
 void AcfTree::Node::SetCentroids() {
@@ -215,37 +227,42 @@ void AcfTree::Node::SetCentroids() {
   for (size_t i = 0; i < size(); ++i) SetCentroid(i);
 }
 
-AcfTree::Nearest AcfTree::NearestSlot(const Node& node,
-                                      const double* own) const {
+NearestCentroid AcfTree::NearestSlot(const Node& node,
+                                     const double* own) const {
   const PartSpec& spec = layout_->parts[own_part_];
-  Nearest best{0, std::numeric_limits<double>::infinity()};
-  if (spec.metric == MetricKind::kDiscrete) {
-    for (size_t i = 0; i < node.size(); ++i) {
-      const double d = PointClusterDistance({own, spec.dim}, node.SlotCf(i));
-      if (d < best.distance) best = {i, d};
-    }
-    return best;
+  if (spec.metric != MetricKind::kDiscrete) {
+    return FindNearestCentroid(node.centroids.data(), node.size(), spec.dim,
+                               spec.metric,
+                               [own](size_t d) { return own[d]; });
   }
-  // PointClusterDistance's arithmetic, term for term, on the cached
-  // centroids. The root stays: two sums can round to one root, and the
-  // strict `<` must see what PointClusterDistance returns.
-  const bool manhattan = spec.metric == MetricKind::kManhattan;
-  const double* centroid = node.centroids.data();
-  for (size_t i = 0; i < node.size(); ++i, centroid += spec.dim) {
-    double s = 0;
-    for (size_t d = 0; d < spec.dim; ++d) {
-      const double diff = own[d] - centroid[d];
-      s += manhattan ? std::fabs(diff) : diff * diff;
-    }
-    const double dist = manhattan ? s : std::sqrt(s);
-    if (dist < best.distance) best = {i, dist};
+  NearestCentroid best;
+  for (size_t i = 0; i < node.size(); ++i) {
+    const double d = PointClusterDistance({own, spec.dim}, node.SlotCf(i));
+    if (d < best.distance) best = {i, d};
   }
   return best;
 }
 
+NearestCentroid AcfTree::NearestSlot(const Node& node,
+                                     const CfVector& cf) const {
+  NearestCentroid best;
+  for (size_t i = 0; i < node.size(); ++i) {
+    const double d =
+        ClusterDistance(cf, node.SlotCf(i), ClusterMetric::kD0Centroid);
+    if (d < best.distance) best = {i, d};
+  }
+  return best;
+}
+
+bool AcfTree::AbsorbsSummary(const Node& leaf, const NearestCentroid& nearest,
+                             const CfVector& cf) const {
+  return !leaf.entries.empty() && nearest.distance <= threshold_ &&
+         leaf.entries[nearest.index].cf().DiameterWithMerge(cf) <= threshold_;
+}
+
 AcfTree::InsertOutcome AcfTree::InsertRowRec(Node* node, const double* own,
                                              uint32_t offset) {
-  const Nearest nearest = NearestSlot(*node, own);
+  const NearestCentroid nearest = NearestSlot(*node, own);
   const std::span<const double> point(own, own_.size());
   if (node->is_leaf) {
     // Absorb only if the point is within the threshold of the centroid AND
@@ -254,7 +271,7 @@ AcfTree::InsertOutcome AcfTree::InsertRowRec(Node* node, const double* own,
     // pairwise diameter moves by only O(D^2/N) when one point at distance D
     // is added, so the diameter test alone would let large clusters swallow
     // arbitrarily distant points. Otherwise start a new cluster.
-    size_t slot = nearest.slot;
+    size_t slot = nearest.index;
     if (node->entries.empty() || !(nearest.distance <= threshold_) ||
         !(node->entries[slot].cf().DiameterWithPoint(point) <= threshold_)) {
       node->entries.emplace_back(layout_, own_part_);
@@ -267,51 +284,26 @@ AcfTree::InsertOutcome AcfTree::InsertRowRec(Node* node, const double* own,
       node->queued = true;
       queued_leaves_.push_back(node);
     }
-    if (node->entries.size() <=
-        static_cast<size_t>(options_.leaf_capacity)) {
-      return {};
-    }
-    return {true, SplitNode(node)};
+    return SplitIfOverfull(node);
   }
 
   // Internal node: descend into the closest child.
-  const size_t best = nearest.slot;
+  const size_t best = nearest.index;
   InsertOutcome below =
       InsertRowRec(node->children[best].child.get(), own, offset);
-  if (!below.split) {
-    node->children[best].cf.AddPoint(point);
-    node->SetCentroid(best);
-  } else {
-    node->children[best].cf = ComputeNodeCf(*node->children[best].child);
-    node->SetCentroid(best);
-    ChildRef fresh{ComputeNodeCf(*below.sibling), std::move(below.sibling)};
-    node->children.push_back(std::move(fresh));
-    node->SetCentroid(node->children.size() - 1);
-    if (node->children.size() >
-        static_cast<size_t>(options_.branching_factor)) {
-      return {true, SplitNode(node)};
-    }
-  }
+  if (below.split) return AdoptSibling(node, best, std::move(below.sibling));
+  node->children[best].cf.AddPoint(point);
+  node->SetCentroid(best);
   return {};
 }
 
 AcfTree::InsertOutcome AcfTree::InsertSummaryRec(Node* node, Acf&& acf) {
+  const NearestCentroid nearest = NearestSlot(*node, acf.cf());
+  const size_t best = nearest.index;
   if (node->is_leaf) {
-    size_t best = 0;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      double d = ClusterDistance(acf.cf(), node->entries[i].cf(),
-                                 ClusterMetric::kD0Centroid);
-      if (d < best_d) {
-        best_d = d;
-        best = i;
-      }
-    }
     // Same dual test as for points (diameter + centroid distance), so
     // reinsertion during rebuilds cannot dilute heavy clusters either.
-    if (!node->entries.empty() &&
-        node->entries[best].cf().DiameterWithMerge(acf.cf()) <= threshold_ &&
-        best_d <= threshold_) {
+    if (AbsorbsSummary(*node, nearest, acf.cf())) {
       node->entries[best].Merge(acf);
       node->SetCentroid(best);
       return {};
@@ -319,136 +311,87 @@ AcfTree::InsertOutcome AcfTree::InsertSummaryRec(Node* node, Acf&& acf) {
     node->entries.push_back(std::move(acf));
     node->SetCentroid(node->entries.size() - 1);
     ++num_leaf_entries_;
-    if (node->entries.size() <=
-        static_cast<size_t>(options_.leaf_capacity)) {
-      return {};
-    }
-    return {true, SplitNode(node)};
+    return SplitIfOverfull(node);
   }
 
-  size_t best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < node->children.size(); ++i) {
-    double d = ClusterDistance(acf.cf(), node->children[i].cf,
-                               ClusterMetric::kD0Centroid);
-    if (d < best_d) {
-      best_d = d;
-      best = i;
-    }
-  }
   const CfVector acf_cf = acf.cf();  // keep a copy; acf may be moved below
   InsertOutcome below =
       InsertSummaryRec(node->children[best].child.get(), std::move(acf));
-  if (!below.split) {
-    node->children[best].cf.Merge(acf_cf);
-    node->SetCentroid(best);
-  } else {
-    node->children[best].cf = ComputeNodeCf(*node->children[best].child);
-    node->SetCentroid(best);
-    ChildRef fresh{ComputeNodeCf(*below.sibling), std::move(below.sibling)};
-    node->children.push_back(std::move(fresh));
-    node->SetCentroid(node->children.size() - 1);
-    if (node->children.size() >
-        static_cast<size_t>(options_.branching_factor)) {
-      return {true, SplitNode(node)};
-    }
-  }
+  if (below.split) return AdoptSibling(node, best, std::move(below.sibling));
+  node->children[best].cf.Merge(acf_cf);
+  node->SetCentroid(best);
   return {};
 }
 
+AcfTree::InsertOutcome AcfTree::AdoptSibling(Node* node, size_t slot,
+                                             std::unique_ptr<Node> sibling) {
+  node->children[slot].cf = ComputeNodeCf(*node->children[slot].child);
+  node->SetCentroid(slot);
+  node->children.push_back(
+      ChildRef{ComputeNodeCf(*sibling), std::move(sibling)});
+  node->SetCentroid(node->children.size() - 1);
+  return SplitIfOverfull(node);
+}
+
+AcfTree::InsertOutcome AcfTree::SplitIfOverfull(Node* node) {
+  const int capacity =
+      node->is_leaf ? options_.leaf_capacity : options_.branching_factor;
+  if (node->size() <= static_cast<size_t>(capacity)) return {};
+  return {true, SplitNode(node)};
+}
+
 std::unique_ptr<AcfTree::Node> AcfTree::SplitNode(Node* node) {
+  // Seed with the farthest pair of slot centroids, then send every other
+  // slot to the closer seed; a tie keeps it.
+  const size_t n = node->size();
+  DAR_CHECK_GE(n, 2u);
+  size_t sa = 0, sb = 1;
+  double best = -1;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      double d = ClusterDistance(node->SlotCf(i), node->SlotCf(j),
+                                 ClusterMetric::kD0Centroid);
+      if (d > best) {
+        best = d;
+        sa = i;
+        sb = j;
+      }
+    }
+  }
+  std::vector<bool> moves(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (i == sa || i == sb) {
+      moves[i] = i == sb;
+      continue;
+    }
+    const CfVector& cf = node->SlotCf(i);
+    const double da =
+        ClusterDistance(cf, node->SlotCf(sa), ClusterMetric::kD0Centroid);
+    const double db =
+        ClusterDistance(cf, node->SlotCf(sb), ClusterMetric::kD0Centroid);
+    moves[i] = !(da <= db);
+  }
+  // Both halves keep the slots' order.
+  const auto move_slots = [&moves](auto& slots, auto& out) {
+    std::remove_reference_t<decltype(slots)> keep;
+    for (size_t i = 0; i < slots.size(); ++i) {
+      (moves[i] ? out : keep).push_back(std::move(slots[i]));
+    }
+    slots = std::move(keep);
+  };
+
   auto sibling = std::make_unique<Node>();
   sibling->is_leaf = node->is_leaf;
   ++num_nodes_;
   ++split_count_;
-
   if (node->is_leaf) {
-    // Seed with the farthest pair of entry centroids, then assign each
-    // entry to the closer seed.
-    size_t n = node->entries.size();
-    DAR_CHECK_GE(n, 2u);
-    size_t sa = 0, sb = 1;
-    double best = -1;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        double d = ClusterDistance(node->entries[i].cf(),
-                                   node->entries[j].cf(),
-                                   ClusterMetric::kD0Centroid);
-        if (d > best) {
-          best = d;
-          sa = i;
-          sb = j;
-        }
-      }
-    }
-    const CfVector seed_a = node->entries[sa].cf();
-    const CfVector seed_b = node->entries[sb].cf();
-    std::vector<Acf> keep, move_out;
-    for (size_t i = 0; i < n; ++i) {
-      if (i == sa) {
-        keep.push_back(std::move(node->entries[i]));
-        continue;
-      }
-      if (i == sb) {
-        move_out.push_back(std::move(node->entries[i]));
-        continue;
-      }
-      double da = ClusterDistance(node->entries[i].cf(), seed_a,
-                                  ClusterMetric::kD0Centroid);
-      double db = ClusterDistance(node->entries[i].cf(), seed_b,
-                                  ClusterMetric::kD0Centroid);
-      if (da <= db) {
-        keep.push_back(std::move(node->entries[i]));
-      } else {
-        move_out.push_back(std::move(node->entries[i]));
-      }
-    }
-    node->entries = std::move(keep);
-    sibling->entries = std::move(move_out);
+    move_slots(node->entries, sibling->entries);
     if (node->queued) {  // moved entries may hold queued rows
       sibling->queued = true;
       queued_leaves_.push_back(sibling.get());
     }
   } else {
-    size_t n = node->children.size();
-    DAR_CHECK_GE(n, 2u);
-    size_t sa = 0, sb = 1;
-    double best = -1;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        double d = ClusterDistance(node->children[i].cf, node->children[j].cf,
-                                   ClusterMetric::kD0Centroid);
-        if (d > best) {
-          best = d;
-          sa = i;
-          sb = j;
-        }
-      }
-    }
-    const CfVector seed_a = node->children[sa].cf;
-    const CfVector seed_b = node->children[sb].cf;
-    std::vector<ChildRef> keep, move_out;
-    for (size_t i = 0; i < n; ++i) {
-      if (i == sa) {
-        keep.push_back(std::move(node->children[i]));
-        continue;
-      }
-      if (i == sb) {
-        move_out.push_back(std::move(node->children[i]));
-        continue;
-      }
-      double da = ClusterDistance(node->children[i].cf, seed_a,
-                                  ClusterMetric::kD0Centroid);
-      double db = ClusterDistance(node->children[i].cf, seed_b,
-                                  ClusterMetric::kD0Centroid);
-      if (da <= db) {
-        keep.push_back(std::move(node->children[i]));
-      } else {
-        move_out.push_back(std::move(node->children[i]));
-      }
-    }
-    node->children = std::move(keep);
-    sibling->children = std::move(move_out);
+    move_slots(node->children, sibling->children);
   }
   node->SetCentroids();
   sibling->SetCentroids();
@@ -458,11 +401,7 @@ std::unique_ptr<AcfTree::Node> AcfTree::SplitNode(Node* node) {
 CfVector AcfTree::ComputeNodeCf(const Node& node) const {
   const PartSpec& spec = layout_->parts[own_part_];
   CfVector cf(spec.dim, spec.metric);
-  if (node.is_leaf) {
-    for (const auto& e : node.entries) cf.Merge(e.cf());
-  } else {
-    for (const auto& c : node.children) cf.Merge(c.cf);
-  }
+  for (size_t i = 0; i < node.size(); ++i) cf.Merge(node.SlotCf(i));
   return cf;
 }
 
@@ -482,25 +421,14 @@ double AcfTree::NextThreshold() const {
   // Within each leaf, the cheapest merge is between the closest pair of
   // entries; take the median of those over all leaves so a substantial
   // fraction of clusters merge after the rebuild (BIRCH §4.2 heuristic).
+  // The median does not depend on the order of the leaves.
   std::vector<double> candidates;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (node->is_leaf) {
-      if (node->entries.size() < 2) continue;
-      double best = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < node->entries.size(); ++i) {
-        for (size_t j = i + 1; j < node->entries.size(); ++j) {
-          best = std::min(best, node->entries[i].cf().DiameterWithMerge(
-                                    node->entries[j].cf()));
-        }
-      }
-      candidates.push_back(best);
-    } else {
-      for (const auto& c : node->children) stack.push_back(c.child.get());
-    }
-  }
+  ForEachLeaf(*root_, [&candidates](const Node& leaf) {
+    if (leaf.entries.size() < 2) return;
+    candidates.push_back(ClosestMergeDiameter(
+        leaf.entries.size(),
+        [&leaf](size_t i) -> const Acf& { return leaf.entries[i]; }));
+  });
   double data_driven = 0;
   if (!candidates.empty()) {
     size_t mid = candidates.size() / 2;
@@ -509,20 +437,20 @@ double AcfTree::NextThreshold() const {
     data_driven = candidates[mid];
   } else {
     // Degenerate tree shapes (e.g. leaf capacity 1) never co-locate two
-    // entries in a leaf; sample a handful of entries globally so the
+    // entries in a leaf; sample the first 48 entries globally so the
     // threshold still jumps to the data scale instead of crawling up by
     // the growth factor alone.
-    std::vector<Acf> sample;
-    CollectLeafEntriesConst(root_.get(), sample);
-    size_t limit = std::min<size_t>(sample.size(), 48);
-    double best = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < limit; ++i) {
-      for (size_t j = i + 1; j < limit; ++j) {
-        best = std::min(best,
-                        sample[i].cf().DiameterWithMerge(sample[j].cf()));
+    std::vector<const Acf*> sample;
+    ForEachLeaf(*root_, [&sample](const Node& leaf) {
+      for (const Acf& e : leaf.entries) {
+        if (sample.size() < 48) sample.push_back(&e);
       }
+    });
+    if (sample.size() >= 2) {
+      data_driven = ClosestMergeDiameter(
+          sample.size(),
+          [&sample](size_t i) -> const Acf& { return *sample[i]; });
     }
-    if (limit >= 2) data_driven = best;
   }
   return std::max({threshold_ * options_.threshold_growth, data_driven,
                    kMinThreshold});
@@ -532,7 +460,9 @@ Status AcfTree::Rebuild() {
   DAR_DCHECK(queued_leaves_.empty());  // the old nodes are about to go
   double next = NextThreshold();
   std::vector<Acf> entries;
-  CollectLeafEntries(root_.get(), entries);
+  ForEachLeaf(*root_, [&entries](Node& leaf) {
+    for (Acf& e : leaf.entries) entries.push_back(std::move(e));
+  });
 
   threshold_ = next;
   root_ = std::make_unique<Node>();
@@ -560,26 +490,6 @@ Status AcfTree::Rebuild() {
   return status;
 }
 
-void AcfTree::CollectLeafEntries(Node* node, std::vector<Acf>& out) {
-  if (node->is_leaf) {
-    for (auto& e : node->entries) out.push_back(std::move(e));
-    node->entries.clear();
-    return;
-  }
-  for (auto& c : node->children) CollectLeafEntries(c.child.get(), out);
-}
-
-void AcfTree::CollectLeafEntriesConst(const Node* node,
-                                      std::vector<Acf>& out) const {
-  if (node->is_leaf) {
-    for (const auto& e : node->entries) out.push_back(e);
-    return;
-  }
-  for (const auto& c : node->children) {
-    CollectLeafEntriesConst(c.child.get(), out);
-  }
-}
-
 Status AcfTree::FinishScan() {
   std::vector<Acf> pending = std::move(outlier_buffer_);
   outlier_buffer_.clear();
@@ -590,34 +500,14 @@ Status AcfTree::FinishScan() {
     Node* node = root_.get();
     std::vector<std::pair<Node*, size_t>> path;  // (parent, child slot)
     while (!node->is_leaf) {
-      size_t best = 0;
-      double best_d = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < node->children.size(); ++i) {
-        double d = ClusterDistance(acf.cf(), node->children[i].cf,
-                                   ClusterMetric::kD0Centroid);
-        if (d < best_d) {
-          best_d = d;
-          best = i;
-        }
-      }
-      path.emplace_back(node, best);
-      node = node->children[best].child.get();
+      const size_t slot = NearestSlot(*node, acf.cf()).index;
+      path.emplace_back(node, slot);
+      node = node->children[slot].child.get();
     }
-    size_t best = 0;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      double d = ClusterDistance(acf.cf(), node->entries[i].cf(),
-                                 ClusterMetric::kD0Centroid);
-      if (d < best_d) {
-        best_d = d;
-        best = i;
-      }
-    }
-    if (!node->entries.empty() &&
-        node->entries[best].cf().DiameterWithMerge(acf.cf()) <= threshold_ &&
-        best_d <= threshold_) {
-      node->entries[best].Merge(acf);
-      node->SetCentroid(best);
+    const NearestCentroid nearest = NearestSlot(*node, acf.cf());
+    if (AbsorbsSummary(*node, nearest, acf.cf())) {
+      node->entries[nearest.index].Merge(acf);
+      node->SetCentroid(nearest.index);
       for (auto [parent, slot] : path) {
         parent->children[slot].cf.Merge(acf.cf());
         parent->SetCentroid(slot);
@@ -631,6 +521,11 @@ Status AcfTree::FinishScan() {
 }
 
 Status AcfTree::MergeFrom(const AcfTree& other) {
+  if (&other == this) {
+    return Status::InvalidArgument(
+        "cannot merge an ACF-tree into itself: its tuples are not disjoint "
+        "from its own");
+  }
   if (own_part_ != other.own_part_) {
     return Status::InvalidArgument(
         "cannot merge ACF-trees over different attribute sets (part " +
@@ -648,12 +543,14 @@ Status AcfTree::MergeFrom(const AcfTree& other) {
   // it further through the usual rebuild loop.
   threshold_ = std::max(threshold_, other.threshold_);
 
-  std::vector<Acf> entries;
-  other.CollectLeafEntriesConst(other.root_.get(), entries);
-  for (auto& e : entries) {
-    DAR_RETURN_IF_ERROR(
-        InsertSummary(rehome ? e.WithLayout(layout_) : std::move(e)));
-  }
+  Status status = Status::OK();
+  ForEachLeaf(*other.root_, [&](const Node& leaf) {
+    for (const Acf& e : leaf.entries) {
+      if (!status.ok()) return;
+      status = InsertSummary(rehome ? e.WithLayout(layout_) : e);
+    }
+  });
+  DAR_RETURN_IF_ERROR(status);
   // Outliers (paged-out and confirmed alike) get a fresh FinishScan chance
   // under the merged threshold. InsertSummary accounts inserted mass into
   // points_inserted_; the buffered outliers bypass it, so account manually
@@ -672,67 +569,11 @@ Status AcfTree::MergeFrom(const AcfTree& other) {
 
 std::vector<Acf> AcfTree::ExtractClusters() const {
   std::vector<Acf> out;
-  CollectLeafEntriesConst(root_.get(), out);
+  out.reserve(num_leaf_entries_);
+  ForEachLeaf(*root_, [&out](const Node& leaf) {
+    out.insert(out.end(), leaf.entries.begin(), leaf.entries.end());
+  });
   return out;
-}
-
-Result<size_t> AcfTree::NearestClusterIndex(
-    std::span<const double> own_values) const {
-  if (own_values.size() != own_.size()) {
-    return Status::InvalidArgument(
-        "probe has " + std::to_string(own_values.size()) + " values, part " +
-        std::to_string(own_part_) + " has dimension " +
-        std::to_string(own_.size()));
-  }
-  for (const double v : own_values) {
-    if (!std::isfinite(v)) {
-      return Status::InvalidArgument("non-finite probe value on part " +
-                                     std::to_string(own_part_));
-    }
-  }
-  if (num_leaf_entries_ == 0) {
-    return Status::NotFound("tree has no clusters");
-  }
-  // Descend to the leaf the insertion path would reach; only the root may
-  // be an empty leaf, so the leaf reached holds the target.
-  const Node* node = root_.get();
-  while (!node->is_leaf) {
-    const size_t slot = NearestSlot(*node, own_values.data()).slot;
-    node = node->children[slot].child.get();
-  }
-  const Acf* target =
-      &node->entries[NearestSlot(*node, own_values.data()).slot];
-  // Map the entry pointer to its DFS (ExtractClusters) index.
-  size_t index = 0;
-  bool found = false;
-  // Recursive DFS matching CollectLeafEntriesConst order.
-  auto dfs = [&](auto&& self, const Node* n) -> void {
-    if (found) return;
-    if (n->is_leaf) {
-      for (const auto& e : n->entries) {
-        if (&e == target) {
-          found = true;
-          return;
-        }
-        ++index;
-      }
-      return;
-    }
-    for (const auto& c : n->children) {
-      self(self, c.child.get());
-      if (found) return;
-    }
-  };
-  dfs(dfs, root_.get());
-  DAR_CHECK(found);
-  return index;
-}
-
-size_t AcfTree::CountNodes(const Node* node) const {
-  if (node->is_leaf) return 1;
-  size_t n = 1;
-  for (const auto& c : node->children) n += CountNodes(c.child.get());
-  return n;
 }
 
 size_t AcfTree::ApproxBytesNow() const {
@@ -748,7 +589,9 @@ size_t AcfTree::ApproxBytesNow() const {
 
 int64_t AcfTree::TotalMass() const {
   int64_t mass = 0;
-  for (const auto& e : ExtractClusters()) mass += e.n();
+  ForEachLeaf(*root_, [&mass](const Node& leaf) {
+    for (const Acf& e : leaf.entries) mass += e.n();
+  });
   for (const auto& e : outlier_buffer_) mass += e.n();
   for (const auto& e : outliers_) mass += e.n();
   return mass;
@@ -987,12 +830,12 @@ Status AcfTree::ValidateTablesRec(const Node& node,
                             " slots of dimension " + std::to_string(dim));
   }
   const char* slot_kind = node.is_leaf ? "/e" : "/c";
+  std::vector<double> want(dim);
   for (size_t i = 0; i < node.size(); ++i) {
-    const CfVector& cf = node.SlotCf(i);
+    WriteCentroid(node.SlotCf(i), want.data());
     for (size_t d = 0; d < dim; ++d) {
-      const double want = cf.ls()[d] / static_cast<double>(cf.n());
       if (std::bit_cast<uint64_t>(node.centroids[i * dim + d]) !=
-          std::bit_cast<uint64_t>(want)) {
+          std::bit_cast<uint64_t>(want[d])) {
         return Status::Internal(path + slot_kind + std::to_string(i) +
                                 ": cached centroid differs from ls / n on "
                                 "dimension " + std::to_string(d));

@@ -9,7 +9,6 @@
 
 #include "birch/acf.h"
 #include "birch/metrics.h"
-#include "common/result.h"
 #include "common/status.h"
 
 namespace dar {
@@ -80,14 +79,13 @@ struct AcfTreeStats {
 /// tree clusters on X_i while its leaf ACFs accumulate image summaries over
 /// every part.
 ///
-/// Centroid tables: every node keeps the own-part centroids `ls[d] / n` of
-/// its children (internal nodes) or entries (leaves) in one contiguous
-/// table, refreshed whenever a slot's CF changes. A point descends by
-/// scanning those tables with PointClusterDistance's arithmetic, term for
-/// term (its division, summation order and square root), the strict `<`
-/// and the first index on ties, so it reaches the leaf and cluster that
-/// calling PointClusterDistance would. Discrete parts call
-/// PointClusterDistance, which stays the definition.
+/// Centroid tables: every node keeps the own-part centroids of its children
+/// (internal nodes) or entries (leaves) in one contiguous table, written by
+/// WriteCentroid whenever a slot's CF changes. A point descends by scanning
+/// those tables with FindNearestCentroid (birch/metrics.h), so it reaches
+/// the leaf and cluster that calling PointClusterDistance would. Discrete
+/// parts call PointClusterDistance, which stays the definition. A summary
+/// (rebuilds, merges, FinishScan) descends by the D0 centroid distance.
 class AcfTree {
  public:
   /// `own_part` selects which part of `layout` this tree clusters on.
@@ -108,7 +106,7 @@ class AcfTree {
   /// Inserts the rows [begin, end) of a block given as columns: one pointer
   /// per flat-row slot (AcfLayout), in layout order, each to a column whose
   /// values are indexed by row. Rows are inserted in order, exactly as
-  /// InsertFlatRow would insert them one by one, and may trigger rebuilds.
+  /// InsertPoint would insert them one by one, and may trigger rebuilds.
   ///
   /// Checks the column count, that the block has at most 2^32 rows, and
   /// that every value is finite before touching the tree, so a refused
@@ -125,14 +123,10 @@ class AcfTree {
   Status InsertRows(std::span<const double* const> columns, size_t begin,
                     size_t end);
 
-  /// Inserts one tuple given as a flat row (AcfLayout): layout().
-  /// row_width() values in layout order, as a one-row InsertRows block.
-  /// Checks the width and that every value is finite before touching the
-  /// tree, so a refused row changes nothing. May trigger rebuilds.
-  Status InsertFlatRow(std::span<const double> row);
-
-  /// Inserts one tuple projected per part: checks the part count and
-  /// dimensions, then inserts it as InsertFlatRow does.
+  /// Inserts one tuple projected per part, as a one-row InsertRows block.
+  /// Checks the part count, each part's dimension and that every value is
+  /// finite before touching the tree, so a refused row changes nothing
+  /// (InvalidArgument). May trigger rebuilds.
   Status InsertPoint(const PartedRow& row);
 
   /// Inserts a pre-aggregated cluster summary (used by rebuilds and by
@@ -153,6 +147,8 @@ class AcfTree {
   /// overruns trigger the normal rebuild loop. `other` may come from a
   /// different process: a structurally equivalent layout (LayoutsEquivalent)
   /// suffices, pointer identity is not required. `other` is unchanged.
+  /// A tree cannot absorb itself (its tuples are not disjoint from its
+  /// own): InvalidArgument, and the tree is unchanged.
   Status MergeFrom(const AcfTree& other);
 
   /// All leaf clusters, in leaf order. Confirmed outliers are not included;
@@ -162,14 +158,6 @@ class AcfTree {
   /// Clusters confirmed as outliers by FinishScan (plus any still paged out
   /// if FinishScan has not been called).
   [[nodiscard]] const std::vector<Acf>& outliers() const { return outliers_; }
-
-  /// Index (into ExtractClusters() order) of the leaf cluster whose
-  /// centroid is closest to `own_values`, following the tree as a search
-  /// structure (§4.3.2): the descent an insert of that point would make.
-  /// Returns InvalidArgument when `own_values` does not hold the own part's
-  /// dimension of values or holds a non-finite one, and NotFound on an
-  /// empty tree.
-  [[nodiscard]] Result<size_t> NearestClusterIndex(std::span<const double> own_values) const;
 
   [[nodiscard]] double threshold() const { return threshold_; }
   [[nodiscard]] int rebuild_count() const { return rebuild_count_; }
@@ -223,7 +211,7 @@ class AcfTree {
     bool queued = false;
     std::vector<ChildRef> children;  // internal nodes
     std::vector<Acf> entries;        // leaf nodes
-    // The centroid table: slot i's own-part centroid `ls[d] / n` at
+    // The centroid table: slot i's own-part centroid (WriteCentroid) at
     // [i * dim, (i + 1) * dim). A slot is a child or an entry.
     std::vector<double> centroids;
 
@@ -248,13 +236,21 @@ class AcfTree {
   };
 
   // The slot of `node` whose centroid is nearest to the own-part values
-  // `own`, and its PointClusterDistance; slot 0 and infinity when no
-  // distance is below infinity.
-  struct Nearest {
-    size_t slot = 0;
-    double distance = 0;
-  };
-  [[nodiscard]] Nearest NearestSlot(const Node& node, const double* own) const;
+  // `own`, and its PointClusterDistance: FindNearestCentroid over the
+  // node's table, or PointClusterDistance per slot on a discrete part.
+  [[nodiscard]] NearestCentroid NearestSlot(const Node& node,
+                                            const double* own) const;
+  // The slot of `node` nearest to the summary `cf` by the D0 centroid
+  // distance, and that distance; the first slot wins a tie, and slot 0 at
+  // infinity when no distance is below infinity.
+  [[nodiscard]] NearestCentroid NearestSlot(const Node& node,
+                                            const CfVector& cf) const;
+  // Whether `leaf`'s slot `nearest` (of NearestSlot for `cf`) absorbs the
+  // summary `cf`: both the centroid distance and the merged diameter stay
+  // within the threshold.
+  [[nodiscard]] bool AbsorbsSummary(const Node& leaf,
+                                    const NearestCentroid& nearest,
+                                    const CfVector& cf) const;
 
   // Inserts the row at `offset` in the current block, whose own-part
   // values are `own`.
@@ -264,8 +260,16 @@ class AcfTree {
   // Adds every queued row of the block to its entry's other images.
   void FlushQueues(std::span<const double* const> columns, size_t begin);
 
-  // Splits an over-full node; returns the new sibling holding roughly half
-  // the entries. `node` keeps the other half.
+  // The step after child `slot` of `node` split off `sibling`: refreshes
+  // that child's CF, appends the sibling, and splits `node` if over full.
+  InsertOutcome AdoptSibling(Node* node, size_t slot,
+                             std::unique_ptr<Node> sibling);
+
+  // Splits `node` if it holds more slots than its capacity allows.
+  InsertOutcome SplitIfOverfull(Node* node);
+
+  // Splits an over-full node, leaf or internal; returns the new sibling
+  // holding roughly half the slots. `node` keeps the other half.
   std::unique_ptr<Node> SplitNode(Node* node);
 
   // Recomputes the subtree CF of `node` on the own part.
@@ -283,13 +287,9 @@ class AcfTree {
   // a substantial fraction of adjacent clusters merge after the rebuild.
   [[nodiscard]] double NextThreshold() const;
 
-  void CollectLeafEntries(Node* node, std::vector<Acf>& out);
-  void CollectLeafEntriesConst(const Node* node, std::vector<Acf>& out) const;
-
   // Recursive deep copy of a subtree (Clone's workhorse).
   [[nodiscard]] std::unique_ptr<Node> CloneNode(const Node& node) const;
 
-  [[nodiscard]] size_t CountNodes(const Node* node) const;
   [[nodiscard]] size_t ApproxBytesNow() const;
 
   // ValidateInvariants helpers; `path` names the node under scrutiny.
@@ -308,7 +308,7 @@ class AcfTree {
   size_t own_offset_;  // of the own part's values in a flat row
   size_t row_width_;   // values in a flat row
   std::vector<double> own_;  // the own-part values of the row inserted now
-  // The one-row block of InsertFlatRow and InsertPoint.
+  // The one-row block of InsertPoint.
   std::vector<const double*> flat_columns_;
   std::vector<Node*> queued_leaves_;  // leaves with Node::queued set
   AcfTreeOptions options_;

@@ -134,4 +134,9 @@ double PointClusterDistance(std::span<const double> x, const CfVector& c) {
   return 0;
 }
 
+void WriteCentroid(const CfVector& c, double* out) {
+  const double n = static_cast<double>(c.n());
+  for (size_t d = 0; d < c.dim(); ++d) out[d] = c.ls()[d] / n;
+}
+
 }  // namespace dar

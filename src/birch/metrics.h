@@ -1,6 +1,9 @@
 #ifndef DAR_BIRCH_METRICS_H_
 #define DAR_BIRCH_METRICS_H_
 
+#include <cmath>
+#include <cstddef>
+#include <limits>
 #include <span>
 
 #include "birch/cf.h"
@@ -43,8 +46,54 @@ double ClusterDistance(const CfVector& a, const CfVector& b, ClusterMetric m);
 /// Distance from a single point to a cluster summary: the distance from the
 /// point to the centroid under the part's metric for interval parts; the
 /// expected per-dimension mismatch probability for discrete parts. Used to
-/// steer CF-tree descent and nearest-cluster assignment.
+/// steer CF-tree descent and nearest-cluster assignment. This is the
+/// definition: it never calls the kernel below.
 double PointClusterDistance(std::span<const double> x, const CfVector& c);
+
+/// The nearest-centroid kernel, shared by the ACF-tree's point descent and
+/// the post-scan's CentroidTable: WriteCentroid fills a table, and
+/// FindNearestCentroid scans it. On an interval (Euclidean or Manhattan)
+/// part they pick the lowest index at which PointClusterDistance is least,
+/// at the same distance bit for bit. Discrete parts call
+/// PointClusterDistance instead.
+///
+/// WriteCentroid writes the centroid `ls[d] / n` of non-empty `c` to
+/// `out[0, c.dim())`: PointClusterDistance's division, n converted to
+/// double.
+void WriteCentroid(const CfVector& c, double* out);
+
+/// FindNearestCentroid's answer: an index into the table and its distance.
+struct NearestCentroid {
+  size_t index = 0;
+  double distance = std::numeric_limits<double>::infinity();
+};
+
+/// The centroid among `count` rows of `dim` values at `centroids` that is
+/// nearest to the point whose d-th value is `x(d)`, under the interval
+/// metric `metric`. PointClusterDistance's arithmetic, term for term: the
+/// summation order over d and, for Euclidean parts, the square root (two
+/// sums can round to one root, and the comparison must see what
+/// PointClusterDistance returns). The scan runs in index order with a
+/// strict `<`, so the first index wins a tie, and it returns {0, inf}
+/// when no distance is below infinity (a NaN point, say).
+template <typename Point>
+NearestCentroid FindNearestCentroid(const double* centroids, size_t count,
+                                    size_t dim, MetricKind metric,
+                                    const Point& x) {
+  const bool manhattan = metric == MetricKind::kManhattan;
+  NearestCentroid best;
+  const double* centroid = centroids;
+  for (size_t i = 0; i < count; ++i, centroid += dim) {
+    double s = 0;
+    for (size_t d = 0; d < dim; ++d) {
+      const double diff = x(d) - centroid[d];
+      s += manhattan ? std::fabs(diff) : diff * diff;
+    }
+    const double dist = manhattan ? s : std::sqrt(s);
+    if (dist < best.distance) best = {i, dist};
+  }
+  return best;
+}
 
 }  // namespace dar
 

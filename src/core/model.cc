@@ -1,6 +1,5 @@
 #include "core/model.h"
 
-#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -89,14 +88,15 @@ Result<CentroidTable> CentroidTable::Make(const Relation& rel,
     }
     part.first_centroid = table.centroids_.size();
     if (part.metric == MetricKind::kDiscrete) continue;
+    table.centroids_.resize(part.first_centroid + part.ids.size() * part.dim);
+    double* centroid = table.centroids_.data() + part.first_centroid;
     for (const size_t id : part.ids) {
       const CfVector& cf = clusters.cluster(id).acf.cf();
       DAR_CHECK(cf.metric() == part.metric);
       DAR_CHECK_EQ(cf.dim(), part.dim);
       DAR_CHECK_GT(cf.n(), 0);
-      for (size_t d = 0; d < part.dim; ++d) {
-        table.centroids_.push_back(cf.ls()[d] / cf.n());
-      }
+      WriteCentroid(cf, centroid);
+      centroid += part.dim;
     }
   }
   return table;
@@ -112,26 +112,12 @@ int64_t CentroidTable::Assign(size_t p, size_t row,
     for (size_t d = 0; d < part.dim; ++d) scratch[d] = cols[d][row];
     return static_cast<int64_t>(*clusters_->AssignToCluster(p, scratch));
   }
-  // PointClusterDistance's arithmetic, term for term, and AssignToCluster's
-  // scan: ascending ids, strict `<`, the first cluster when nothing is less
-  // than infinity.
-  const bool manhattan = part.metric == MetricKind::kManhattan;
-  const double* centroid = centroids_.data() + part.first_centroid;
-  size_t best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < part.ids.size(); ++i, centroid += part.dim) {
-    double s = 0;
-    for (size_t d = 0; d < part.dim; ++d) {
-      const double diff = cols[d][row] - centroid[d];
-      s += manhattan ? std::fabs(diff) : diff * diff;
-    }
-    const double dist = manhattan ? s : std::sqrt(s);
-    if (dist < best_d) {
-      best_d = dist;
-      best = i;
-    }
-  }
-  return static_cast<int64_t>(part.ids[best]);
+  // AssignToCluster's scan, over ascending ids: the first cluster wins a
+  // tie, and the first when nothing is less than infinity.
+  const NearestCentroid nearest = FindNearestCentroid(
+      centroids_.data() + part.first_centroid, part.ids.size(), part.dim,
+      part.metric, [cols, row](size_t d) { return cols[d][row]; });
+  return static_cast<int64_t>(part.ids[nearest.index]);
 }
 
 std::string ClusterSet::Describe(size_t id, const Schema& schema,

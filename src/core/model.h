@@ -69,12 +69,12 @@ class ClusterSet {
 
 /// ClusterSet::AssignToCluster for every row of one relation, prepared
 /// once per scan. Per part it holds the ascending ids of the part's
-/// clusters and one contiguous block of their centroids, `ls[d] / n`: the
-/// division PointClusterDistance makes on every call. Assign reads the
-/// row straight from the relation's columns and compares each centroid
-/// with the same formula, summation order and tie rule, so its answer
-/// equals AssignToCluster's bit for bit. Discrete (histogram) parts call
-/// AssignToCluster itself.
+/// clusters and one contiguous block of their centroids, written by
+/// WriteCentroid: the division PointClusterDistance makes on every call.
+/// Assign reads the row straight from the relation's columns and scans the
+/// block with FindNearestCentroid (birch/metrics.h), the kernel the
+/// ACF-tree's descent uses, so its answer equals AssignToCluster's bit for
+/// bit. Discrete (histogram) parts call AssignToCluster itself.
 ///
 /// The table points into `rel` and `clusters`; both must outlive it and
 /// stay unchanged while it is used. Assign is const and safe to call from

@@ -53,12 +53,7 @@ Result<Phase1Builder> Phase1Builder::Make(
     }
   }
 
-  auto layout = std::make_shared<AcfLayout>();
-  layout->parts.reserve(partition.num_parts());
-  for (const auto& part : partition.parts()) {
-    layout->parts.push_back({part.dimension(), part.metric, part.label});
-  }
-
+  std::shared_ptr<const AcfLayout> layout = LayoutOf(partition);
   std::vector<std::unique_ptr<AcfTree>> trees;
   trees.reserve(partition.num_parts());
   for (size_t p = 0; p < partition.num_parts(); ++p) {
@@ -69,20 +64,33 @@ Result<Phase1Builder> Phase1Builder::Make(
                                  ? config.initial_diameters[p]
                                  : 0.0;
     opts.outlier_entry_min_n = 0;  // adjusted as rows arrive
-    if (observer != nullptr) {
-      // Chain after any hook the caller put in config.tree.
-      auto user_hook = opts.on_rebuild;
-      opts.on_rebuild = [observer, user_hook, p](int count, double thresh) {
-        if (user_hook) user_hook(count, thresh);
-        observer->OnTreeRebuild(p, count, thresh);
-      };
-    }
-    trees.push_back(
-        std::make_unique<AcfTree>(layout, p, opts));
+    opts.on_rebuild = RebuildHook(config, observer, p);
+    trees.push_back(std::make_unique<AcfTree>(layout, p, opts));
   }
   return Phase1Builder(config, partition, std::move(layout),
                        std::move(trees), schema.num_attributes(), executor,
                        observer, telemetry);
+}
+
+std::shared_ptr<const AcfLayout> Phase1Builder::LayoutOf(
+    const AttributePartition& partition) {
+  auto layout = std::make_shared<AcfLayout>();
+  layout->parts.reserve(partition.num_parts());
+  for (const auto& part : partition.parts()) {
+    layout->parts.push_back({part.dimension(), part.metric, part.label});
+  }
+  return layout;
+}
+
+std::function<void(int, double)> Phase1Builder::RebuildHook(
+    const DarConfig& config, MiningObserver* observer, size_t p) {
+  if (observer == nullptr) return config.tree.on_rebuild;
+  // Chain after any hook the caller put in config.tree.
+  return [observer, user_hook = config.tree.on_rebuild, p](int count,
+                                                           double thresh) {
+    if (user_hook) user_hook(count, thresh);
+    observer->OnTreeRebuild(p, count, thresh);
+  };
 }
 
 Phase1Builder::Phase1Builder(DarConfig config, AttributePartition partition,
@@ -218,6 +226,11 @@ Status Phase1Builder::AddRelation(const Relation& rel) {
 }
 
 Status Phase1Builder::MergeFrom(const Phase1Builder& other) {
+  if (&other == this) {
+    return Status::InvalidArgument(
+        "cannot merge a Phase-I builder into itself: its tuples are not "
+        "disjoint from its own");
+  }
   if (schema_width_ != other.schema_width_) {
     return Status::InvalidArgument(
         "cannot merge Phase-I builders over different schema widths (" +

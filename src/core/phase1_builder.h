@@ -1,6 +1,7 @@
 #ifndef DAR_CORE_PHASE1_BUILDER_H_
 #define DAR_CORE_PHASE1_BUILDER_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -83,6 +84,7 @@ class Phase1Builder {
   /// come from a decoded checkpoint of another process) is unchanged.
   /// Records merge.builder_merges / merge.rows counters and a
   /// merge.builder_seconds histogram on this builder's telemetry context.
+  /// A builder cannot absorb itself: InvalidArgument, and it is unchanged.
   Status MergeFrom(const Phase1Builder& other);
 
   /// Re-absorbs outliers, optionally refines clusters, applies the
@@ -112,6 +114,17 @@ class Phase1Builder {
                 size_t schema_width, Executor* executor,
                 MiningObserver* observer,
                 telemetry::TelemetryContext telemetry);
+
+  // The one layout of a builder over `partition`: its parts in part order.
+  // Its trees and their ACFs share it, since they compare layouts by
+  // pointer.
+  static std::shared_ptr<const AcfLayout> LayoutOf(
+      const AttributePartition& partition);
+
+  // Part `p`'s tree rebuild hook: config.tree.on_rebuild, then the
+  // observer's OnTreeRebuild when there is an observer.
+  static std::function<void(int, double)> RebuildHook(
+      const DarConfig& config, MiningObserver* observer, size_t p);
 
   // Keeps each tree's outlier paging threshold in step with the running
   // tuple count (s0 is only known at Finish in streaming mode).

@@ -86,7 +86,7 @@ void WriteTreeOptions(WireWriter& w, const AcfTreeOptions& o) {
   w.I32(o.max_rebuilds_per_insert);
 }
 
-// on_rebuild is not on the wire; the caller re-wires it after decode.
+// on_rebuild is not on the wire; DecodeBuilder re-wires it after decode.
 Result<AcfTreeOptions> ReadTreeOptions(WireReader& r) {
   AcfTreeOptions o;
   DAR_ASSIGN_OR_RETURN(o.branching_factor, r.I32());
@@ -366,7 +366,7 @@ void PersistPeer::EncodeTree(const AcfTree& tree, WireWriter& w) {
 
 Result<std::unique_ptr<AcfTree>> PersistPeer::DecodeTree(
     WireReader& r, std::shared_ptr<const AcfLayout> layout,
-    size_t expect_part, std::function<void(int, double)> on_rebuild) {
+    size_t expect_part) {
   if (layout == nullptr || expect_part >= layout->num_parts()) {
     return Status::InvalidArgument(
         "DecodeTree: expect_part " + std::to_string(expect_part) +
@@ -379,7 +379,6 @@ Result<std::unique_ptr<AcfTree>> PersistPeer::DecodeTree(
         std::to_string(expect_part));
   }
   DAR_ASSIGN_OR_RETURN(AcfTreeOptions options, ReadTreeOptions(r));
-  options.on_rebuild = std::move(on_rebuild);
 
   double threshold;
   int rebuild_count;
@@ -485,28 +484,13 @@ Result<Phase1Builder> PersistPeer::DecodeBuilder(
   // One shared layout for the builder and every tree/ACF under it: the
   // summary classes compare layouts by pointer identity, so decode must
   // thread a single shared_ptr through everything it constructs.
-  auto layout = std::make_shared<AcfLayout>();
-  layout->parts.reserve(partition.num_parts());
-  for (const auto& part : partition.parts()) {
-    layout->parts.push_back({part.dimension(), part.metric, part.label});
-  }
-
+  std::shared_ptr<const AcfLayout> layout = Phase1Builder::LayoutOf(partition);
   std::vector<std::unique_ptr<AcfTree>> trees;
   trees.reserve(num_parts);
   for (uint32_t p = 0; p < num_parts; ++p) {
     DAR_ASSIGN_OR_RETURN(uint64_t blob_len, r.U64());
     DAR_ASSIGN_OR_RETURN(WireReader blob,
                          r.Slice(static_cast<size_t>(blob_len)));
-    // Hooks are not serialized; re-wire them exactly as Phase1Builder::Make
-    // does, from the *restoring* config and observer.
-    std::function<void(int, double)> on_rebuild = config.tree.on_rebuild;
-    if (observer != nullptr) {
-      auto user_hook = std::move(on_rebuild);
-      on_rebuild = [observer, user_hook, p](int count, double thresh) {
-        if (user_hook) user_hook(count, thresh);
-        observer->OnTreeRebuild(p, count, thresh);
-      };
-    }
     auto tree = persist::DecodeTree(blob, layout, p);
     if (!tree.ok()) {
       return Status(tree.status().code(), "part " + std::to_string(p) +
@@ -515,7 +499,10 @@ Result<Phase1Builder> PersistPeer::DecodeBuilder(
     }
     DAR_RETURN_IF_ERROR(
         blob.ExpectEnd("part " + std::to_string(p) + " tree blob"));
-    (*tree)->options_.on_rebuild = std::move(on_rebuild);
+    // Hooks are not serialized; wire them as Phase1Builder::Make does, from
+    // the *restoring* config and observer.
+    (*tree)->options_.on_rebuild =
+        Phase1Builder::RebuildHook(config, observer, p);
     trees.push_back(std::move(*tree));
   }
   DAR_RETURN_IF_ERROR(r.ExpectEnd("builder section"));
@@ -563,7 +550,7 @@ Result<std::unique_ptr<AcfTree>> DecodeTree(
     size_t expect_part) {
   DAR_ASSIGN_OR_RETURN(
       std::unique_ptr<AcfTree> tree,
-      PersistPeer::DecodeTree(r, std::move(layout), expect_part, {}));
+      PersistPeer::DecodeTree(r, std::move(layout), expect_part));
 #ifdef DAR_VALIDATE_INVARIANTS
   // A CRC catches flipped bits, not semantically wrong (e.g. version-
   // skewed) trees: under validation builds every decoded tree must also

@@ -1,7 +1,6 @@
 #ifndef DAR_PERSIST_PERSIST_PEER_H_
 #define DAR_PERSIST_PERSIST_PEER_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,8 +39,7 @@ struct PersistPeer {
   static void EncodeTree(const AcfTree& tree, persist::WireWriter& w);
   static Result<std::unique_ptr<AcfTree>> DecodeTree(
       persist::WireReader& r, std::shared_ptr<const AcfLayout> layout,
-      size_t expect_part,
-      std::function<void(int, double)> on_rebuild);
+      size_t expect_part);
 
   // --- Phase1Builder ---
   static void EncodeBuilder(const Phase1Builder& builder,

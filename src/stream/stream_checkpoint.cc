@@ -150,9 +150,8 @@ Result<RestoredStream> StreamingMiner::RestoreFromFile(
   DAR_ASSIGN_OR_RETURN(
       Phase1Builder builder,
       persist::DecodeBuilderSection(
-          builder_bytes, config, meta.schema, meta.partition,
-          executor != nullptr ? executor.get() : nullptr, observer,
-          telemetry::TelemetryContext(registry.get())));
+          builder_bytes, config, meta.schema, meta.partition, executor.get(),
+          observer, telemetry::TelemetryContext(registry.get())));
   if (builder.rows_added() != state.rows_ingested) {
     return Status::InvalidArgument(
         "'" + path + "': builder recorded " +

@@ -69,9 +69,7 @@ Result<std::unique_ptr<StreamingMiner>> StreamingMiner::Make(
   }
   DAR_ASSIGN_OR_RETURN(
       Phase1Builder builder,
-      Phase1Builder::Make(config, schema, partition,
-                          executor != nullptr ? executor.get() : nullptr,
-                          observer,
+      Phase1Builder::Make(config, schema, partition, executor.get(), observer,
                           telemetry::TelemetryContext(registry.get())));
   // The atomics rule out moves, so the stream lives on the heap from
   // birth; PrivateTag keeps construction funneled through Make.
@@ -129,7 +127,7 @@ Result<std::shared_ptr<const RuleSnapshot>> StreamingMiner::Remine() {
   // rules from the summaries. No ingested tuple is revisited.
   DAR_ASSIGN_OR_RETURN(Phase1Result phase1, builder_.Snapshot());
   Phase2RunOptions options;
-  options.executor = executor_ != nullptr ? executor_.get() : nullptr;
+  options.executor = executor_.get();
   options.observer = observer_;
   options.telemetry = telemetry::TelemetryContext(registry_.get());
   DAR_ASSIGN_OR_RETURN(Phase2Result phase2,
@@ -188,8 +186,7 @@ Result<QualityArtifacts> StreamingMiner::ComputeQuality(
     DAR_ASSIGN_OR_RETURN(
         std::vector<RuleStats> stats,
         ComputeRuleStats(retained_rows_, partition_, phase1.clusters,
-                         phase2.rules,
-                         executor_ != nullptr ? executor_.get() : nullptr));
+                         phase2.rules, executor_.get()));
     if (post_scan_seconds_ != nullptr) {
       post_scan_seconds_->Record(watch.ElapsedSeconds());
     }

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -244,42 +245,6 @@ TEST(AcfTreeTest, FinishScanAbsorbsCloseOutliers) {
   EXPECT_EQ(tree.TotalMass(), 100);
 }
 
-TEST(AcfTreeTest, NearestClusterIndexFindsContainingCluster) {
-  AcfTreeOptions opts = SmallTreeOptions();
-  opts.initial_threshold = 2.0;
-  AcfTree tree(OnePartLayout(), 0, opts);
-  Rng rng(10);
-  for (int i = 0; i < 60; ++i) {
-    double base = 10.0 * (i % 5);
-    ASSERT_TRUE(tree.InsertPoint({{base + rng.Uniform(-0.3, 0.3)}}).ok());
-  }
-  auto clusters = tree.ExtractClusters();
-  ASSERT_GE(clusters.size(), 5u);
-  std::vector<double> probe = {20.0};
-  auto idx = tree.NearestClusterIndex(probe);
-  ASSERT_TRUE(idx.ok());
-  EXPECT_NEAR(clusters[*idx].Centroid()[0], 20.0, 1.0);
-}
-
-TEST(AcfTreeTest, NearestClusterIndexEmptyTree) {
-  AcfTree tree(OnePartLayout(), 0, SmallTreeOptions());
-  std::vector<double> probe = {1.0};
-  EXPECT_TRUE(tree.NearestClusterIndex(probe).status().IsNotFound());
-}
-
-TEST(AcfTreeTest, NearestClusterIndexRejectsBadProbes) {
-  AcfTree tree(OnePartLayout(), 0, SmallTreeOptions());
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(tree.InsertPoint({{static_cast<double>(i)}}).ok());
-  }
-  const std::vector<std::vector<double>> probes = {
-      {1.0, 2.0}, {}, {std::numeric_limits<double>::quiet_NaN()}};
-  for (const std::vector<double>& probe : probes) {
-    SCOPED_TRACE(probe.size());
-    EXPECT_TRUE(tree.NearestClusterIndex(probe).status().IsInvalidArgument());
-  }
-}
-
 // A 1-D Euclidean, a 2-D Manhattan and a 2-D discrete part.
 std::shared_ptr<const AcfLayout> MixedLayout() {
   auto layout = std::make_shared<AcfLayout>();
@@ -296,7 +261,7 @@ std::string Encode(const AcfTree& tree) {
 }
 
 TEST(AcfTreeTest, InsertRowsEncodesLikeFlatRowsAtAnyBlockLength) {
-  // Blocks of 1 row, 7 rows and the whole input, against InsertFlatRow row
+  // Blocks of 1 row, 7 rows and the whole input, against InsertPoint row
   // by row, on every part. The budget makes rebuilds (with outlier
   // paging) fire inside the blocks.
   const std::shared_ptr<const AcfLayout> layout = MixedLayout();
@@ -321,10 +286,14 @@ TEST(AcfTreeTest, InsertRowsEncodesLikeFlatRowsAtAnyBlockLength) {
   for (size_t own = 0; own < layout->num_parts(); ++own) {
     SCOPED_TRACE("part " + std::to_string(own));
     AcfTree by_row(layout, own, opts);
-    std::vector<double> flat(layout->row_width());
     for (size_t r = 0; r < rows; ++r) {
-      for (size_t k = 0; k < flat.size(); ++k) flat[k] = columns[k][r];
-      ASSERT_TRUE(by_row.InsertFlatRow(flat).ok());
+      PartedRow row(layout->num_parts());
+      for (size_t p = 0; p < row.size(); ++p) {
+        for (size_t d = 0; d < layout->parts[p].dim; ++d) {
+          row[p].push_back(columns[layout->offset(p) + d][r]);
+        }
+      }
+      ASSERT_TRUE(by_row.InsertPoint(row).ok());
     }
     EXPECT_GE(by_row.rebuild_count(), 3);
     const std::string want = Encode(by_row);
@@ -365,6 +334,101 @@ TEST(AcfTreeTest, InsertRowsRefusesABadBlockWhole) {
   EXPECT_EQ(clusters[0].image(0).ls()[0], 3.0);
   EXPECT_EQ(clusters[0].image(1).ls()[0], 6.0);
   EXPECT_EQ(clusters[0].image(1).n(), 1);
+}
+
+// FNV-1a, 64 bits.
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+// Seeded rows for MixedLayout(), one vector per flat-row slot. Every 37th
+// row lies far from the others on every part (a unique code on the
+// discrete part), so paged-out clusters can stay outliers.
+std::vector<std::vector<double>> MixedColumns(size_t rows, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> columns(5, std::vector<double>(rows));
+  for (size_t r = 0; r < rows; ++r) {
+    const bool far = r % 37 == 0;
+    const double code = 100.0 + static_cast<double>(r);
+    columns[0][r] = far ? rng.Uniform(1e5, 2e5) : rng.Uniform(0, 1000);
+    columns[1][r] = far ? rng.Uniform(1e4, 2e4) : rng.Uniform(-50, 50);
+    columns[2][r] = rng.Uniform(0, 10);
+    columns[3][r] = far ? code : std::floor(rng.Uniform(0, 5));
+    columns[4][r] = far ? code : std::floor(rng.Uniform(0, 3));
+  }
+  return columns;
+}
+
+Status InsertColumns(AcfTree& tree,
+                     const std::vector<std::vector<double>>& columns) {
+  std::vector<const double*> block;
+  for (const std::vector<double>& column : columns) {
+    block.push_back(column.data());
+  }
+  return tree.InsertRows(block, 0, columns[0].size());
+}
+
+TEST(AcfTreeTest, PinnedOutputThroughRebuildsFinishScanAndMerge) {
+  // Fixed-seed trees on every part of the mixed layout (Euclidean,
+  // Manhattan and discrete), through splits, rebuilds with outlier
+  // paging, FinishScan and a merge. The encoded bytes are pinned by
+  // hash, so a change to any descent, split or absorption decision fails
+  // here.
+  const std::shared_ptr<const AcfLayout> layout = MixedLayout();
+  AcfTreeOptions opts = SmallTreeOptions();
+  opts.memory_budget_bytes = 64u << 10;
+  opts.outlier_entry_min_n = 3;
+  struct Pin {
+    uint64_t hash;
+    int64_t splits;
+    int rebuilds;
+    size_t outliers;
+  };
+  const Pin pins[] = {{0xa1078e25fc96fef4ull, 130, 15, 51},
+                      {0xcd9ae617824688b4ull, 87, 11, 28},
+                      {0xf0bc6cf278e32de1ull, 122, 10, 0}};
+  for (size_t own = 0; own < layout->num_parts(); ++own) {
+    SCOPED_TRACE("part " + std::to_string(own));
+    AcfTree tree(layout, own, opts);
+    ASSERT_TRUE(InsertColumns(tree, MixedColumns(2000, 31)).ok());
+    EXPECT_GE(tree.rebuild_count(), 3);
+    EXPECT_GT(tree.Stats().num_outliers, 0u);  // some cluster was paged
+    ASSERT_TRUE(tree.FinishScan().ok());
+    AcfTree other(layout, own, opts);
+    ASSERT_TRUE(InsertColumns(other, MixedColumns(1200, 32)).ok());
+    ASSERT_TRUE(tree.MergeFrom(other).ok());
+    ASSERT_TRUE(tree.FinishScan().ok());
+    Status valid = tree.ValidateInvariants();
+    EXPECT_TRUE(valid.ok()) << valid;
+    EXPECT_EQ(tree.TotalMass(), 3200);
+    const AcfTreeStats stats = tree.Stats();
+    EXPECT_EQ(Fnv1a64(Encode(tree)), pins[own].hash);
+    EXPECT_EQ(stats.split_count, pins[own].splits);
+    EXPECT_EQ(stats.rebuild_count, pins[own].rebuilds);
+    EXPECT_EQ(tree.outliers().size(), pins[own].outliers);
+  }
+}
+
+TEST(AcfTreeTest, MergeFromItselfIsRefused) {
+  // A tree's tuples are not disjoint from its own. Paging fills the
+  // outlier buffer that a self-merge would read while appending to it.
+  AcfTreeOptions opts = SmallTreeOptions();
+  opts.memory_budget_bytes = 6u << 10;
+  opts.outlier_entry_min_n = 3;
+  AcfTree tree(OnePartLayout(), 0, opts);
+  Rng rng(15);
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(tree.InsertPoint({{rng.Uniform(0, 1e6)}}).ok());
+  }
+  ASSERT_GT(tree.Stats().num_outliers, 0u);
+  const std::string before = Encode(tree);
+  EXPECT_TRUE(tree.MergeFrom(tree).IsInvalidArgument());
+  EXPECT_EQ(Encode(tree), before);
 }
 
 TEST(AcfTreeTest, DeterministicForIdenticalInput) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "test_util.h"
 
 namespace dar {
@@ -183,6 +189,90 @@ TEST(PointClusterDistanceTest, DiscreteMismatchProbability) {
   EXPECT_NEAR(PointClusterDistance(x, cf), 1.0 - 2.0 / 3.0, 1e-12);
   std::vector<double> y = {9.0};
   EXPECT_NEAR(PointClusterDistance(y, cf), 1.0, 1e-12);
+}
+
+// FindNearestCentroid over a WriteCentroid table of `clusters`, checked
+// against the lowest-index minimum of PointClusterDistance, the
+// definition: the same index and the same distance bits. Returns the
+// kernel's answer.
+NearestCentroid ExpectKernelMatchesDefinition(
+    const std::vector<CfVector>& clusters, const std::vector<double>& x) {
+  const size_t dim = x.size();
+  std::vector<double> table(clusters.size() * dim);
+  for (size_t i = 0; i < clusters.size(); ++i) {
+    WriteCentroid(clusters[i], table.data() + i * dim);
+  }
+  NearestCentroid want;
+  for (size_t i = 0; i < clusters.size(); ++i) {
+    const double d = PointClusterDistance(x, clusters[i]);
+    if (d < want.distance) want = {i, d};
+  }
+  const NearestCentroid got =
+      FindNearestCentroid(table.data(), clusters.size(), dim,
+                          clusters[0].metric(),
+                          [&x](size_t d) { return x[d]; });
+  EXPECT_EQ(got.index, want.index);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.distance),
+            std::bit_cast<uint64_t>(want.distance));
+  return got;
+}
+
+TEST(NearestCentroidTest, MatchesPointClusterDistance) {
+  Rng rng(41);
+  for (const MetricKind metric :
+       {MetricKind::kEuclidean, MetricKind::kManhattan}) {
+    for (const size_t dim : {size_t{1}, size_t{3}}) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(metric)) + "/" +
+                   std::to_string(dim));
+      for (int trial = 0; trial < 50; ++trial) {
+        std::vector<CfVector> clusters;
+        for (int c = 0; c < 12; ++c) {
+          const size_t n = static_cast<size_t>(rng.UniformInt(1, 7));
+          clusters.push_back(Summarize(RandomPoints(rng, n, dim), metric));
+        }
+        ExpectKernelMatchesDefinition(clusters, RandomPoints(rng, 1, dim)[0]);
+      }
+    }
+  }
+}
+
+TEST(NearestCentroidTest, FirstIndexWinsATie) {
+  // Single points at 5, 1, 3 and 3 again on every dimension, probed at 2:
+  // slots 1, 2 and 3 are at exactly the same distance.
+  for (const MetricKind metric :
+       {MetricKind::kEuclidean, MetricKind::kManhattan}) {
+    for (const size_t dim : {size_t{1}, size_t{3}}) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(metric)) + "/" +
+                   std::to_string(dim));
+      std::vector<CfVector> clusters;
+      for (const double v : {5.0, 1.0, 3.0, 3.0}) {
+        clusters.push_back(Summarize({std::vector<double>(dim, v)}, metric));
+      }
+      const NearestCentroid got =
+          ExpectKernelMatchesDefinition(clusters, std::vector<double>(dim, 2));
+      EXPECT_EQ(got.index, 1u);
+    }
+  }
+}
+
+TEST(NearestCentroidTest, NaNProbeIsIndexZeroAtInfinity) {
+  for (const MetricKind metric :
+       {MetricKind::kEuclidean, MetricKind::kManhattan}) {
+    for (const size_t dim : {size_t{1}, size_t{3}}) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(metric)) + "/" +
+                   std::to_string(dim));
+      Rng rng(42);
+      std::vector<CfVector> clusters;
+      for (int c = 0; c < 4; ++c) {
+        clusters.push_back(Summarize(RandomPoints(rng, 3, dim), metric));
+      }
+      std::vector<double> x(dim, 1.0);
+      x[dim - 1] = std::numeric_limits<double>::quiet_NaN();
+      const NearestCentroid got = ExpectKernelMatchesDefinition(clusters, x);
+      EXPECT_EQ(got.index, 0u);
+      EXPECT_EQ(got.distance, std::numeric_limits<double>::infinity());
+    }
+  }
 }
 
 }  // namespace

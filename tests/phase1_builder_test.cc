@@ -392,5 +392,28 @@ TEST(Phase1BuilderTest, BlockBoundariesKeepTheOutlierCadence) {
   EXPECT_EQ(persist::EncodeBuilderSection(batched), want);
 }
 
+TEST(Phase1BuilderTest, MergeFromItselfIsRefused) {
+  // A builder's tuples are not disjoint from its own: a self-merge would
+  // double rows_added and read every tree's outlier buffer while
+  // appending to it. Refused before any state changes, at 1 and 4 threads.
+  const MixedLayoutData data = MakeMixedLayoutData(9500, /*drift=*/0.05);
+  DarConfig config;
+  config.memory_budget_bytes = 384u << 10;
+  config.frequency_fraction = 0.3;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    std::shared_ptr<Executor> executor = MakeExecutor(threads);
+    auto builder = Phase1Builder::Make(config, data.rel.schema(),
+                                       data.partition, executor.get());
+    ASSERT_TRUE(builder.ok()) << builder.status();
+    ASSERT_TRUE(builder->AddRelation(data.rel).ok());
+    const std::string before = persist::EncodeBuilderSection(*builder);
+    Status refused = builder->MergeFrom(*builder);
+    EXPECT_TRUE(refused.IsInvalidArgument()) << refused;
+    EXPECT_EQ(builder->rows_added(), static_cast<int64_t>(data.rel.num_rows()));
+    EXPECT_EQ(persist::EncodeBuilderSection(*builder), before);
+  }
+}
+
 }  // namespace
 }  // namespace dar
