@@ -1309,82 +1309,38 @@ int MicroRuleIndex(const BenchOptions& options,
   return 0;
 }
 
-// The §6.2 support post-scan at the perfbench mine_sec72 shape (the
-// paper's §7.2 data: 30 attributes x 35 clusters, 90 partial patterns of
-// 6 attributes, 20% outliers; D0 110) on fewer rows: ComputeRuleStats
-// timed as the median of repeated calls on the session's executor, then
-// every rule's table checked against a serial brute-force recount through
-// ClusterSet::AssignToCluster. check_bench_json.py requires zero
-// mismatching rules and at least one rule and one matched tuple.
-int MicroPostScan(const BenchOptions& options, std::vector<RunRecord>& runs) {
-  const size_t n = options.smoke ? 5000 : 50000;
-  const size_t calls = options.smoke ? 3 : 7;
-  auto spec = WbcdPartialPatternSpec(30, 35, 90, 6, 0.2, options.seed);
-  if (!spec.ok()) {
-    std::cerr << spec.status() << "\n";
-    return 1;
-  }
-  auto data = GeneratePlanted(*spec, n, options.seed + 20);
-  if (!data.ok()) {
-    std::cerr << data.status() << "\n";
-    return 1;
-  }
-  DarConfig config;
-  config.memory_budget_bytes = 32u << 20;
-  config.frequency_fraction = 0.005;
-  config.refine_clusters = true;
-  config.density_thresholds.assign(30, 125.0);
-  config.phase2_leniency = 2.0;
-  config.degree_threshold = 110.0;
-  auto session = MakeSession(options, config);
-  if (!session.ok()) {
-    std::cerr << session.status() << "\n";
-    return 1;
-  }
-  const Relation& rel = data->relation;
-  const AttributePartition& partition = data->partition;
-  auto phase1 = session->RunPhase1(rel, partition);
-  if (!phase1.ok()) {
-    std::cerr << phase1.status() << "\n";
-    return 1;
-  }
-  auto phase2 = session->RunPhase2(*phase1);
-  if (!phase2.ok()) {
-    std::cerr << phase2.status() << "\n";
-    return 1;
-  }
-  const ClusterSet& clusters = phase1->clusters;
-  const std::vector<DistanceRule>& rules = phase2->rules;
+// What the support post-scan oracle found on one relation.
+struct PostScanCheck {
+  int64_t matched = 0;     // tuples that match both sides, over all rules
+  int64_t mismatches = 0;  // rules whose table differs from the recount
+  // (row, part) pairs whose values equal their cluster's centroid, where
+  // the nearest-centroid kernel rescans (birch/metrics.h).
+  int64_t exact_hits = 0;
+};
 
-  std::vector<double> call_seconds;
-  std::vector<RuleStats> stats;
-  for (size_t c = 0; c < calls; ++c) {
-    Stopwatch watch;
-    auto got = ComputeRuleStats(rel, partition, clusters, rules,
-                                &session->executor());
-    call_seconds.push_back(watch.ElapsedSeconds());
-    if (!got.ok()) {
-      std::cerr << got.status() << "\n";
-      return 1;
-    }
-    stats = *std::move(got);
-  }
-  std::sort(call_seconds.begin(), call_seconds.end());
-
-  // The oracle: a serial assignment through AssignToCluster, then every
-  // rule's four cells counted row by row.
+// The oracle: a serial assignment through AssignToCluster, then every
+// rule's four cells counted row by row and compared with `stats`.
+PostScanCheck CheckPostScan(const Relation& rel,
+                            const AttributePartition& partition,
+                            const ClusterSet& clusters,
+                            const std::vector<DistanceRule>& rules,
+                            const std::vector<RuleStats>& stats) {
+  PostScanCheck out;
   const size_t parts = partition.num_parts();
   std::vector<int64_t> assigned(rel.num_rows() * parts, -1);
   std::vector<double> x;
+  std::vector<double> centroid;
   for (size_t r = 0; r < rel.num_rows(); ++r) {
     for (size_t p = 0; p < parts; ++p) {
       rel.ProjectRow(r, partition.part(p).columns, x);
       auto id = clusters.AssignToCluster(p, x);
-      if (id.ok()) assigned[r * parts + p] = static_cast<int64_t>(*id);
+      if (!id.ok()) continue;
+      assigned[r * parts + p] = static_cast<int64_t>(*id);
+      centroid.resize(x.size());
+      WriteCentroid(clusters.cluster(*id).acf.cf(), centroid.data());
+      if (centroid == x) ++out.exact_hits;
     }
   }
-  int64_t matched = 0;
-  int64_t mismatches = 0;
   for (size_t k = 0; k < rules.size(); ++k) {
     RuleStats want;
     for (size_t r = 0; r < rel.num_rows(); ++r) {
@@ -1407,22 +1363,154 @@ int MicroPostScan(const BenchOptions& options, std::vector<RunRecord>& runs) {
     const RuleStats& got = stats[k];
     if (got.total != want.total || got.antecedent != want.antecedent ||
         got.consequent != want.consequent || got.both != want.both) {
-      ++mismatches;
+      ++out.mismatches;
     }
-    matched += got.both;
+    out.matched += got.both;
   }
+  return out;
+}
+
+// A relation mined for the post-scan run: its session (whose executor
+// the scans use) and the two phases' results.
+struct MinedForPostScan {
+  Session session;
+  Phase1Result phase1;
+  Phase2Result phase2;
+};
+
+Result<MinedForPostScan> MineForPostScan(const BenchOptions& options,
+                                         const DarConfig& config,
+                                         const PlantedDataset& data) {
+  DAR_ASSIGN_OR_RETURN(Session session, MakeSession(options, config));
+  DAR_ASSIGN_OR_RETURN(Phase1Result phase1,
+                       session.RunPhase1(data.relation, data.partition));
+  DAR_ASSIGN_OR_RETURN(Phase2Result phase2, session.RunPhase2(phase1));
+  return MinedForPostScan{std::move(session), std::move(phase1),
+                          std::move(phase2)};
+}
+
+// The §6.2 support post-scan at the perfbench mine_sec72 shape (the
+// paper's §7.2 data: 30 attributes x 35 clusters, 90 partial patterns of
+// 6 attributes, 20% outliers; D0 110) on fewer rows: ComputeRuleStats
+// timed as the median of repeated calls on the session's executor, then
+// every rule's table checked against a serial brute-force recount through
+// ClusterSet::AssignToCluster. Then the same on a second, "integer"
+// relation: 8 attributes x 4 clusters, 8 partial patterns of 3
+// attributes, no outliers, every cluster a single integer value, so that
+// clusters are single values and most rows hit a centroid exactly, which
+// is where the nearest-centroid kernel rescans. check_bench_json.py
+// requires zero mismatching rules and at least one rule and one matched
+// tuple on each relation, and at least one exact hit on the second.
+int MicroPostScan(const BenchOptions& options, std::vector<RunRecord>& runs) {
+  const size_t n = options.smoke ? 5000 : 50000;
+  const size_t calls = options.smoke ? 3 : 7;
+  auto spec = WbcdPartialPatternSpec(30, 35, 90, 6, 0.2, options.seed);
+  if (!spec.ok()) {
+    std::cerr << spec.status() << "\n";
+    return 1;
+  }
+  auto data = GeneratePlanted(*spec, n, options.seed + 20);
+  if (!data.ok()) {
+    std::cerr << data.status() << "\n";
+    return 1;
+  }
+  DarConfig config;
+  config.memory_budget_bytes = 32u << 20;
+  config.frequency_fraction = 0.005;
+  config.refine_clusters = true;
+  config.density_thresholds.assign(30, 125.0);
+  config.phase2_leniency = 2.0;
+  config.degree_threshold = 110.0;
+  auto mined = MineForPostScan(options, config, *data);
+  if (!mined.ok()) {
+    std::cerr << mined.status() << "\n";
+    return 1;
+  }
+  const Relation& rel = data->relation;
+  const AttributePartition& partition = data->partition;
+  const ClusterSet& clusters = mined->phase1.clusters;
+  const std::vector<DistanceRule>& rules = mined->phase2.rules;
+
+  std::vector<double> call_seconds;
+  std::vector<RuleStats> stats;
+  for (size_t c = 0; c < calls; ++c) {
+    Stopwatch watch;
+    auto got = ComputeRuleStats(rel, partition, clusters, rules,
+                                &mined->session.executor());
+    call_seconds.push_back(watch.ElapsedSeconds());
+    if (!got.ok()) {
+      std::cerr << got.status() << "\n";
+      return 1;
+    }
+    stats = *std::move(got);
+  }
+  std::sort(call_seconds.begin(), call_seconds.end());
+  const PostScanCheck check =
+      CheckPostScan(rel, partition, clusters, rules, stats);
+
+  // The integer relation.
+  auto int_spec = WbcdPartialPatternSpec(8, 4, 8, 3, 0.0, options.seed);
+  if (!int_spec.ok()) {
+    std::cerr << int_spec.status() << "\n";
+    return 1;
+  }
+  for (PlantedPart& part : int_spec->parts) {
+    for (PlantedCluster& cluster : part.clusters) {
+      cluster.center[0] = std::round(cluster.center[0]);
+      cluster.stddev = 0;
+    }
+  }
+  auto int_data = GeneratePlanted(*int_spec, n, options.seed + 21);
+  if (!int_data.ok()) {
+    std::cerr << int_data.status() << "\n";
+    return 1;
+  }
+  DarConfig int_config = config;
+  int_config.density_thresholds.assign(8, 125.0);
+  auto int_mined = MineForPostScan(options, int_config, *int_data);
+  if (!int_mined.ok()) {
+    std::cerr << int_mined.status() << "\n";
+    return 1;
+  }
+  const Relation& int_rel = int_data->relation;
+  const ClusterSet& int_clusters = int_mined->phase1.clusters;
+  const std::vector<DistanceRule>& int_rules = int_mined->phase2.rules;
+  Stopwatch int_watch;
+  auto int_stats =
+      ComputeRuleStats(int_rel, int_data->partition, int_clusters, int_rules,
+                       &int_mined->session.executor());
+  const double int_seconds = int_watch.ElapsedSeconds();
+  if (!int_stats.ok()) {
+    std::cerr << int_stats.status() << "\n";
+    return 1;
+  }
+  const PostScanCheck int_check = CheckPostScan(
+      int_rel, int_data->partition, int_clusters, int_rules, *int_stats);
 
   telemetry::MetricsRegistry registry;
   registry.GetCounter("micro.post_scan.rows")
       ->Increment(static_cast<int64_t>(rel.num_rows()));
   registry.GetCounter("micro.post_scan.parts")
-      ->Increment(static_cast<int64_t>(parts));
+      ->Increment(static_cast<int64_t>(partition.num_parts()));
   registry.GetCounter("micro.post_scan.clusters")
       ->Increment(static_cast<int64_t>(clusters.size()));
   registry.GetCounter("micro.post_scan.rules")
       ->Increment(static_cast<int64_t>(rules.size()));
-  registry.GetCounter("micro.post_scan.matched")->Increment(matched);
-  registry.GetCounter("micro.post_scan.mismatches")->Increment(mismatches);
+  registry.GetCounter("micro.post_scan.matched")->Increment(check.matched);
+  registry.GetCounter("micro.post_scan.mismatches")
+      ->Increment(check.mismatches);
+  registry.GetCounter("micro.post_scan.integer.rows")
+      ->Increment(static_cast<int64_t>(int_rel.num_rows()));
+  registry.GetCounter("micro.post_scan.integer.clusters")
+      ->Increment(static_cast<int64_t>(int_clusters.size()));
+  registry.GetCounter("micro.post_scan.integer.rules")
+      ->Increment(static_cast<int64_t>(int_rules.size()));
+  registry.GetCounter("micro.post_scan.integer.matched")
+      ->Increment(int_check.matched);
+  registry.GetCounter("micro.post_scan.integer.mismatches")
+      ->Increment(int_check.mismatches);
+  registry.GetCounter("micro.post_scan.integer.exact_hits")
+      ->Increment(int_check.exact_hits);
   RunRecord run;
   run.name = "micro/post_scan";
   run.params = {{"n", static_cast<double>(n)},
@@ -1436,7 +1524,8 @@ int MicroPostScan(const BenchOptions& options, std::vector<RunRecord>& runs) {
       {"min_seconds", call_seconds.front()},
       {"max_seconds", call_seconds.back()},
       {"rows_per_second",
-       median > 0 ? static_cast<double>(n) / median : 0.0}};
+       median > 0 ? static_cast<double>(n) / median : 0.0},
+      {"integer_seconds", int_seconds}};
   run.telemetry_json = DeterministicTelemetry(registry.TakeSnapshot());
   runs.push_back(std::move(run));
   return 0;

@@ -1,5 +1,6 @@
 #include "birch/acf.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "birch/budget.h"
@@ -48,24 +49,92 @@ Acf::Acf(std::shared_ptr<const AcfLayout> layout, size_t own_part)
   }
 }
 
-void Acf::AddRow(const PartedRow& row) {
-  DAR_CHECK_EQ(row.size(), images_.size());
-  std::vector<const double*> columns;  // a one-row block
-  for (size_t i = 0; i < images_.size(); ++i) {
-    DAR_CHECK_EQ(row[i].size(), images_[i].dim());
-    for (const double& v : row[i]) columns.push_back(&v);
+Result<RowBlock> RowBlock::Make(const AcfLayout& layout,
+                                 std::span<const double* const> columns,
+                                 size_t begin, size_t end) {
+  if (columns.size() != layout.row_width()) {
+    return Status::InvalidArgument(
+        "block has " + std::to_string(columns.size()) +
+        " columns, the layout's rows have " +
+        std::to_string(layout.row_width()));
   }
-  AbsorbRow(row[own_part_].data(), 0);
-  FlushQueue(columns, 0);
+  // Offsets in the block are queued as 32-bit values.
+  if (begin > end || end - begin > (uint64_t{1} << 32)) {
+    return Status::InvalidArgument(
+        "block rows [" + std::to_string(begin) + ", " + std::to_string(end) +
+        ") are reversed or span more than 2^32 rows");
+  }
+  for (size_t k = 0; k < columns.size(); ++k) {
+    size_t r = begin;
+    while (r < end && std::isfinite(columns[k][r])) ++r;
+    if (r == end) continue;
+    size_t part = 0;
+    while (layout.offset(part + 1) <= k) ++part;
+    return Status::InvalidArgument(
+        "non-finite value in part " + std::to_string(part) + " ('" +
+        layout.parts[part].label + "'), row " + std::to_string(r) +
+        "; CF summaries require finite coordinates");
+  }
+  return RowBlock(columns, begin, end);
 }
 
-void Acf::FlushQueue(std::span<const double* const> columns, size_t begin) {
+Result<RowBlock> RowBlock::FromPartedRow(const AcfLayout& layout,
+                                         const PartedRow& row,
+                                         std::vector<const double*>& storage) {
+  if (row.size() != layout.num_parts()) {
+    return Status::InvalidArgument(
+        "parted row has " + std::to_string(row.size()) + " parts, expected " +
+        std::to_string(layout.num_parts()));
+  }
+  storage.clear();
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (row[i].size() != layout.parts[i].dim) {
+      return Status::InvalidArgument(
+          "part " + std::to_string(i) + " has " +
+          std::to_string(row[i].size()) + " values, its dimension is " +
+          std::to_string(layout.parts[i].dim));
+    }
+    for (const double& v : row[i]) storage.push_back(&v);
+  }
+  return Make(layout, storage, 0, 1);
+}
+
+void Acf::AddRow(const PartedRow& row) {
+  std::vector<const double*> storage;
+  const Result<RowBlock> block =
+      RowBlock::FromPartedRow(*layout_, row, storage);
+  DAR_CHECK(block.ok()) << block.status();
+  AbsorbRow(row[own_part_].data(), 0);
+  FlushQueue(*block);
+}
+
+void Acf::FlushQueue(const RowBlock& block) {
   if (queue_.empty()) return;
-  DAR_DCHECK_EQ(columns.size(), layout_->row_width());
-  const double* const* column = columns.data();
+  DAR_DCHECK_EQ(block.columns().size(), layout_->row_width());
+  CfVector::Lane lanes[4];
+  size_t filled = 0;
+  const double* const* column = block.columns().data();
   for (size_t p = 0; p < images_.size(); ++p) {
-    if (p != own_part_) images_[p].AccumulateRows(column, begin, queue_);
-    column += images_[p].dim();
+    CfVector& image = images_[p];
+    if (p != own_part_) {
+      for (size_t d = 0; d < image.dim(); ++d) {
+        lanes[filled++] = image.LaneOf(d, column[d] + block.begin());
+        if (filled == 4) {
+          CfVector::AccumulateLanes(lanes, queue_);
+          filled = 0;
+        }
+      }
+      image.CountRows(column, block.begin(), queue_);
+    }
+    column += image.dim();
+  }
+  if (filled > 0) {
+    // Lanes past the last real one read its column and write to `spare`.
+    double spare[4][4] = {};
+    for (size_t j = filled; j < 4; ++j) {
+      lanes[j] = {spare[j], 1, lanes[filled - 1].x};
+    }
+    CfVector::AccumulateLanes(lanes, queue_);
   }
   queue_.clear();
 }

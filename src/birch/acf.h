@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "birch/cf.h"
+#include "common/result.h"
 #include "relation/metric.h"
 
 namespace dar {
@@ -52,8 +53,54 @@ struct AcfLayout {
 
 /// A tuple projected per attribute set: values[i] are the tuple's
 /// coordinates on part i. The convenient form for literals; the insert
-/// paths take it as a one-row block in flat-row order (AcfLayout).
+/// paths take it as a one-row RowBlock.
 using PartedRow = std::vector<std::vector<double>>;
+
+/// Rows checked for the ACFs of one layout, the one form in which rows
+/// reach them (AcfTree::InsertRows, Acf::AddRow): one pointer per flat-row
+/// slot (AcfLayout), in layout order, each to a column whose values are
+/// indexed by row, and the rows [begin(), end()) of those columns.
+///
+/// Only Make and FromPartedRow build a RowBlock, and they are the one
+/// place where rows are checked: a RowBlock holds row_width() columns of
+/// its layout, at most 2^32 rows (the ACFs queue row offsets as 32-bit
+/// values) and finite values only. A caller checks a batch once and hands
+/// the block to every tree. The block points into the caller's columns
+/// (and, for FromPartedRow, its pointer storage), which must outlive it
+/// and stay unchanged while it is used.
+class RowBlock {
+ public:
+  /// The rows [begin, end) of `columns`. InvalidArgument, and no block,
+  /// when the column count is not layout.row_width(), the range is
+  /// reversed or spans more than 2^32 rows, or a value is not finite; the
+  /// last names the part and row of the first such value, scanning the
+  /// columns in layout order and each column by row.
+  static Result<RowBlock> Make(const AcfLayout& layout,
+                               std::span<const double* const> columns,
+                               size_t begin, size_t end);
+
+  /// The one-row block (row 0) of `row`: writes a pointer to each of its
+  /// values, in layout order, to `storage` and checks them as Make does.
+  /// InvalidArgument also when the part count or a part's dimension
+  /// differs from the layout.
+  static Result<RowBlock> FromPartedRow(const AcfLayout& layout,
+                                        const PartedRow& row,
+                                        std::vector<const double*>& storage);
+
+  [[nodiscard]] std::span<const double* const> columns() const {
+    return columns_;
+  }
+  [[nodiscard]] size_t begin() const { return begin_; }
+  [[nodiscard]] size_t end() const { return end_; }
+
+ private:
+  RowBlock(std::span<const double* const> columns, size_t begin, size_t end)
+      : columns_(columns), begin_(begin), end_(end) {}
+
+  std::span<const double* const> columns_;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+};
 
 /// Association Clustering Feature (§6.1): the summary of a cluster *defined
 /// on* one attribute set (`own_part`), extended with CF summaries of the
@@ -80,8 +127,9 @@ class Acf {
   /// returns cf().
   [[nodiscard]] const CfVector& image(size_t p) const { return images_.at(p); }
 
-  /// Adds a tuple. `row[i]` must match part i's dimension. Adds it as a
-  /// one-row block of AcfTree::InsertRows: absorbed, queued and flushed.
+  /// Adds a tuple. `row[i]` must match part i's dimension and hold finite
+  /// values (RowBlock::FromPartedRow; a refused row aborts). Adds it as
+  /// AcfTree::InsertRows adds a row: absorbed, queued and flushed.
   void AddRow(const PartedRow& row);
 
   /// Additivity: absorbs another ACF with the same layout and own part.
@@ -113,20 +161,19 @@ class Acf {
   friend struct InvariantTestPeer;
   // Serialization backdoor for dar::persist (persist/persist_peer.h).
   friend struct PersistPeer;
-  // The tree absorbs and flushes the rows it has checked.
+  // The tree absorbs and flushes the rows of checked blocks.
   friend class AcfTree;
 
-  // Rows reach an ACF in blocks (AcfTree::InsertRows): one pointer per
-  // flat-row slot, in layout order, each into a column of the block. A row
-  // is absorbed in two steps. AbsorbRow adds its own values to cf() at
-  // once, because the descent, the threshold tests and splits read cf(),
-  // and queues the row's offset in the block. FlushQueue adds every queued
-  // row to every other image, in queue order, and empties the queue. Each
-  // image element thus sees the same additions in the same order as when
-  // each row went to every image at once, so the sums are bit-identical;
-  // only when they are made changes. The tree flushes every entry before a
-  // rebuild (which merges whole ACFs) and at the end of each block, so no
-  // ACF holds queued rows between tree calls.
+  // Rows reach an ACF in checked blocks (RowBlock). A row is absorbed in
+  // two steps. AbsorbRow adds its own values to cf() at once, because the
+  // descent, the threshold tests and splits read cf(), and queues the
+  // row's offset in the block. FlushQueue adds every queued row to every
+  // other image, in queue order, and empties the queue. Each image element
+  // thus sees the same additions in the same order as when each row went
+  // to every image at once, so the sums are bit-identical; only when they
+  // are made changes. The tree flushes every entry before a rebuild (which
+  // merges whole ACFs) and at the end of each block, so no ACF holds
+  // queued rows between tree calls.
 
   // Adds `own` (the own part's dim values of the row at `offset` in the
   // block) to cf() and queues the offset for the other images.
@@ -135,10 +182,12 @@ class Acf {
     queue_.push_back(offset);
   }
 
-  // Adds the queued rows of the block `columns` (its rows start at
-  // `begin`) to every image but cf(), then empties the queue and keeps its
-  // capacity.
-  void FlushQueue(std::span<const double* const> columns, size_t begin);
+  // Adds the queued rows of `block` to every image but cf(), then empties
+  // the queue and keeps its capacity. One pass over the queue serves four
+  // (image, dimension) elements of the images' moment blocks
+  // (CfVector::AccumulateLanes), whatever the layout; a last group of
+  // fewer than four is padded with lanes that write to a local spare.
+  void FlushQueue(const RowBlock& block);
 
   std::shared_ptr<const AcfLayout> layout_;
   size_t own_part_ = 0;

@@ -79,7 +79,6 @@ AcfTree::AcfTree(std::shared_ptr<const AcfLayout> layout, size_t own_part,
   own_offset_ = layout_->offset(own_part_);
   row_width_ = layout_->row_width();
   own_.resize(layout_->parts[own_part_].dim);
-  flat_columns_.resize(row_width_);
   DAR_CHECK_GE(options_.branching_factor, 2);
   DAR_CHECK_GE(options_.leaf_capacity, 1);
   acf_bytes_estimate_ = layout_->ApproxAcfBytes();
@@ -112,55 +111,27 @@ std::unique_ptr<AcfTree> AcfTree::Clone() const {
 }
 
 Status AcfTree::InsertPoint(const PartedRow& row) {
-  if (row.size() != layout_->num_parts()) {
-    return Status::InvalidArgument(
-        "parted row has " + std::to_string(row.size()) + " parts, expected " +
-        std::to_string(layout_->num_parts()));
-  }
-  size_t k = 0;
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (row[i].size() != layout_->parts[i].dim) {
-      return Status::InvalidArgument("part " + std::to_string(i) +
-                                     " has wrong dimension");
-    }
-    for (const double& v : row[i]) flat_columns_[k++] = &v;
-  }
-  return InsertRows(flat_columns_, 0, 1);
+  DAR_ASSIGN_OR_RETURN(const RowBlock block,
+                       RowBlock::FromPartedRow(*layout_, row, row_columns_));
+  return InsertRows(block);
 }
 
-Status AcfTree::InsertRows(std::span<const double* const> columns,
-                           size_t begin, size_t end) {
-  if (columns.size() != row_width_) {
+Status AcfTree::InsertRows(const RowBlock& block) {
+  if (block.columns().size() != row_width_) {
     return Status::InvalidArgument(
-        "block has " + std::to_string(columns.size()) +
+        "block has " + std::to_string(block.columns().size()) +
         " columns, the layout's rows have " + std::to_string(row_width_));
   }
-  // Offsets in the block are queued as 32-bit values.
-  if (begin > end || end - begin > (uint64_t{1} << 32)) {
-    return Status::InvalidArgument(
-        "block rows [" + std::to_string(begin) + ", " + std::to_string(end) +
-        ") are reversed or span more than 2^32 rows");
-  }
-  for (size_t k = 0; k < row_width_; ++k) {
-    size_t r = begin;
-    while (r < end && std::isfinite(columns[k][r])) ++r;
-    if (r == end) continue;
-    size_t part = 0;
-    while (layout_->offset(part + 1) <= k) ++part;
-    return Status::InvalidArgument(
-        "non-finite value in part " + std::to_string(part) + ", row " +
-        std::to_string(r) + "; CF summaries require finite coordinates");
-  }
-  const double* const* own_columns = columns.data() + own_offset_;
-  for (size_t r = begin; r < end; ++r) {
+  const double* const* own_columns = block.columns().data() + own_offset_;
+  for (size_t r = block.begin(); r < block.end(); ++r) {
     for (size_t d = 0; d < own_.size(); ++d) own_[d] = own_columns[d][r];
     InsertOutcome out = InsertRowRec(root_.get(), own_.data(),
-                                     static_cast<uint32_t>(r - begin));
+                                     static_cast<uint32_t>(r - block.begin()));
     if (out.split) GrowRoot(std::move(out.sibling));
     ++points_inserted_;
     if (ApproxBytesNow() > options_.memory_budget_bytes) {
       // A rebuild merges whole ACFs, so every image must hold its rows.
-      FlushQueues(columns, begin);
+      FlushQueues(block);
       int rebuilds = 0;
       while (ApproxBytesNow() > options_.memory_budget_bytes) {
         if (++rebuilds > options_.max_rebuilds_per_insert) {
@@ -173,18 +144,17 @@ Status AcfTree::InsertRows(std::span<const double* const> columns,
       }
     }
 #ifdef DAR_VALIDATE_INVARIANTS
-    FlushQueues(columns, begin);
+    FlushQueues(block);
     DAR_VALIDATE_TREE();
 #endif
   }
-  FlushQueues(columns, begin);
+  FlushQueues(block);
   return Status::OK();
 }
 
-void AcfTree::FlushQueues(std::span<const double* const> columns,
-                          size_t begin) {
+void AcfTree::FlushQueues(const RowBlock& block) {
   for (Node* leaf : queued_leaves_) {
-    for (Acf& entry : leaf->entries) entry.FlushQueue(columns, begin);
+    for (Acf& entry : leaf->entries) entry.FlushQueue(block);
     leaf->queued = false;
   }
   queued_leaves_.clear();
@@ -567,12 +537,24 @@ Status AcfTree::MergeFrom(const AcfTree& other) {
   return Status::OK();
 }
 
-std::vector<Acf> AcfTree::ExtractClusters() const {
+std::vector<Acf> AcfTree::ExtractClusters() const& {
   std::vector<Acf> out;
   out.reserve(num_leaf_entries_);
   ForEachLeaf(*root_, [&out](const Node& leaf) {
     out.insert(out.end(), leaf.entries.begin(), leaf.entries.end());
   });
+  return out;
+}
+
+std::vector<Acf> AcfTree::ExtractClusters() && {
+  std::vector<Acf> out;
+  out.reserve(num_leaf_entries_);
+  ForEachLeaf(*root_, [&out](Node& leaf) {
+    for (Acf& e : leaf.entries) out.push_back(std::move(e));
+  });
+  root_ = std::make_unique<Node>();
+  num_nodes_ = 1;
+  num_leaf_entries_ = 0;
   return out;
 }
 

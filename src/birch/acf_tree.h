@@ -5,6 +5,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "birch/acf.h"
@@ -103,14 +104,12 @@ class AcfTree {
   /// the originals. O(tree size).
   [[nodiscard]] std::unique_ptr<AcfTree> Clone() const;
 
-  /// Inserts the rows [begin, end) of a block given as columns: one pointer
-  /// per flat-row slot (AcfLayout), in layout order, each to a column whose
-  /// values are indexed by row. Rows are inserted in order, exactly as
-  /// InsertPoint would insert them one by one, and may trigger rebuilds.
-  ///
-  /// Checks the column count, that the block has at most 2^32 rows, and
-  /// that every value is finite before touching the tree, so a refused
-  /// block changes nothing (InvalidArgument naming the part and row).
+  /// Inserts the rows of `block` in order, exactly as InsertPoint would
+  /// insert them one by one; they may trigger rebuilds. The block was
+  /// checked when it was made (RowBlock::Make: column count, range, the
+  /// 2^32-row limit, finiteness), so one check of a batch serves every
+  /// tree; the only check here is that the block has this layout's
+  /// row_width() columns (InvalidArgument, and the tree is unchanged).
   ///
   /// Each row descends on its own-part values and is absorbed into the own
   /// CF of a leaf entry at once; its offset is queued on that entry, and the
@@ -120,13 +119,12 @@ class AcfTree {
   /// operation sees complete summaries. The block length changes no result.
   /// Builds with -DDAR_VALIDATE_INVARIANTS flush and validate after every
   /// row.
-  Status InsertRows(std::span<const double* const> columns, size_t begin,
-                    size_t end);
+  Status InsertRows(const RowBlock& block);
 
-  /// Inserts one tuple projected per part, as a one-row InsertRows block.
-  /// Checks the part count, each part's dimension and that every value is
-  /// finite before touching the tree, so a refused row changes nothing
-  /// (InvalidArgument). May trigger rebuilds.
+  /// Inserts one tuple projected per part: RowBlock::FromPartedRow checks
+  /// the part count, each part's dimension and that every value is finite,
+  /// so a refused row changes nothing (InvalidArgument), and InsertRows
+  /// inserts the one-row block. May trigger rebuilds.
   Status InsertPoint(const PartedRow& row);
 
   /// Inserts a pre-aggregated cluster summary (used by rebuilds and by
@@ -152,12 +150,18 @@ class AcfTree {
   Status MergeFrom(const AcfTree& other);
 
   /// All leaf clusters, in leaf order. Confirmed outliers are not included;
-  /// see outliers().
-  [[nodiscard]] std::vector<Acf> ExtractClusters() const;
+  /// see outliers(). The rvalue form moves them out of a tree that is done
+  /// (Phase1Builder's finishing pipeline) instead of copying them, and
+  /// leaves the tree without clusters.
+  [[nodiscard]] std::vector<Acf> ExtractClusters() const&;
+  [[nodiscard]] std::vector<Acf> ExtractClusters() &&;
 
   /// Clusters confirmed as outliers by FinishScan (plus any still paged out
-  /// if FinishScan has not been called).
-  [[nodiscard]] const std::vector<Acf>& outliers() const { return outliers_; }
+  /// if FinishScan has not been called). The rvalue form moves them out.
+  [[nodiscard]] const std::vector<Acf>& outliers() const& { return outliers_; }
+  [[nodiscard]] std::vector<Acf> outliers() && {
+    return std::exchange(outliers_, {});
+  }
 
   [[nodiscard]] double threshold() const { return threshold_; }
   [[nodiscard]] int rebuild_count() const { return rebuild_count_; }
@@ -258,7 +262,7 @@ class AcfTree {
   InsertOutcome InsertSummaryRec(Node* node, Acf&& acf);
 
   // Adds every queued row of the block to its entry's other images.
-  void FlushQueues(std::span<const double* const> columns, size_t begin);
+  void FlushQueues(const RowBlock& block);
 
   // The step after child `slot` of `node` split off `sibling`: refreshes
   // that child's CF, appends the sibling, and splits `node` if over full.
@@ -308,8 +312,8 @@ class AcfTree {
   size_t own_offset_;  // of the own part's values in a flat row
   size_t row_width_;   // values in a flat row
   std::vector<double> own_;  // the own-part values of the row inserted now
-  // The one-row block of InsertPoint.
-  std::vector<const double*> flat_columns_;
+  // InsertPoint's one-row block: one pointer per flat-row slot.
+  std::vector<const double*> row_columns_;
   std::vector<Node*> queued_leaves_;  // leaves with Node::queued set
   AcfTreeOptions options_;
   double threshold_;

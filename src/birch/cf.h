@@ -47,7 +47,9 @@ struct PersistPeer;
 /// part of the determinism contract: every add and merge updates each
 /// element with `ls += x`, `ss += x * x`, `min` and `max` in point order,
 /// so summaries are bit-identical across storage layouts, thread counts
-/// and restored checkpoints.
+/// and restored checkpoints. An ACF's queue flush adds its queued rows to
+/// four elements per pass over the queue, of one summary or of several
+/// (AccumulateLanes); each element still sees the rows in queue order.
 class CfVector {
  public:
   CfVector() = default;
@@ -113,8 +115,8 @@ class CfVector {
   friend struct InvariantTestPeer;
   // Serialization backdoor for dar::persist (persist/persist_peer.h).
   friend struct PersistPeer;
-  // Acf adds the rows its tree already checked through Accumulate and
-  // AccumulateRows.
+  // Acf adds the rows of a checked block through Accumulate, LaneOf,
+  // AccumulateLanes and CountRows.
   friend class Acf;
 
   // Moment vector `k` of the block: 0 ls, 1 ss, 2 min, 3 max.
@@ -141,37 +143,66 @@ class CfVector {
     }
   }
 
-  // Accumulate for the rows `begin + rows[i]` of `columns` (dim() column
-  // pointers), in the order of `rows`. Each element keeps its one
-  // accumulator chain and sees the values in that order, so the result is
-  // bit-identical to calling Accumulate row by row.
-  void AccumulateRows(const double* const* columns, size_t begin,
-                      std::span<const uint32_t> rows) {
-    const size_t dim = this->dim();
-    double* ls = block_.data();
-    double* ss = ls + dim;
-    double* lo = ss + dim;
-    double* hi = lo + dim;
-    n_ += static_cast<int64_t>(rows.size());
-    for (size_t d = 0; d < dim; ++d) {
-      const double* x = columns[d] + begin;
-      double l = ls[d], s = ss[d], a = lo[d], b = hi[d];
-      for (const uint32_t r : rows) {
-        const double v = x[r];
-        l += v;
-        s += v * v;
-        a = std::min(a, v);
-        b = std::max(b, v);
-      }
-      ls[d] = l;
-      ss[d] = s;
-      lo[d] = a;
-      hi[d] = b;
+  // One element of a summary's moment block fed from one column: its ls
+  // at `ls`, its ss, min and max `stride` doubles further on each, and the
+  // column `x`, read at the queued row offsets.
+  struct Lane {
+    double* ls;
+    size_t stride;
+    const double* x;
+  };
+
+  // Dimension `d` of this summary fed from the column `x`.
+  Lane LaneOf(size_t d, const double* x) {
+    return {block_.data() + d, dim(), x};
+  }
+
+  // Adds x[r] for every r of `rows`, in that order, to the moments of each
+  // of four lanes: one pass over `rows` runs sixteen independent
+  // accumulator chains. Each element sees the values in the order of
+  // `rows` with Accumulate's expressions, so its sums are bit-identical to
+  // adding the rows one by one. The lanes must be distinct elements.
+  static void AccumulateLanes(const Lane (&lanes)[4],
+                              std::span<const uint32_t> rows) {
+    double l[4], s[4], a[4], b[4];
+    const double* x[4];
+    for (int j = 0; j < 4; ++j) {
+      const size_t k = lanes[j].stride;
+      l[j] = lanes[j].ls[0];
+      s[j] = lanes[j].ls[k];
+      a[j] = lanes[j].ls[2 * k];
+      b[j] = lanes[j].ls[3 * k];
+      x[j] = lanes[j].x;
     }
-    if (has_histogram()) {
-      for (size_t d = 0; d < dim; ++d) {
-        for (const uint32_t r : rows) ++hist_[d][columns[d][begin + r]];
+    for (const uint32_t r : rows) {
+      // Unrolled, so that -O2 builds keep the sums in registers as well.
+#pragma GCC unroll 4
+      for (int j = 0; j < 4; ++j) {
+        const double v = x[j][r];
+        l[j] += v;
+        s[j] += v * v;
+        a[j] = std::min(a[j], v);
+        b[j] = std::max(b[j], v);
       }
+    }
+    for (int j = 0; j < 4; ++j) {
+      const size_t k = lanes[j].stride;
+      lanes[j].ls[0] = l[j];
+      lanes[j].ls[k] = s[j];
+      lanes[j].ls[2 * k] = a[j];
+      lanes[j].ls[3 * k] = b[j];
+    }
+  }
+
+  // The rest of adding the rows `begin + rows[i]` of `columns` (dim()
+  // column pointers) once AccumulateLanes has added their moments: the
+  // count and, on a discrete part, the histograms, in the order of `rows`.
+  void CountRows(const double* const* columns, size_t begin,
+                 std::span<const uint32_t> rows) {
+    n_ += static_cast<int64_t>(rows.size());
+    if (!has_histogram()) return;
+    for (size_t d = 0; d < dim(); ++d) {
+      for (const uint32_t r : rows) ++hist_[d][columns[d][begin + r]];
     }
   }
 

@@ -70,18 +70,49 @@ struct NearestCentroid {
 
 /// The centroid among `count` rows of `dim` values at `centroids` that is
 /// nearest to the point whose d-th value is `x(d)`, under the interval
-/// metric `metric`. PointClusterDistance's arithmetic, term for term: the
-/// summation order over d and, for Euclidean parts, the square root (two
-/// sums can round to one root, and the comparison must see what
-/// PointClusterDistance returns). The scan runs in index order with a
-/// strict `<`, so the first index wins a tie, and it returns {0, inf}
-/// when no distance is below infinity (a NaN point, say).
+/// metric `metric`. The scan runs in index order with a strict `<`, so the
+/// first index wins a tie, and it returns {0, inf} when no distance is
+/// below infinity (a NaN point, say).
+///
+/// A one-dimensional part takes a shorter path. The scan first compares
+/// m_i = |x - c_i|, with no square and no root. A Manhattan distance is
+/// m_i itself, so that answer stands. A Euclidean distance is sqrt(d * d)
+/// with d = x - c_i. In binary64 with round-to-nearest this equals |d|
+/// bit for bit whenever d * d neither underflows nor overflows (S. Boldo,
+/// "Stupid is as stupid does: taking the square root of the square of a
+/// floating-point number", 2015), which holds for |d| in [2^-511, 2^511].
+/// So when the least m_i, m, lies in that range:
+///  - every index with m_i = m has Euclidean distance m;
+///  - every index with m_i > m has a larger one: its |d|, or infinity
+///    where d * d overflows (a NaN distance never wins on either path);
+/// and the first index with m_i = m is PointClusterDistance's first
+/// argmin, at the same distance bits. Otherwise the part is rescanned
+/// with the general loop: on an exact hit (m = 0), an m below 2^-511
+/// (whose square underflows and can tie a larger one), an m above 2^511,
+/// or a NaN or infinite point.
+///
+/// The general loop is the only path for dim > 1. It is
+/// PointClusterDistance's arithmetic, term for term: the summation order
+/// over d and, for Euclidean parts, the square root (two sums can round
+/// to one root, and the comparison must see what PointClusterDistance
+/// returns).
 template <typename Point>
 NearestCentroid FindNearestCentroid(const double* centroids, size_t count,
                                     size_t dim, MetricKind metric,
                                     const Point& x) {
   const bool manhattan = metric == MetricKind::kManhattan;
   NearestCentroid best;
+  if (dim == 1) {
+    const double v = x(0);
+    for (size_t i = 0; i < count; ++i) {
+      const double dist = std::fabs(v - centroids[i]);
+      if (dist < best.distance) best = {i, dist};
+    }
+    if (manhattan || (best.distance >= 0x1p-511 && best.distance <= 0x1p511)) {
+      return best;
+    }
+    best = {};
+  }
   const double* centroid = centroids;
   for (size_t i = 0; i < count; ++i, centroid += dim) {
     double s = 0;

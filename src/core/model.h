@@ -74,7 +74,9 @@ class ClusterSet {
 /// Assign reads the row straight from the relation's columns and scans the
 /// block with FindNearestCentroid (birch/metrics.h), the kernel the
 /// ACF-tree's descent uses, so its answer equals AssignToCluster's bit for
-/// bit. Discrete (histogram) parts call AssignToCluster itself.
+/// bit; on a one-dimensional part the kernel compares |x - c| and takes no
+/// square root unless it must rescan. Discrete (histogram) parts call
+/// AssignToCluster itself.
 ///
 /// The table points into `rel` and `clusters`; both must outlive it and
 /// stay unchanged while it is used. Assign is const and safe to call from

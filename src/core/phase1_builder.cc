@@ -12,25 +12,6 @@ namespace {
 // Rows between updates of the trees' outlier paging threshold.
 constexpr int64_t kPagingRows = 4096;
 
-// InvalidArgument naming the first non-finite value in a column of
-// `partition` (by part, then column, then row), else OK.
-Status CheckFinite(const Relation& rel, const AttributePartition& partition) {
-  for (size_t p = 0; p < partition.num_parts(); ++p) {
-    for (size_t col : partition.part(p).columns) {
-      const std::span<const double> values = rel.column(col);
-      for (size_t r = 0; r < values.size(); ++r) {
-        if (std::isfinite(values[r])) continue;
-        return Status::InvalidArgument(
-            "non-finite value in part " + std::to_string(p) + " ('" +
-            partition.part(p).label + "'), column " + std::to_string(col) +
-            " ('" + rel.schema().attribute(col).name + "'), row " +
-            std::to_string(r) + "; CF summaries require finite coordinates");
-      }
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<Phase1Builder> Phase1Builder::Make(
@@ -135,11 +116,10 @@ Status Phase1Builder::AddRow(std::span<const double> row) {
   for (size_t k = 0; k < row_columns_.size(); ++k) {
     row_block_[k] = row.data() + row_columns_[k];
   }
-  // The first tree checks the row before inserting it, so a refused row
-  // reaches no tree.
-  for (auto& tree : trees_) {
-    DAR_RETURN_IF_ERROR(tree->InsertRows(row_block_, 0, 1));
-  }
+  // One check of the row serves every tree, and a refused row reaches none.
+  DAR_ASSIGN_OR_RETURN(const RowBlock block,
+                       RowBlock::Make(*layout_, row_block_, 0, 1));
+  for (auto& tree : trees_) DAR_RETURN_IF_ERROR(tree->InsertRows(block));
   ++rows_added_;
   // Keep outlier paging roughly in step with the running count; the exact
   // value only matters at rebuild time, so a coarse cadence is fine.
@@ -160,7 +140,7 @@ Status Phase1Builder::ForEachPart(
   return first;
 }
 
-Status Phase1Builder::FeedPart(const Relation& rel, size_t p) {
+Status Phase1Builder::FeedPart(std::span<const RowBlock> blocks, size_t p) {
   if (observer_ != nullptr) observer_->OnPhase1PartStart(p);
   // Absorb latency, one sample per block in seconds per row. The histogram
   // handle is resolved once per part (the lookup locks), and recording is
@@ -171,27 +151,19 @@ Status Phase1Builder::FeedPart(const Relation& rel, size_t p) {
   // Each tree sees the exact insert sequence and outlier-paging cadence it
   // would under the streaming AddRow loop — trees only observe their own
   // insertions, so interleaving across trees is immaterial and the result
-  // is bit-identical for any executor. Blocks end where the running row
-  // count reaches a multiple of kPagingRows, so the paging threshold moves
-  // between the same inserts as in that loop.
-  //
-  // ACFs summarize the cluster's image on *every* part (Eq. 7), so each
-  // tree reads every partitioned column, in layout order.
-  std::vector<const double*> columns;
-  columns.reserve(row_columns_.size());
-  for (size_t col : row_columns_) columns.push_back(rel.column(col).data());
+  // is bit-identical for any executor. The blocks end where the running
+  // row count reaches a multiple of kPagingRows (AddRelation), so the
+  // paging threshold moves between the same inserts as in that loop.
   AcfTree& tree = *trees_[p];
   int64_t count = rows_added_;
-  for (size_t r = 0; r < rel.num_rows();) {
-    const int64_t room = kPagingRows - count % kPagingRows;
-    const size_t len = std::min(rel.num_rows() - r, static_cast<size_t>(room));
+  for (const RowBlock& block : blocks) {
+    const size_t len = block.end() - block.begin();
     Stopwatch block_watch;
-    DAR_RETURN_IF_ERROR(tree.InsertRows(columns, r, r + len));
+    DAR_RETURN_IF_ERROR(tree.InsertRows(block));
     if (absorb_hist != nullptr) {
       absorb_hist->Record(block_watch.ElapsedSeconds() /
                           static_cast<double>(len));
     }
-    r += len;
     count += static_cast<int64_t>(len);
     if (count % kPagingRows == 0 && config_.outlier_fraction > 0) {
       tree.set_outlier_entry_min_n(OutlierMinN(count));
@@ -216,11 +188,28 @@ Status Phase1Builder::AddRelation(const Relation& rel) {
         "relation width " + std::to_string(rel.num_columns()) +
         " != schema width " + std::to_string(schema_width_));
   }
-  // Check the whole batch before any tree sees a row: a tree fed up to a
-  // bad row would keep rows that rows_added_ never counts.
-  DAR_RETURN_IF_ERROR(CheckFinite(rel, partition_));
+  // ACFs summarize the cluster's image on *every* part (Eq. 7), so each
+  // tree reads every partitioned column, in layout order. The batch is cut
+  // into blocks that end where the running row count reaches a multiple
+  // of kPagingRows, and each block is checked once, before any tree sees a
+  // row: a tree fed up to a bad row would keep rows that rows_added_ never
+  // counts.
+  std::vector<const double*> columns;
+  columns.reserve(row_columns_.size());
+  for (size_t col : row_columns_) columns.push_back(rel.column(col).data());
+  std::vector<RowBlock> blocks;
+  int64_t count = rows_added_;
+  for (size_t r = 0; r < rel.num_rows();) {
+    const int64_t room = kPagingRows - count % kPagingRows;
+    const size_t len = std::min(rel.num_rows() - r, static_cast<size_t>(room));
+    DAR_ASSIGN_OR_RETURN(RowBlock block,
+                         RowBlock::Make(*layout_, columns, r, r + len));
+    blocks.push_back(block);
+    r += len;
+    count += static_cast<int64_t>(len);
+  }
   DAR_RETURN_IF_ERROR(
-      ForEachPart([&](size_t p) { return FeedPart(rel, p); }));
+      ForEachPart([&](size_t p) { return FeedPart(blocks, p); }));
   rows_added_ += static_cast<int64_t>(rel.num_rows());
   return Status::OK();
 }
@@ -306,12 +295,16 @@ Result<Phase1Result> Phase1Builder::FinishTrees(
   std::vector<PartSlot> slots(partition_.num_parts());
   const int64_t s0 = out.frequency_threshold;
   DAR_RETURN_IF_ERROR(ForEachPart([&](size_t p) -> Status {
-    DAR_RETURN_IF_ERROR(trees[p]->FinishScan());
+    AcfTree& tree = *trees[p];
+    DAR_RETURN_IF_ERROR(tree.FinishScan());
     PartSlot& slot = slots[p];
-    std::vector<Acf> leaf_clusters = trees[p]->ExtractClusters();
+    slot.stats = tree.Stats();
+    // The trees die after this: move their summaries out.
+    std::vector<Acf> leaf_clusters = std::move(tree).ExtractClusters();
+    slot.outliers = std::move(tree).outliers();
     if (config_.refine_clusters) {
       RefineOptions refine;
-      refine.diameter_threshold = trees[p]->threshold();
+      refine.diameter_threshold = tree.threshold();
       leaf_clusters = RefineClusters(std::move(leaf_clusters), refine);
     }
     slot.raw_count = leaf_clusters.size();
@@ -333,11 +326,9 @@ Result<Phase1Result> Phase1Builder::FinishTrees(
                          diameters.end());
         median = diameters[mid];
       }
-      d0 = std::max(trees[p]->threshold(), median);
+      d0 = std::max(tree.threshold(), median);
     }
     slot.d0 = d0;
-    slot.stats = trees[p]->Stats();
-    slot.outliers = trees[p]->outliers();
     return Status::OK();
   }));
 

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "birch/acf_tree.h"
@@ -34,9 +35,10 @@ namespace dar {
 /// insertions (Theorem 6.1 keeps cross-attribute sums inside each ACF), so
 /// when an Executor with parallelism > 1 is supplied the parts run
 /// concurrently. Each tree reads blocks of rows straight from the
-/// relation's columns (AcfTree::InsertRows). Per-tree insertion order and
-/// outlier-paging cadence are identical in both modes, for every executor
-/// and every batch size, so the resulting trees (and everything
+/// relation's columns (AcfTree::InsertRows); each block is checked once,
+/// for all trees, when it is made (RowBlock::Make). Per-tree insertion
+/// order and outlier-paging cadence are identical in both modes, for every
+/// executor and every batch size, so the resulting trees (and everything
 /// downstream) are bit-identical to a serial run.
 ///
 /// Session::RunPhase1 feeds a Relation through this builder with the
@@ -62,14 +64,18 @@ class Phase1Builder {
   Phase1Builder(Phase1Builder&&) = default;
   Phase1Builder& operator=(Phase1Builder&&) = default;
 
-  /// Adds one tuple; `row` must have one value per schema attribute.
+  /// Adds one tuple; `row` must have one value per schema attribute. The
+  /// row is checked once (RowBlock::Make), and that check serves every
+  /// tree: a non-finite value in a partitioned column is InvalidArgument
+  /// (naming the part) and the row reaches no tree.
   Status AddRow(std::span<const double> row);
 
   /// Adds every tuple of `rel`, part-parallel when an executor was given.
   /// Equivalent to calling AddRow for each row in order, except that the
-  /// whole batch is checked first: a non-finite value anywhere in a
-  /// partitioned column is InvalidArgument (naming the part, column and
-  /// row) and no tree sees any row of the batch.
+  /// whole batch is checked first, once for all trees: it is cut into the
+  /// blocks the trees are fed (RowBlock::Make), and a non-finite value
+  /// anywhere in a partitioned column is InvalidArgument (naming the part
+  /// and row) and no tree sees any row of the batch.
   Status AddRelation(const Relation& rel);
 
   /// Number of tuples added so far.
@@ -133,9 +139,9 @@ class Phase1Builder {
   // Outlier paging threshold for a tree that has seen `rows` tuples.
   [[nodiscard]] int64_t OutlierMinN(int64_t rows) const;
 
-  // Feeds rows [0, rel.num_rows()) of `rel` into part `p`'s tree,
-  // replaying the exact per-tree insert/paging sequence of AddRow.
-  Status FeedPart(const Relation& rel, size_t p);
+  // Feeds the checked blocks of one AddRelation batch into part `p`'s
+  // tree, replaying the exact per-tree insert/paging sequence of AddRow.
+  Status FeedPart(std::span<const RowBlock> blocks, size_t p);
 
   // Runs fn(p) for every part, on the executor when present.
   Status ForEachPart(const std::function<Status(size_t)>& fn) const;

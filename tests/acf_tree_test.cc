@@ -260,6 +260,16 @@ std::string Encode(const AcfTree& tree) {
   return std::move(w).Take();
 }
 
+// Checks the rows [begin, end) of `columns` against `layout` and inserts
+// them into `tree`.
+Status InsertBlock(AcfTree& tree, const AcfLayout& layout,
+                   std::span<const double* const> columns, size_t begin,
+                   size_t end) {
+  DAR_ASSIGN_OR_RETURN(const RowBlock block,
+                       RowBlock::Make(layout, columns, begin, end));
+  return tree.InsertRows(block);
+}
+
 TEST(AcfTreeTest, InsertRowsEncodesLikeFlatRowsAtAnyBlockLength) {
   // Blocks of 1 row, 7 rows and the whole input, against InsertPoint row
   // by row, on every part. The budget makes rebuilds (with outlier
@@ -302,7 +312,7 @@ TEST(AcfTreeTest, InsertRowsEncodesLikeFlatRowsAtAnyBlockLength) {
       AcfTree tree(layout, own, opts);
       for (size_t begin = 0; begin < rows; begin += length) {
         const size_t end = std::min(rows, begin + length);
-        ASSERT_TRUE(tree.InsertRows(block, begin, end).ok());
+        ASSERT_TRUE(InsertBlock(tree, *layout, block, begin, end).ok());
       }
       EXPECT_EQ(Encode(tree), want);
       Status valid = tree.ValidateInvariants();
@@ -312,23 +322,35 @@ TEST(AcfTreeTest, InsertRowsEncodesLikeFlatRowsAtAnyBlockLength) {
 }
 
 TEST(AcfTreeTest, InsertRowsRefusesABadBlockWhole) {
-  AcfTree tree(TwoPartLayout(), 0, SmallTreeOptions());
+  // The checks live in RowBlock::Make, so a refused block is never made
+  // and no tree can take it; the tree itself checks only the width.
+  const std::shared_ptr<const AcfLayout> layout = TwoPartLayout();
+  AcfTree tree(layout, 0, SmallTreeOptions());
   const std::vector<double> x = {1, 2, 3};
   const std::vector<double> y = {4, std::numeric_limits<double>::quiet_NaN(),
                                  6};
   const std::vector<const double*> block = {x.data(), y.data()};
-  Status st = tree.InsertRows(block, 0, 3);
+  Status st = RowBlock::Make(*layout, block, 0, 3).status();
   ASSERT_TRUE(st.IsInvalidArgument()) << st;
-  EXPECT_NE(st.message().find("part 1, row 1"), std::string::npos) << st;
-  EXPECT_TRUE(tree.InsertRows(std::span(block).first(1), 0, 1)
+  EXPECT_NE(st.message().find("part 1 ('Y'), row 1"), std::string::npos)
+      << st;
+  EXPECT_TRUE(RowBlock::Make(*layout, std::span(block).first(1), 0, 1)
+                  .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(tree.InsertRows(block, 2, 1).IsInvalidArgument());
-  // Longer than 32-bit offsets reach: refused before any value is read.
   EXPECT_TRUE(
-      tree.InsertRows(block, 0, (uint64_t{1} << 32) + 1).IsInvalidArgument());
+      RowBlock::Make(*layout, block, 2, 1).status().IsInvalidArgument());
+  // Longer than 32-bit offsets reach: refused before any value is read.
+  EXPECT_TRUE(RowBlock::Make(*layout, block, 0, (uint64_t{1} << 32) + 1)
+                  .status()
+                  .IsInvalidArgument());
+  // A block checked for a layout of another width.
+  const Result<RowBlock> narrow =
+      RowBlock::Make(*OnePartLayout(), std::span(block).first(1), 0, 3);
+  ASSERT_TRUE(narrow.ok()) << narrow.status();
+  EXPECT_TRUE(tree.InsertRows(*narrow).IsInvalidArgument());
   EXPECT_EQ(tree.TotalMass(), 0);
 
-  ASSERT_TRUE(tree.InsertRows(block, 2, 3).ok());
+  ASSERT_TRUE(InsertBlock(tree, *layout, block, 2, 3).ok());
   const std::vector<Acf> clusters = tree.ExtractClusters();
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_EQ(clusters[0].image(0).ls()[0], 3.0);
@@ -370,7 +392,63 @@ Status InsertColumns(AcfTree& tree,
   for (const std::vector<double>& column : columns) {
     block.push_back(column.data());
   }
-  return tree.InsertRows(block, 0, columns[0].size());
+  return InsertBlock(tree, *MixedLayout(), block, 0, columns[0].size());
+}
+
+TEST(AcfTreeTest, EveryEntryRefusesANonFiniteValueWhole) {
+  // On every part's tree of the mixed layout: a non-finite value in any
+  // slot of a parted row (InsertPoint) or in any column and row of a block
+  // (RowBlock::Make, the only way to a direct InsertRows) is refused,
+  // naming its part, and the tree's encoded bytes do not change.
+  const std::shared_ptr<const AcfLayout> layout = MixedLayout();
+  const std::vector<std::vector<double>> good = MixedColumns(300, 33);
+  AcfTreeOptions opts = SmallTreeOptions();
+  opts.memory_budget_bytes = 48u << 10;
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (size_t own = 0; own < layout->num_parts(); ++own) {
+    SCOPED_TRACE("tree of part " + std::to_string(own));
+    AcfTree tree(layout, own, opts);
+    ASSERT_TRUE(InsertColumns(tree, good).ok());
+    const std::string before = Encode(tree);
+    for (size_t p = 0; p < layout->num_parts(); ++p) {
+      const std::string part = "part " + std::to_string(p) + " (";
+      for (size_t k = layout->offset(p); k < layout->offset(p + 1); ++k) {
+        for (const double bad : kBad) {
+          SCOPED_TRACE("slot " + std::to_string(k) + " = " +
+                       std::to_string(bad));
+          PartedRow row(layout->num_parts());
+          for (size_t q = 0; q < row.size(); ++q) {
+            for (size_t j = layout->offset(q); j < layout->offset(q + 1);
+                 ++j) {
+              row[q].push_back(j == k ? bad : good[j][0]);
+            }
+          }
+          Status refused = tree.InsertPoint(row);
+          ASSERT_TRUE(refused.IsInvalidArgument()) << refused;
+          EXPECT_NE(refused.message().find(part), std::string::npos)
+              << refused;
+          for (const size_t r : {size_t{0}, size_t{150}, size_t{299}}) {
+            std::vector<std::vector<double>> columns = good;
+            columns[k][r] = bad;
+            std::vector<const double*> block;
+            for (const std::vector<double>& column : columns) {
+              block.push_back(column.data());
+            }
+            refused = InsertBlock(tree, *layout, block, 0, 300);
+            ASSERT_TRUE(refused.IsInvalidArgument()) << refused;
+            EXPECT_NE(refused.message().find(part + "'" +
+                                             layout->parts[p].label +
+                                             "'), row " + std::to_string(r)),
+                      std::string::npos)
+                << refused;
+          }
+          EXPECT_EQ(Encode(tree), before);
+        }
+      }
+    }
+  }
 }
 
 TEST(AcfTreeTest, PinnedOutputThroughRebuildsFinishScanAndMerge) {

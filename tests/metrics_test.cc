@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -273,6 +274,94 @@ TEST(NearestCentroidTest, NaNProbeIsIndexZeroAtInfinity) {
       EXPECT_EQ(got.distance, std::numeric_limits<double>::infinity());
     }
   }
+}
+
+// Single-point summaries at `values` and a probe at `x`, on dimension
+// `dim`: the values sit on dimension 0 and every other coordinate is 0,
+// so each distance is the one-dimensional one, through the kernel's
+// one-dimensional path at dim 1 and its general loop above.
+NearestCentroid ExpectOneDimensionalCase(const std::vector<double>& values,
+                                         double x, size_t dim,
+                                         MetricKind metric) {
+  std::vector<CfVector> clusters;
+  for (const double v : values) {
+    std::vector<double> point(dim, 0.0);
+    point[0] = v;
+    clusters.push_back(Summarize({point}, metric));
+  }
+  std::vector<double> probe(dim, 0.0);
+  probe[0] = x;
+  return ExpectKernelMatchesDefinition(clusters, probe);
+}
+
+// Whether the Euclidean distance between `x` and `c`, sqrt(d * d), is
+// |d| bit for bit.
+bool RootIsAbsolute(double x, double c) {
+  const double d = x - c;
+  return std::bit_cast<uint64_t>(std::sqrt(d * d)) ==
+         std::bit_cast<uint64_t>(std::fabs(d));
+}
+
+TEST(NearestCentroidTest, OneDimensionalGuardEdgesMatchTheDefinition) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double lo = 0x1p-511;
+  const double hi = 0x1p511;
+  const double below_lo = std::nextafter(0x1p-512, 1.0);
+  const double tiny = 0x1p-600;
+  // The cases rely on these: the root is |d| from 2^-511 to 2^511, and not
+  // just below it (the square is subnormal) or at 2^512 (it overflows).
+  ASSERT_TRUE(RootIsAbsolute(lo, 0) && RootIsAbsolute(hi, 0));
+  ASSERT_TRUE(RootIsAbsolute(std::nextafter(lo, 1.0), 0));
+  ASSERT_TRUE(RootIsAbsolute(std::nextafter(hi, 0.0), 0));
+  ASSERT_FALSE(RootIsAbsolute(below_lo, 0));
+  ASSERT_FALSE(RootIsAbsolute(0x1p512, 0));
+  struct Case {
+    const char* name;
+    std::vector<double> centroids;
+    double x;
+  };
+  const std::vector<Case> cases = {
+      {"exact hit", {5, 3, 3, 7}, 3},
+      // The tiny centroid's square underflows, so its root ties the hit.
+      {"exact hit after a tiny difference", {tiny, 0, 1}, 0},
+      {"tiny differences tie", {-tiny, tiny / 2, 1}, 0},
+      {"at 2^-511", {lo, 1}, 0},
+      {"just above 2^-511", {std::nextafter(lo, 1.0), 1}, 0},
+      {"just below 2^-511", {1, below_lo}, 0},
+      {"at 2^511", {0, -1}, hi},
+      {"just below 2^511", {0, -1}, std::nextafter(hi, 0.0)},
+      {"just above 2^511", {0, -1}, std::nextafter(hi, kInf)},
+      {"at 2^512", {0, -1}, 0x1p512},
+      {"+inf probe", {1, 2}, kInf},
+      {"-inf probe", {1, 2}, -kInf},
+      {"NaN probe", {1, 2}, std::numeric_limits<double>::quiet_NaN()},
+      {"equal distances on both sides", {1, 3}, 2},
+      {"equal distances, far side first", {7, 3, 1}, 2},
+      {"duplicate centroids", {4, 2, 2}, 2.5},
+      {"duplicate centroids hit", {4, 2, 2}, 2},
+  };
+  for (const MetricKind metric :
+       {MetricKind::kEuclidean, MetricKind::kManhattan}) {
+    for (const size_t dim : {size_t{1}, size_t{2}, size_t{3}}) {
+      for (const Case& c : cases) {
+        SCOPED_TRACE(std::string(c.name) + " " +
+                     std::to_string(static_cast<int>(metric)) + "/" +
+                     std::to_string(dim));
+        ExpectOneDimensionalCase(c.centroids, c.x, dim, metric);
+      }
+    }
+  }
+  // The answers the cases pin, where the two forms part.
+  const auto euclid = [](const std::vector<double>& centroids, double x) {
+    return ExpectOneDimensionalCase(centroids, x, 1, MetricKind::kEuclidean);
+  };
+  EXPECT_EQ(euclid({tiny, 0, 1}, 0).index, 0u);
+  EXPECT_EQ(euclid({-tiny, tiny / 2, 1}, 0).index, 0u);
+  EXPECT_NE(std::bit_cast<uint64_t>(euclid({1, below_lo}, 0).distance),
+            std::bit_cast<uint64_t>(below_lo));
+  EXPECT_EQ(euclid({0, -1}, 0x1p512).distance, kInf);
+  EXPECT_EQ(euclid({1, 3}, 2).index, 0u);
+  EXPECT_EQ(euclid({4, 2, 2}, 2).index, 1u);
 }
 
 }  // namespace

@@ -415,5 +415,64 @@ TEST(Phase1BuilderTest, MergeFromItselfIsRefused) {
   }
 }
 
+// Rows [begin, end) of `rel` with `value` at (`row`, `col`), rows counted
+// from `begin`.
+Relation WithValue(const Relation& rel, size_t begin, size_t end, size_t row,
+                   size_t col, double value) {
+  Relation out(rel.schema());
+  for (size_t r = begin; r < end; ++r) {
+    std::vector<double> values = rel.Row(r);
+    if (r - begin == row) values[col] = value;
+    EXPECT_TRUE(out.AppendRow(values).ok());
+  }
+  return out;
+}
+
+TEST(Phase1BuilderTest, EveryEntryRefusesANonFiniteValueWhole) {
+  // A non-finite value in any partitioned column and any row of a batch
+  // or a row is refused by the one check that serves every tree, naming
+  // its part (and its row in a batch), and no tree changes. The builder
+  // has 100 rows, so the 4,100-row batch is fed in blocks that end at its
+  // row 3996: the bad rows sit at both ends of both blocks.
+  const MixedLayoutData data = MakeMixedLayoutData(4200, /*drift=*/0.05);
+  DarConfig config;
+  config.memory_budget_bytes = 384u << 10;
+  config.frequency_fraction = 0.3;
+  auto builder =
+      Phase1Builder::Make(config, data.rel.schema(), data.partition);
+  ASSERT_TRUE(builder.ok()) << builder.status();
+  ASSERT_TRUE(builder->AddRelation(Batch(data.rel, 0, 100)).ok());
+  const std::string before = persist::EncodeBuilderSection(*builder);
+  // The part of each schema column: (a, d | f | b, c, e).
+  const size_t part_of[] = {0, 2, 2, 0, 2, 1};
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (size_t col = 0; col < 6; ++col) {
+    const std::string part = "part " + std::to_string(part_of[col]) + " (";
+    for (const double bad : kBad) {
+      SCOPED_TRACE("column " + std::to_string(col) + " = " +
+                   std::to_string(bad));
+      for (const size_t row : {size_t{0}, size_t{3995}, size_t{3996},
+                               size_t{4099}}) {
+        Status refused = builder->AddRelation(
+            WithValue(data.rel, 100, 4200, row, col, bad));
+        ASSERT_TRUE(refused.IsInvalidArgument()) << refused;
+        EXPECT_NE(refused.message().find(part), std::string::npos) << refused;
+        EXPECT_NE(refused.message().find("row " + std::to_string(row) + ";"),
+                  std::string::npos)
+            << refused;
+      }
+      std::vector<double> values = data.rel.Row(100);
+      values[col] = bad;
+      Status refused = builder->AddRow(values);
+      ASSERT_TRUE(refused.IsInvalidArgument()) << refused;
+      EXPECT_NE(refused.message().find(part), std::string::npos) << refused;
+      EXPECT_EQ(builder->rows_added(), 100);
+      EXPECT_EQ(persist::EncodeBuilderSection(*builder), before);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dar

@@ -73,7 +73,15 @@ hold a "micro/post_scan" run whose telemetry counts zero rules whose
 contingency table differs from a brute-force recount
 (counters["micro.post_scan.mismatches"]), with at least one rule and one
 matched tuple (counters["micro.post_scan.rules"] and
-counters["micro.post_scan.matched"] > 0, or the check is vacuous). And it
+counters["micro.post_scan.matched"] > 0, or the check is vacuous), and
+the same on its second, integer-valued relation
+(counters["micro.post_scan.integer.mismatches"] = 0,
+counters["micro.post_scan.integer.rules"] and
+counters["micro.post_scan.integer.matched"] > 0), where at least one row
+must hit its cluster's centroid exactly
+(counters["micro.post_scan.integer.exact_hits"] > 0): an exact hit is
+where the nearest-centroid kernel rescans, so the gate cannot pass
+without running that path at bench scale. And it
 must hold a "micro/acf_feed" run whose telemetry counts zero (tree, image
 part) pairs whose summed n, ls, ss, min or max over clusters and outliers
 differs from the column totals (counters["micro.acf_feed.mismatches"]),
@@ -409,17 +417,25 @@ def check_acf_feed_run(errors, runs):
 
 def check_post_scan_run(errors, runs):
     values = micro_counters(errors, runs, "post_scan",
-                            ("mismatches", "rules", "matched"),
+                            ("mismatches", "rules", "matched",
+                             "integer.mismatches", "integer.rules",
+                             "integer.matched", "integer.exact_hits"),
                             "the support post-scan oracle run")
     if values is None:
         return
-    if values["mismatches"] != 0:
-        errors.append(f"micro/post_scan: {values['mismatches']} rules' "
-                      "contingency tables disagree with the brute-force "
-                      "recount (must be 0)")
-    if values["rules"] <= 0 or values["matched"] <= 0:
-        errors.append("micro/post_scan: no rule or no matched tuple — the "
-                      "oracle check is vacuous")
+    for prefix, relation in (("", "relation"),
+                             ("integer.", "integer relation")):
+        mismatches = values[prefix + "mismatches"]
+        if mismatches != 0:
+            errors.append(f"micro/post_scan: {mismatches} rules' "
+                          "contingency tables disagree with the brute-force "
+                          f"recount on the {relation} (must be 0)")
+        if values[prefix + "rules"] <= 0 or values[prefix + "matched"] <= 0:
+            errors.append(f"micro/post_scan: no rule or no matched tuple on "
+                          f"the {relation} — the oracle check is vacuous")
+    if values["integer.exact_hits"] <= 0:
+        errors.append("micro/post_scan: no row hits its centroid exactly on "
+                      "the integer relation — the kernel's rescan never ran")
 
 
 def check_rule_index_run(errors, runs):
