@@ -1024,7 +1024,7 @@ int MicroCliqueEnum(const BenchOptions& options,
   }
   ClusteringGraph graph(phase1->clusters, graph_opts);
   Stopwatch watch;
-  const auto cliques = graph.MaximalCliques();
+  const auto cliques = graph.EnumerateCliques({}).cliques;
   const double seconds = watch.ElapsedSeconds();
   telemetry::MetricsRegistry registry;
   registry.GetCounter("micro.clique.nodes")

@@ -144,7 +144,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (cli.json) {
-    std::cout << MiningResultToJson(result->result, schema, partition);
+    std::cout << MiningResultToJson(result->result, schema, partition)
+              << "\n";
   } else {
     std::cout << MiningResultSummary(result->result, schema, partition, 40);
   }

@@ -21,7 +21,7 @@ size_t AcfLayout::ApproxAcfBytes() const {
     bytes += kBudgetCfBytes + 4 * p.dim * sizeof(double);
     if (p.metric == MetricKind::kDiscrete) {
       // Histograms grow with distinct values; assume a modest nominal
-      // domain. The tree recomputes exact sizes during rebuilds.
+      // domain.
       bytes += p.dim * 16 * (sizeof(double) + sizeof(int64_t) + 48);
     }
   }
@@ -164,12 +164,6 @@ std::vector<std::pair<double, double>> Acf::BoundingBox(size_t p) const {
     box[d] = {img.min()[d], img.max()[d]};
   }
   return box;
-}
-
-size_t Acf::ApproxBytes() const {
-  size_t bytes = kBudgetAcfBytes;
-  for (const auto& img : images_) bytes += img.ApproxBytes();
-  return bytes;
 }
 
 std::string Acf::ToString() const {

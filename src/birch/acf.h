@@ -151,9 +151,6 @@ class Acf {
   /// dimension. §7.2 uses this as the user-facing cluster description.
   [[nodiscard]] std::vector<std::pair<double, double>> BoundingBox(size_t p) const;
 
-  /// The bytes the memory budget charges for this ACF (birch/budget.h).
-  [[nodiscard]] size_t ApproxBytes() const;
-
   [[nodiscard]] std::string ToString() const;
 
  private:

@@ -7,10 +7,11 @@ namespace dar {
 
 /// The bytes the ACF-tree memory budget (AcfTreeOptions::
 /// memory_budget_bytes; §3, §4.3.1) charges per structure. They are the
-/// budget's model, not heap sizes. AcfTree::ApproxBytesNow,
-/// AcfLayout::ApproxAcfBytes, Acf::ApproxBytes and CfVector::ApproxBytes
-/// all count with them, on top of 4 * dim doubles per CF and the
-/// histogram estimates.
+/// budget's model, not heap sizes. Only AcfLayout::ApproxAcfBytes (one
+/// leaf ACF: 4 * dim doubles per CF on top of these, plus a fixed
+/// histogram estimate per discrete dimension) and AcfTree::ApproxBytesNow
+/// (its nodes and internal entries, plus one ApproxAcfBytes per leaf
+/// entry) count with them.
 ///
 /// The values are the x86-64 libstdc++ sizeofs of the storage that CFs
 /// had when the budget was calibrated: four heap vectors per CF. They are

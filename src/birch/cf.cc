@@ -5,8 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "birch/budget.h"
-
 namespace dar {
 
 CfVector::CfVector(size_t dim, MetricKind metric)
@@ -151,15 +149,6 @@ double CfVector::DiameterWithMerge(const CfVector& other) const {
     ls_sq += l * l;
   }
   return DiameterFromMoments(n, ss_sum, ls_sq);
-}
-
-size_t CfVector::ApproxBytes() const {
-  size_t bytes = kBudgetCfBytes + block_.size() * sizeof(double);
-  for (const auto& h : hist_) {
-    // Node-based map: ~48 bytes of overhead plus key/value per entry.
-    bytes += h.size() * (sizeof(double) + sizeof(int64_t) + 48);
-  }
-  return bytes;
 }
 
 std::string CfVector::ToString() const {

@@ -104,10 +104,6 @@ class CfVector {
   /// Squared Euclidean norm of the LS vector.
   [[nodiscard]] double LsSquaredNorm() const;
 
-  /// The bytes the memory budget charges for this summary
-  /// (birch/budget.h), not its heap size.
-  [[nodiscard]] size_t ApproxBytes() const;
-
   [[nodiscard]] std::string ToString() const;
 
  private:

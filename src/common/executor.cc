@@ -104,6 +104,11 @@ Status ThreadPoolExecutor::ParallelFor(
   return Status::OK();
 }
 
+Executor& ResolveExecutor(Executor* executor) {
+  static SerialExecutor serial;
+  return executor != nullptr ? *executor : serial;
+}
+
 std::shared_ptr<Executor> MakeExecutor(int num_threads) {
   if (num_threads == 0) num_threads = HardwareParallelism();
   if (num_threads <= 1) return std::make_shared<SerialExecutor>();

@@ -81,6 +81,11 @@ class ThreadPoolExecutor : public Executor {
   bool stopping_ DAR_GUARDED_BY(mu_) = false;
 };
 
+/// The executor a "null = serial" parameter names: `executor` itself, or
+/// one shared SerialExecutor (it holds no state) when `executor` is null.
+/// Every library loop that takes an optional executor resolves it here.
+Executor& ResolveExecutor(Executor* executor);
+
 /// `num_threads <= 1` yields a SerialExecutor, anything larger a
 /// ThreadPoolExecutor of that size. `num_threads == 0` means "use the
 /// hardware concurrency".

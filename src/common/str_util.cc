@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
 
@@ -75,6 +76,12 @@ std::string FormatDouble(double v) {
   std::ostringstream os;
   os << v;
   return os.str();
+}
+
+std::string FormatDoubleExact(double v) {
+  char buf[32];  // a shortest form has at most 24 characters
+  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, result.ptr);
 }
 
 }  // namespace dar

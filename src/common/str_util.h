@@ -24,8 +24,14 @@ Result<double> ParseDouble(std::string_view s);
 /// Parses a non-negative integer, rejecting trailing garbage and empty input.
 Result<int64_t> ParseInt(std::string_view s);
 
-/// Formats `v` trimming trailing zeros ("3.5", "42", "0.125").
+/// Formats `v` for display, at 6 significant digits with trailing zeros
+/// trimmed ("3.5", "42", "0.125", "1234.57").
 std::string FormatDouble(double v);
+
+/// The shortest decimal text that parses back to exactly `v`
+/// (std::to_chars: "0.1", "42", "1234.5678", "1e+300"), for text that is
+/// read again, such as CSV and JSON.
+std::string FormatDoubleExact(double v);
 
 }  // namespace dar
 

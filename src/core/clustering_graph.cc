@@ -70,11 +70,9 @@ ClusteringGraph::ClusteringGraph(const ClusterSet& clusters,
   // edges (in (i, j) order) to its own buffer, and the buffers are merged
   // in shard order below — so edges, counters, and adjacency are
   // bit-identical to the serial sweep for any executor and thread count.
-  size_t parallelism =
-      options.executor != nullptr
-          ? static_cast<size_t>(options.executor->parallelism())
-          : 1;
-  std::vector<size_t> bounds = PairShardBounds(n, parallelism);
+  Executor& executor = ResolveExecutor(options.executor);
+  std::vector<size_t> bounds =
+      PairShardBounds(n, static_cast<size_t>(executor.parallelism()));
   size_t num_shards = bounds.size() - 1;
   struct Shard {
     std::vector<std::pair<uint32_t, uint32_t>> edges;
@@ -116,12 +114,8 @@ ClusteringGraph::ClusteringGraph(const ClusterSet& clusters,
     }
     return Status::OK();
   };
-  if (options.executor != nullptr && num_shards > 1) {
-    // sweep_shard cannot fail; the Status plumbing exists for ParallelFor.
-    (void)options.executor->ParallelFor(num_shards, sweep_shard);
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) (void)sweep_shard(s);
-  }
+  // sweep_shard cannot fail; the Status plumbing exists for ParallelFor.
+  (void)executor.ParallelFor(num_shards, sweep_shard);
 
   // Deterministic merge: shard s covers rows before shard s+1, so visiting
   // buffers in shard order replays the serial (i, j) edge order exactly.
@@ -148,25 +142,6 @@ graph::CliqueResult ClusteringGraph::EnumerateCliques(
     }
   }
   return result;
-}
-
-std::vector<std::vector<size_t>> ClusteringGraph::MaximalCliques(
-    size_t max_cliques, bool* truncated) const {
-  graph::CliqueOptions options;
-  options.max_cliques = max_cliques;
-  // Historical budget mapping: a fired cap and a fired step budget both
-  // collapse into the single legacy `truncated` signal here.
-  options.max_steps = max_cliques != 0 ? 64 * max_cliques : 0;
-  graph::CliqueResult result = EnumerateCliques(options);
-  if (truncated != nullptr) {
-    *truncated = result.clique_cap_truncated || result.step_budget_truncated;
-  }
-  std::vector<std::vector<size_t>> cliques;
-  cliques.reserve(result.cliques.size());
-  for (const auto& c : result.cliques) {
-    cliques.emplace_back(c.begin(), c.end());
-  }
-  return cliques;
 }
 
 }  // namespace dar

@@ -82,21 +82,14 @@ class ClusteringGraph {
   [[nodiscard]] int64_t comparisons_made() const { return comparisons_made_; }
   [[nodiscard]] int64_t comparisons_skipped() const { return comparisons_skipped_; }
 
-  /// Full-control enumeration: budgets, backend tuning, and executor come
-  /// from `options` (the constructor's executor/telemetry are *not*
-  /// implied — pass them again if wanted). Fires OnCliqueFound per kept
-  /// clique, in canonical order, from the calling thread.
+  /// The graph's maximal cliques: budgets, backend tuning, and executor
+  /// come from `options` (the constructor's executor/telemetry are *not*
+  /// implied — pass them again if wanted). The pipeline's budget mapping
+  /// (DarConfig::max_cliques and its step budget) lives in
+  /// RunPhase2OnSummaries. Fires OnCliqueFound per kept clique, in
+  /// canonical order, from the calling thread.
   [[nodiscard]] graph::CliqueResult EnumerateCliques(
       graph::CliqueOptions options) const;
-
-  /// Legacy-shaped enumeration: all maximal cliques (each a sorted list
-  /// of node ids, list sorted lexicographically), serial, with the
-  /// historical budget mapping (`max_cliques` cap plus a 64x step
-  /// budget; 0 = unbounded). When either budget fires, `*truncated` (if
-  /// non-null) is set — callers that need to distinguish the two signals
-  /// use EnumerateCliques.
-  std::vector<std::vector<size_t>> MaximalCliques(
-      size_t max_cliques = 0, bool* truncated = nullptr) const;
 
  private:
   graph::Graph graph_;

@@ -85,7 +85,7 @@ Phase1Builder::Phase1Builder(DarConfig config, AttributePartition partition,
       layout_(std::move(layout)),
       trees_(std::move(trees)),
       schema_width_(schema_width),
-      executor_(executor),
+      executor_(&ResolveExecutor(executor)),
       observer_(observer),
       telemetry_(telemetry) {
   for (const auto& part : partition_.parts()) {
@@ -125,19 +125,6 @@ Status Phase1Builder::AddRow(std::span<const double> row) {
   // value only matters at rebuild time, so a coarse cadence is fine.
   if (rows_added_ % kPagingRows == 0) UpdateOutlierThresholds();
   return Status::OK();
-}
-
-Status Phase1Builder::ForEachPart(
-    const std::function<Status(size_t)>& fn) const {
-  if (executor_ != nullptr) {
-    return executor_->ParallelFor(partition_.num_parts(), fn);
-  }
-  Status first = Status::OK();
-  for (size_t p = 0; p < partition_.num_parts(); ++p) {
-    Status s = fn(p);
-    if (!s.ok() && first.ok()) first = std::move(s);
-  }
-  return first;
 }
 
 Status Phase1Builder::FeedPart(std::span<const RowBlock> blocks, size_t p) {
@@ -208,8 +195,8 @@ Status Phase1Builder::AddRelation(const Relation& rel) {
     r += len;
     count += static_cast<int64_t>(len);
   }
-  DAR_RETURN_IF_ERROR(
-      ForEachPart([&](size_t p) { return FeedPart(blocks, p); }));
+  DAR_RETURN_IF_ERROR(executor_->ParallelFor(
+      trees_.size(), [&](size_t p) { return FeedPart(blocks, p); }));
   rows_added_ += static_cast<int64_t>(rel.num_rows());
   return Status::OK();
 }
@@ -236,8 +223,9 @@ Status Phase1Builder::MergeFrom(const Phase1Builder& other) {
         "cannot merge an empty Phase-I builder (no rows added)");
   }
   Stopwatch watch;
-  DAR_RETURN_IF_ERROR(ForEachPart(
-      [&](size_t p) { return trees_[p]->MergeFrom(*other.trees_[p]); }));
+  DAR_RETURN_IF_ERROR(executor_->ParallelFor(trees_.size(), [&](size_t p) {
+    return trees_[p]->MergeFrom(*other.trees_[p]);
+  }));
   rows_added_ += other.rows_added_;
   UpdateOutlierThresholds();
   if (telemetry_.enabled()) {
@@ -261,7 +249,7 @@ Result<Phase1Result> Phase1Builder::Snapshot() const {
   // real trees would, so for identical rows the result is bit-identical
   // to Finish().
   std::vector<std::unique_ptr<AcfTree>> clones(trees_.size());
-  DAR_RETURN_IF_ERROR(ForEachPart([&](size_t p) -> Status {
+  DAR_RETURN_IF_ERROR(executor_->ParallelFor(clones.size(), [&](size_t p) {
     clones[p] = trees_[p]->Clone();
     return Status::OK();
   }));
@@ -294,7 +282,7 @@ Result<Phase1Result> Phase1Builder::FinishTrees(
   };
   std::vector<PartSlot> slots(partition_.num_parts());
   const int64_t s0 = out.frequency_threshold;
-  DAR_RETURN_IF_ERROR(ForEachPart([&](size_t p) -> Status {
+  DAR_RETURN_IF_ERROR(executor_->ParallelFor(slots.size(), [&](size_t p) {
     AcfTree& tree = *trees[p];
     DAR_RETURN_IF_ERROR(tree.FinishScan());
     PartSlot& slot = slots[p];

@@ -143,9 +143,6 @@ class Phase1Builder {
   // tree, replaying the exact per-tree insert/paging sequence of AddRow.
   Status FeedPart(std::span<const RowBlock> blocks, size_t p);
 
-  // Runs fn(p) for every part, on the executor when present.
-  Status ForEachPart(const std::function<Status(size_t)>& fn) const;
-
   // Shared finishing pipeline over `trees` (the real trees for Finish, a
   // fresh set of clones for Snapshot). Mutates the given trees (outlier
   // re-absorption), never the builder itself.
@@ -161,7 +158,7 @@ class Phase1Builder {
   std::shared_ptr<const AcfLayout> layout_;
   std::vector<std::unique_ptr<AcfTree>> trees_;
   size_t schema_width_;
-  Executor* executor_ = nullptr;       // not owned; may be null
+  Executor* executor_;                 // not owned; never null
   MiningObserver* observer_ = nullptr; // not owned; may be null
   telemetry::TelemetryContext telemetry_;  // disabled by default
   // Schema column of each flat-row slot, in layout order (AcfLayout).

@@ -10,16 +10,18 @@
 
 namespace dar {
 
-/// Serializes a mining result as JSON for downstream tools: the run's
-/// thresholds, every frequent cluster (part, size, centroid, bounding box,
-/// diameter) and every rule (cluster ids, degree, optional support).
+/// Serializes a mining result as compact JSON for downstream tools: the
+/// run's thresholds, every frequent cluster (part, size, centroid, bounding
+/// box, diameter) and every rule (cluster ids, degree, optional support).
 /// Clusters are referenced by id from the rules, so the output is
-/// self-contained.
+/// self-contained. Written through telemetry::JsonWriter: numbers carry the
+/// shortest digits that parse back to the exact double (a non-finite one
+/// is null), and strings are escaped, control characters included.
 std::string MiningResultToJson(const DarMiningResult& result,
                                const Schema& schema,
                                const AttributePartition& partition);
 
-/// Writes MiningResultToJson to `out`.
+/// Writes MiningResultToJson to `out`, followed by a newline.
 Status WriteMiningReport(const DarMiningResult& result, const Schema& schema,
                          const AttributePartition& partition,
                          std::ostream& out);

@@ -55,10 +55,9 @@ Result<std::vector<RuleStats>> ComputeRuleStats(
   for (RuleStats& s : stats) s.total = static_cast<int64_t>(rel.num_rows());
   if (rules.empty() || rel.num_rows() == 0) return stats;
 
-  const size_t parallelism =
-      executor != nullptr ? static_cast<size_t>(executor->parallelism()) : 1;
-  const size_t num_shards =
-      std::max<size_t>(1, std::min(parallelism, rel.num_rows()));
+  Executor& ex = ResolveExecutor(executor);
+  const size_t num_shards = std::max<size_t>(
+      1, std::min(static_cast<size_t>(ex.parallelism()), rel.num_rows()));
   const size_t rows_per_shard =
       (rel.num_rows() + num_shards - 1) / num_shards;
   std::vector<ShardCounts> shards(num_shards);
@@ -90,13 +89,7 @@ Result<std::vector<RuleStats>> ComputeRuleStats(
     return Status::OK();
   };
 
-  if (executor != nullptr) {
-    DAR_RETURN_IF_ERROR(executor->ParallelFor(num_shards, scan_shard));
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) {
-      DAR_RETURN_IF_ERROR(scan_shard(s));
-    }
-  }
+  DAR_RETURN_IF_ERROR(ex.ParallelFor(num_shards, scan_shard));
 
   // Shard-order merge: integer sums, so the totals are executor-independent.
   for (const ShardCounts& shard : shards) {
@@ -105,6 +98,19 @@ Result<std::vector<RuleStats>> ComputeRuleStats(
       stats[k].consequent += shard.consequent[k];
       stats[k].both += shard.both[k];
     }
+  }
+  return stats;
+}
+
+Result<std::vector<RuleStats>> ScanRuleSupport(
+    const Relation& rel, const AttributePartition& partition,
+    const ClusterSet& clusters, std::span<DistanceRule> rules,
+    Executor* executor) {
+  DAR_ASSIGN_OR_RETURN(
+      std::vector<RuleStats> stats,
+      ComputeRuleStats(rel, partition, clusters, rules, executor));
+  for (size_t k = 0; k < rules.size(); ++k) {
+    rules[k].support_count = stats[k].both;
   }
   return stats;
 }

@@ -45,7 +45,7 @@ struct RuleStats {
 /// Row ranges are sharded on `executor` (null = serial) and the per-shard
 /// integer counts are summed in shard order, so the result is bit-identical
 /// at any thread count. This is the generalization of the §6.2 support
-/// post-scan; Session::CountRuleSupport delegates here.
+/// post-scan; ScanRuleSupport runs it for the pipeline.
 ///
 /// Before scanning, InvalidArgument names the part, column or rule when
 /// `partition` and `clusters` differ in part count or in a part's
@@ -54,6 +54,17 @@ struct RuleStats {
 Result<std::vector<RuleStats>> ComputeRuleStats(
     const Relation& rel, const AttributePartition& partition,
     const ClusterSet& clusters, std::span<const DistanceRule> rules,
+    Executor* executor);
+
+/// The §6.2 support post-scan, the pipeline's one support-count step:
+/// ComputeRuleStats, then each table's `both` cell copied into its rule's
+/// `support_count`. Returns the tables, so a caller that scores the rules
+/// (quality::ScoreRules) consumes the same scan. Session::CountRuleSupport
+/// and the stream's re-mine both run it. Fails as ComputeRuleStats does,
+/// leaving `rules` untouched.
+Result<std::vector<RuleStats>> ScanRuleSupport(
+    const Relation& rel, const AttributePartition& partition,
+    const ClusterSet& clusters, std::span<DistanceRule> rules,
     Executor* executor);
 
 }  // namespace dar

@@ -60,18 +60,10 @@ Status Session::CountRuleSupport(const Relation& rel,
                                  const AttributePartition& partition,
                                  const Phase1Result& phase1,
                                  std::vector<DistanceRule>& rules) const {
-  // The §6.2 support count is the `both` cell of the full contingency
-  // table; the generalized scan (core/rule_stats.h) shards the rescan and
-  // merges integer counts in shard order, so the result stays
-  // executor-independent.
   Stopwatch watch;
-  DAR_ASSIGN_OR_RETURN(
-      const std::vector<RuleStats> stats,
-      ComputeRuleStats(rel, partition, phase1.clusters, rules,
-                       executor_.get()));
-  for (size_t k = 0; k < rules.size(); ++k) {
-    rules[k].support_count = stats[k].both;
-  }
+  DAR_RETURN_IF_ERROR(ScanRuleSupport(rel, partition, phase1.clusters, rules,
+                                      executor_.get())
+                          .status());
   registry_->GetGauge("postscan.seconds", telemetry::Unit::kSeconds)
       ->Set(watch.ElapsedSeconds());
   return Status::OK();

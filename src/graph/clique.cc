@@ -430,13 +430,9 @@ CliqueResult EnumerateMaximalCliques(const Graph& g,
         EnumerateComponent(g, comps.members[c], local_id, options);
     return Status::OK();
   };
-  if (options.executor != nullptr && options.executor->parallelism() > 1 &&
-      num_components > 1) {
-    // run_component cannot fail; Status exists for the ParallelFor shape.
-    (void)options.executor->ParallelFor(num_components, run_component);
-  } else {
-    for (size_t c = 0; c < num_components; ++c) (void)run_component(c);
-  }
+  // run_component cannot fail; Status exists for the ParallelFor shape.
+  (void)ResolveExecutor(options.executor)
+      .ParallelFor(num_components, run_component);
 
   CliqueResult out;
   out.num_components = num_components;

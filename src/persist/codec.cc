@@ -43,21 +43,6 @@ Result<std::vector<double>> ReadF64Vec(WireReader& r, const char* what) {
   return out;
 }
 
-// Reads a u32 element count and refuses counts that could not possibly fit
-// in the remaining bytes (each element needs >= `min_bytes_each`), so a
-// corrupt count can never trigger a huge allocation.
-Result<size_t> ReadCount(WireReader& r, size_t min_bytes_each,
-                         const char* what) {
-  DAR_ASSIGN_OR_RETURN(uint32_t count, r.U32());
-  if (static_cast<uint64_t>(count) * min_bytes_each > r.remaining()) {
-    return Status::OutOfRange(
-        std::string(what) + " count " + std::to_string(count) +
-        " cannot fit in the " + std::to_string(r.remaining()) +
-        " remaining bytes");
-  }
-  return static_cast<size_t>(count);
-}
-
 Result<MetricKind> ReadMetricKind(WireReader& r, const char* what) {
   DAR_ASSIGN_OR_RETURN(uint8_t raw, r.U8());
   if (raw > static_cast<uint8_t>(MetricKind::kDiscrete)) {
@@ -156,14 +141,28 @@ Result<CfVector> PersistPeer::DecodeCf(WireReader& r) {
   CfVector cf(dim, metric);
   cf.n_ = n;
   DAR_RETURN_IF_ERROR(ReadF64s(r, 4ull * dim, cf.block_, "CF moments"));
+  // An empty CF holds an infinite min and max, and the encoder never
+  // writes one; any other non-finite moment would reach the tree past the
+  // finiteness check every row path keeps (RowBlock).
+  if (n > 0) {
+    for (const double v : cf.block_) {
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("CF of " + std::to_string(n) +
+                                       " tuples has a non-finite moment");
+      }
+    }
+  }
   if (metric == MetricKind::kDiscrete) {
     for (size_t d = 0; d < dim; ++d) {
-      DAR_ASSIGN_OR_RETURN(size_t entries,
-                           ReadCount(r, 16, "CF histogram entry"));
+      DAR_ASSIGN_OR_RETURN(size_t entries, r.Count(16, "CF histogram entry"));
       auto& hist = cf.hist_[d];
       for (size_t i = 0; i < entries; ++i) {
         DAR_ASSIGN_OR_RETURN(double value, r.F64());
         DAR_ASSIGN_OR_RETURN(int64_t count, r.I64());
+        // A NaN key would break the ordering std::map relies on.
+        if (!std::isfinite(value)) {
+          return Status::InvalidArgument("CF histogram key is not finite");
+        }
         if (count < 0) {
           return Status::InvalidArgument("CF histogram count " +
                                          std::to_string(count) +
@@ -276,8 +275,7 @@ Result<std::unique_ptr<Node>> PersistPeer::DecodeNode(
   node->is_leaf = is_leaf;
   ++num_nodes;
   if (is_leaf) {
-    DAR_ASSIGN_OR_RETURN(size_t entries,
-                         ReadCount(r, kMinAcfBytes, "leaf entry"));
+    DAR_ASSIGN_OR_RETURN(size_t entries, r.Count(kMinAcfBytes, "leaf entry"));
     node->entries.reserve(entries);
     for (size_t i = 0; i < entries; ++i) {
       DAR_ASSIGN_OR_RETURN(Acf entry, DecodeAcf(r, layout));
@@ -290,8 +288,7 @@ Result<std::unique_ptr<Node>> PersistPeer::DecodeNode(
     }
     num_leaf_entries += entries;
   } else {
-    DAR_ASSIGN_OR_RETURN(size_t children,
-                         ReadCount(r, 14, "internal child"));
+    DAR_ASSIGN_OR_RETURN(size_t children, r.Count(14, "internal child"));
     if (children == 0) {
       return Status::InvalidArgument(
           "internal tree node with zero children — corrupt checkpoint");
@@ -405,7 +402,7 @@ Result<std::unique_ptr<AcfTree>> PersistPeer::DecodeTree(
   auto tree = std::make_unique<AcfTree>(layout, expect_part, options);
 
   DAR_ASSIGN_OR_RETURN(size_t buffered,
-                       ReadCount(r, kMinAcfBytes, "outlier-buffer entry"));
+                       r.Count(kMinAcfBytes, "outlier-buffer entry"));
   std::vector<Acf> outlier_buffer;
   outlier_buffer.reserve(buffered);
   for (size_t i = 0; i < buffered; ++i) {
@@ -413,7 +410,7 @@ Result<std::unique_ptr<AcfTree>> PersistPeer::DecodeTree(
     outlier_buffer.push_back(std::move(acf));
   }
   DAR_ASSIGN_OR_RETURN(size_t confirmed,
-                       ReadCount(r, kMinAcfBytes, "outlier entry"));
+                       r.Count(kMinAcfBytes, "outlier entry"));
   std::vector<Acf> outliers;
   outliers.reserve(confirmed);
   for (size_t i = 0; i < confirmed; ++i) {
@@ -576,7 +573,7 @@ std::string EncodeSchemaSection(const Schema& schema) {
 
 Result<Schema> DecodeSchemaSection(std::string_view bytes) {
   WireReader r(bytes);
-  DAR_ASSIGN_OR_RETURN(size_t count, ReadCount(r, 5, "schema attribute"));
+  DAR_ASSIGN_OR_RETURN(size_t count, r.Count(5, "schema attribute"));
   std::vector<Attribute> attrs;
   attrs.reserve(count);
   for (size_t i = 0; i < count; ++i) {
@@ -612,10 +609,10 @@ std::string EncodeDictionariesSection(
 Result<std::vector<Dictionary>> DecodeDictionariesSection(
     std::string_view bytes) {
   WireReader r(bytes);
-  DAR_ASSIGN_OR_RETURN(size_t count, ReadCount(r, 4, "dictionary"));
+  DAR_ASSIGN_OR_RETURN(size_t count, r.Count(4, "dictionary"));
   std::vector<Dictionary> dictionaries(count);
   for (size_t i = 0; i < count; ++i) {
-    DAR_ASSIGN_OR_RETURN(size_t labels, ReadCount(r, 4, "dictionary label"));
+    DAR_ASSIGN_OR_RETURN(size_t labels, r.Count(4, "dictionary label"));
     for (size_t code = 0; code < labels; ++code) {
       DAR_ASSIGN_OR_RETURN(std::string label, r.Str());
       // Encode assigns codes 0,1,2,... in insertion order, so feeding the
@@ -644,7 +641,7 @@ std::string EncodeShardsSection(std::span<const ShardInfo> shards) {
 
 Result<std::vector<ShardInfo>> DecodeShardsSection(std::string_view bytes) {
   WireReader r(bytes);
-  DAR_ASSIGN_OR_RETURN(size_t count, ReadCount(r, 16, "shard"));
+  DAR_ASSIGN_OR_RETURN(size_t count, r.Count(16, "shard"));
   std::vector<ShardInfo> shards(count);
   for (size_t i = 0; i < count; ++i) {
     DAR_ASSIGN_OR_RETURN(shards[i].shard_id, r.I64());
@@ -673,13 +670,13 @@ std::string EncodePartitionSection(const AttributePartition& partition) {
 Result<AttributePartition> DecodePartitionSection(std::string_view bytes,
                                                   const Schema& schema) {
   WireReader r(bytes);
-  DAR_ASSIGN_OR_RETURN(size_t num_parts, ReadCount(r, 5, "partition part"));
+  DAR_ASSIGN_OR_RETURN(size_t num_parts, r.Count(5, "partition part"));
   std::vector<std::pair<std::vector<std::string>, MetricKind>> parts;
   parts.reserve(num_parts);
   for (size_t p = 0; p < num_parts; ++p) {
     DAR_ASSIGN_OR_RETURN(MetricKind metric,
                          ReadMetricKind(r, "partition part"));
-    DAR_ASSIGN_OR_RETURN(size_t cols, ReadCount(r, 8, "partition column"));
+    DAR_ASSIGN_OR_RETURN(size_t cols, r.Count(8, "partition column"));
     std::vector<std::string> names;
     names.reserve(cols);
     for (size_t c = 0; c < cols; ++c) {
@@ -810,7 +807,7 @@ Result<AcfTreeStats> DecodeStats(WireReader& r) {
 
 Result<std::vector<size_t>> ReadIdVec(WireReader& r, size_t bound,
                                       const char* what) {
-  DAR_ASSIGN_OR_RETURN(size_t count, ReadCount(r, 8, what));
+  DAR_ASSIGN_OR_RETURN(size_t count, r.Count(8, what));
   std::vector<size_t> ids;
   ids.reserve(count);
   for (size_t i = 0; i < count; ++i) {
@@ -889,7 +886,7 @@ Result<DecodedResults> DecodeResultsSection(std::string_view bytes) {
 
   // Phase1Result. As everywhere in decode, one shared layout object is
   // threaded through the ClusterSet and every ACF.
-  DAR_ASSIGN_OR_RETURN(size_t num_parts, ReadCount(r, 13, "layout part"));
+  DAR_ASSIGN_OR_RETURN(size_t num_parts, r.Count(13, "layout part"));
   auto layout = std::make_shared<AcfLayout>();
   layout->parts.reserve(num_parts);
   for (size_t p = 0; p < num_parts; ++p) {
@@ -903,7 +900,7 @@ Result<DecodedResults> DecodeResultsSection(std::string_view bytes) {
   out.phase1.layout = layout;
 
   DAR_ASSIGN_OR_RETURN(size_t num_clusters,
-                       ReadCount(r, 16 + kMinAcfBytes, "cluster"));
+                       r.Count(16 + kMinAcfBytes, "cluster"));
   std::vector<FoundCluster> clusters;
   clusters.reserve(num_clusters);
   for (size_t i = 0; i < num_clusters; ++i) {
@@ -936,20 +933,19 @@ Result<DecodedResults> DecodeResultsSection(std::string_view bytes) {
   }
   out.phase1.clusters = ClusterSet(layout, std::move(clusters));
 
-  DAR_ASSIGN_OR_RETURN(size_t num_stats, ReadCount(r, 64, "tree stats"));
+  DAR_ASSIGN_OR_RETURN(size_t num_stats, r.Count(64, "tree stats"));
   out.phase1.tree_stats.reserve(num_stats);
   for (size_t i = 0; i < num_stats; ++i) {
     DAR_ASSIGN_OR_RETURN(AcfTreeStats stats, DecodeStats(r));
     out.phase1.tree_stats.push_back(stats);
   }
-  DAR_ASSIGN_OR_RETURN(size_t num_outliers,
-                       ReadCount(r, kMinAcfBytes, "outlier"));
+  DAR_ASSIGN_OR_RETURN(size_t num_outliers, r.Count(kMinAcfBytes, "outlier"));
   out.phase1.outliers.reserve(num_outliers);
   for (size_t i = 0; i < num_outliers; ++i) {
     DAR_ASSIGN_OR_RETURN(Acf acf, PersistPeer::DecodeAcf(r, layout));
     out.phase1.outliers.push_back(std::move(acf));
   }
-  DAR_ASSIGN_OR_RETURN(size_t num_raw, ReadCount(r, 8, "raw cluster count"));
+  DAR_ASSIGN_OR_RETURN(size_t num_raw, r.Count(8, "raw cluster count"));
   out.phase1.raw_cluster_counts.reserve(num_raw);
   for (size_t i = 0; i < num_raw; ++i) {
     DAR_ASSIGN_OR_RETURN(uint64_t count, r.U64());
@@ -961,7 +957,7 @@ Result<DecodedResults> DecodeResultsSection(std::string_view bytes) {
   DAR_ASSIGN_OR_RETURN(out.phase1.seconds, r.F64());
 
   // Phase2Result.
-  DAR_ASSIGN_OR_RETURN(size_t num_cliques, ReadCount(r, 4, "clique"));
+  DAR_ASSIGN_OR_RETURN(size_t num_cliques, r.Count(4, "clique"));
   out.phase2.cliques.reserve(num_cliques);
   for (size_t i = 0; i < num_cliques; ++i) {
     DAR_ASSIGN_OR_RETURN(std::vector<size_t> ids,
@@ -974,7 +970,7 @@ Result<DecodedResults> DecodeResultsSection(std::string_view bytes) {
                        ReadBool(r, "cliques_truncated"));
   DAR_ASSIGN_OR_RETURN(uint64_t edges, r.U64());
   out.phase2.graph_edges = static_cast<size_t>(edges);
-  DAR_ASSIGN_OR_RETURN(size_t num_rules, ReadCount(r, 32, "rule"));
+  DAR_ASSIGN_OR_RETURN(size_t num_rules, r.Count(32, "rule"));
   out.phase2.rules.reserve(num_rules);
   for (size_t i = 0; i < num_rules; ++i) {
     DistanceRule rule;
@@ -1038,7 +1034,7 @@ Result<StreamState> DecodeStreamState(std::string_view bytes,
   has_quality_tail = r.remaining() > 0;
   if (has_quality_tail) {
     DAR_ASSIGN_OR_RETURN(size_t num_measures,
-                         ReadCount(r, 4, "stream state score measure"));
+                         r.Count(4, "stream state score measure"));
     sc.score_measures.reserve(num_measures);
     for (size_t m = 0; m < num_measures; ++m) {
       DAR_ASSIGN_OR_RETURN(std::string name, r.Str());

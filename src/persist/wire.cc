@@ -81,6 +81,17 @@ Result<std::string> WireReader::Str() {
   return out;
 }
 
+Result<size_t> WireReader::Count(size_t min_bytes_each, const char* what) {
+  DAR_ASSIGN_OR_RETURN(const uint32_t count, U32());
+  if (static_cast<uint64_t>(count) * min_bytes_each > remaining()) {
+    return Status::OutOfRange(
+        std::string(what) + " count " + std::to_string(count) +
+        " cannot fit in the " + std::to_string(remaining()) +
+        " remaining bytes");
+  }
+  return static_cast<size_t>(count);
+}
+
 Result<WireReader> WireReader::Slice(size_t len) {
   DAR_RETURN_IF_ERROR(Need(len, "sub-block"));
   WireReader sub(data_.substr(pos_, len));

@@ -67,6 +67,12 @@ class WireReader {
   /// Reads a u32 length prefix, then that many bytes.
   Result<std::string> Str();
 
+  /// Reads a u32 element count and refuses counts that could not fit in
+  /// the remaining bytes (each element needs >= `min_bytes_each`), so a
+  /// corrupt count can never trigger a huge allocation. Fails OutOfRange
+  /// naming `what`.
+  Result<size_t> Count(size_t min_bytes_each, const char* what);
+
   /// Splits off a sub-reader over the next `len` bytes and advances past
   /// them; fails when fewer than `len` bytes remain.
   Result<WireReader> Slice(size_t len);

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/str_util.h"
+
 namespace dar::quality {
 
 Result<ScoredRuleSet> ScoreRules(std::vector<RuleStats> stats,
@@ -20,13 +22,9 @@ Result<ScoredRuleSet> ScoreRules(std::vector<RuleStats> stats,
     }
     const InterestingnessMeasure* measure = registry.Find(measure_names[m]);
     if (measure == nullptr) {
-      std::string known;
-      for (const std::string& name : registry.Names()) {
-        if (!known.empty()) known += ", ";
-        known += name;
-      }
       return Status::NotFound("measure \"" + measure_names[m] +
-                              "\" is not registered (have: " + known + ")");
+                              "\" is not registered (have: " +
+                              Join(registry.Names(), ", ") + ")");
     }
     std::vector<double>& column = out.scores.emplace_back();
     column.reserve(out.stats.size());
@@ -37,17 +35,6 @@ Result<ScoredRuleSet> ScoreRules(std::vector<RuleStats> stats,
   out.representative.assign(out.stats.size(), 1);
   out.num_pruned = 0;
   return out;
-}
-
-Result<ScoredRuleSet> ScanAndScoreRules(
-    const Relation& rel, const AttributePartition& partition,
-    const ClusterSet& clusters, std::span<const DistanceRule> rules,
-    const MeasureRegistry& registry,
-    std::span<const std::string> measure_names, Executor* executor) {
-  DAR_ASSIGN_OR_RETURN(
-      std::vector<RuleStats> stats,
-      ComputeRuleStats(rel, partition, clusters, rules, executor));
-  return ScoreRules(std::move(stats), registry, measure_names);
 }
 
 }  // namespace dar::quality

@@ -7,21 +7,17 @@
 #include <string_view>
 #include <vector>
 
-#include "common/executor.h"
 #include "common/result.h"
-#include "core/model.h"
 #include "core/rule_stats.h"
-#include "core/rules.h"
 #include "quality/measure.h"
-#include "relation/relation.h"
 
 namespace dar::quality {
 
 /// Every requested measure evaluated over every rule of one snapshot, plus
 /// the redundancy-pruning verdicts when pruning ran. Computed once per
-/// published RuleSnapshot from ONE contingency post-scan (core/
-/// rule_stats.h) regardless of how many measures are requested, then
-/// immutable and shared with the snapshot.
+/// published RuleSnapshot from the tables of the one support post-scan
+/// (ScanRuleSupport, core/rule_stats.h) regardless of how many measures
+/// are requested, then immutable and shared with the snapshot.
 struct ScoredRuleSet {
   /// Measures evaluated, in the order the stream was configured with.
   std::vector<std::string> measure_names;
@@ -46,7 +42,8 @@ struct ScoredRuleSet {
   }
 };
 
-/// Evaluates `measure_names` over precomputed contingency tables. Fails
+/// Evaluates `measure_names` over precomputed contingency tables (those
+/// ScanRuleSupport or ComputeRuleStats return). Fails
 /// NotFound naming the registry's contents when a requested measure is not
 /// registered, and InvalidArgument on a duplicate request. Every rule
 /// starts as a representative (pruning is a separate pass, quality/
@@ -54,15 +51,6 @@ struct ScoredRuleSet {
 Result<ScoredRuleSet> ScoreRules(std::vector<RuleStats> stats,
                                  const MeasureRegistry& registry,
                                  std::span<const std::string> measure_names);
-
-/// Convenience: one executor-parallel contingency scan over `rel`, then
-/// ScoreRules. `executor` may be null (serial); the scan is the dominant
-/// cost and is bit-identical at any thread count.
-Result<ScoredRuleSet> ScanAndScoreRules(
-    const Relation& rel, const AttributePartition& partition,
-    const ClusterSet& clusters, std::span<const DistanceRule> rules,
-    const MeasureRegistry& registry,
-    std::span<const std::string> measure_names, Executor* executor);
 
 }  // namespace dar::quality
 

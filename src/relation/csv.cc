@@ -177,7 +177,7 @@ Status WriteCsv(const CsvTable& table, std::ostream& out, char delimiter) {
                              table.dictionaries[c].Decode(v));
         out << label;
       } else {
-        out << FormatDouble(v);
+        out << FormatDoubleExact(v);
       }
     }
     out << "\n";

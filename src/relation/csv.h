@@ -112,7 +112,9 @@ Result<CsvTable> ReadCsvFile(const std::string& path,
                              const CsvOptions& options = {});
 
 /// Writes `table` as CSV (header + rows). Nominal columns are decoded back
-/// to their labels via the supplied dictionaries.
+/// to their labels via the supplied dictionaries; interval values are
+/// written with the exact digits, the shortest that parse back to the same
+/// double (FormatDoubleExact).
 Status WriteCsv(const CsvTable& table, std::ostream& out,
                 char delimiter = ',');
 

@@ -23,6 +23,19 @@ void EncodeResponseHeader(const RequestHeader& header, ServeCode code,
   out.U8(static_cast<uint8_t>(code));
 }
 
+// A listing response's entry count, refused past the protocol's page cap
+// before anything is reserved.
+Result<uint32_t> ReadPageCount(persist::WireReader& reader, const char* what) {
+  DAR_ASSIGN_OR_RETURN(const uint32_t count, reader.U32());
+  if (count > kMaxRuleListLimit) {
+    return Status::InvalidArgument(
+        std::string(what) + " response carries " + std::to_string(count) +
+        " entries; the protocol caps pages at " +
+        std::to_string(kMaxRuleListLimit));
+  }
+  return count;
+}
+
 }  // namespace
 
 void AppendFrame(std::string_view payload, persist::WireWriter& out) {
@@ -312,17 +325,19 @@ Status DecodePointQueryBody(persist::WireReader& reader,
   DAR_ASSIGN_OR_RETURN(out.generation, reader.U64());
   DAR_ASSIGN_OR_RETURN(out.rows_ingested, reader.I64());
   DAR_ASSIGN_OR_RETURN(out.total_rule_matches, reader.U32());
-  DAR_ASSIGN_OR_RETURN(const uint32_t num_clusters, reader.U32());
+  DAR_ASSIGN_OR_RETURN(const size_t num_clusters,
+                       reader.Count(4, "point-query cluster id"));
   out.clusters.clear();
   out.clusters.reserve(num_clusters);
-  for (uint32_t i = 0; i < num_clusters; ++i) {
+  for (size_t i = 0; i < num_clusters; ++i) {
     DAR_ASSIGN_OR_RETURN(const uint32_t id, reader.U32());
     out.clusters.push_back(id);
   }
-  DAR_ASSIGN_OR_RETURN(const uint32_t num_rules, reader.U32());
+  DAR_ASSIGN_OR_RETURN(const size_t num_rules,
+                       reader.Count(4, "point-query rule id"));
   out.rules.clear();
   out.rules.reserve(num_rules);
-  for (uint32_t i = 0; i < num_rules; ++i) {
+  for (size_t i = 0; i < num_rules; ++i) {
     DAR_ASSIGN_OR_RETURN(const uint32_t id, reader.U32());
     out.rules.push_back(id);
   }
@@ -335,13 +350,8 @@ Status DecodeRuleListBody(persist::WireReader& reader,
   DAR_ASSIGN_OR_RETURN(out.rows_ingested, reader.I64());
   DAR_ASSIGN_OR_RETURN(out.total_rules, reader.U32());
   DAR_ASSIGN_OR_RETURN(out.offset, reader.U32());
-  DAR_ASSIGN_OR_RETURN(const uint32_t num_entries, reader.U32());
-  if (num_entries > kMaxRuleListLimit) {
-    return Status::InvalidArgument(
-        "rule-list response carries " + std::to_string(num_entries) +
-        " entries; the protocol caps pages at " +
-        std::to_string(kMaxRuleListLimit));
-  }
+  DAR_ASSIGN_OR_RETURN(const uint32_t num_entries,
+                       ReadPageCount(reader, "rule-list"));
   out.rules.clear();
   out.rules.reserve(num_entries);
   for (uint32_t i = 0; i < num_entries; ++i) {
@@ -375,13 +385,8 @@ Status DecodeScoredRuleListBody(persist::WireReader& reader,
   DAR_ASSIGN_OR_RETURN(out.total_matching, reader.U32());
   DAR_ASSIGN_OR_RETURN(out.offset, reader.U32());
   DAR_ASSIGN_OR_RETURN(out.measure, reader.Str());
-  DAR_ASSIGN_OR_RETURN(const uint32_t num_entries, reader.U32());
-  if (num_entries > kMaxRuleListLimit) {
-    return Status::InvalidArgument(
-        "scored rule-list response carries " + std::to_string(num_entries) +
-        " entries; the protocol caps pages at " +
-        std::to_string(kMaxRuleListLimit));
-  }
+  DAR_ASSIGN_OR_RETURN(const uint32_t num_entries,
+                       ReadPageCount(reader, "scored rule-list"));
   out.rules.clear();
   out.rules.reserve(num_entries);
   for (uint32_t i = 0; i < num_entries; ++i) {
@@ -409,13 +414,8 @@ Status DecodeRuleDiffBody(persist::WireReader& reader,
   DAR_ASSIGN_OR_RETURN(out.drifted, reader.U32());
   DAR_ASSIGN_OR_RETURN(out.unchanged, reader.U32());
   DAR_ASSIGN_OR_RETURN(out.total_changed, reader.U32());
-  DAR_ASSIGN_OR_RETURN(const uint32_t num_entries, reader.U32());
-  if (num_entries > kMaxRuleListLimit) {
-    return Status::InvalidArgument(
-        "diff response carries " + std::to_string(num_entries) +
-        " entries; the protocol caps pages at " +
-        std::to_string(kMaxRuleListLimit));
-  }
+  DAR_ASSIGN_OR_RETURN(const uint32_t num_entries,
+                       ReadPageCount(reader, "diff"));
   out.entries.clear();
   out.entries.reserve(num_entries);
   for (uint32_t i = 0; i < num_entries; ++i) {

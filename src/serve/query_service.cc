@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/stopwatch.h"
+#include "common/str_util.h"
 #include "core/model.h"
 #include "stream/rule_index.h"
 #include "stream/rule_snapshot.h"
@@ -18,6 +19,17 @@ namespace {
 RuleIndex::QueryScratch& TlsScratch() {
   thread_local RuleIndex::QueryScratch scratch;
   return scratch;
+}
+
+// A listing's page size: `limit`, or the default when it is 0, capped at
+// the protocol's maximum.
+uint32_t PageLimit(uint32_t limit) {
+  return limit == 0 ? kDefaultRuleListLimit
+                    : std::min(limit, kMaxRuleListLimit);
+}
+
+Status NotBound() {
+  return Status::Unavailable("QueryService has no attached rule source");
 }
 
 }  // namespace
@@ -79,31 +91,33 @@ std::shared_ptr<const RuleSnapshot> QueryService::MakeSnapshot(
       std::move(result.phase2), partition, /*build_index=*/true);
 }
 
-Status QueryService::Acquire(const Binding* binding,
-                             std::shared_ptr<const RuleSnapshot>& snapshot) {
-  if (binding == nullptr) {
-    return Status::Unavailable("QueryService has no attached rule source");
+std::shared_ptr<const RuleSnapshot> QueryService::Binding::Current() const {
+  return stream != nullptr ? stream->current_snapshot() : pinned;
+}
+
+Status QueryService::Acquire(
+    std::shared_ptr<const Binding>& binding,
+    std::shared_ptr<const RuleSnapshot>& snapshot) const {
+  binding = binding_.load();
+  if (binding != nullptr) {
+    snapshot = binding->Current();
+    if (snapshot != nullptr) return Status::OK();
   }
-  snapshot =
-      binding->stream ? binding->stream->current_snapshot() : binding->pinned;
-  if (snapshot == nullptr) {
-    return Status::Unavailable(
-        "no published rule snapshot yet (stream has not re-mined)");
-  }
-  return Status::OK();
+  if (unavailable_) unavailable_->Increment();
+  return binding == nullptr
+             ? NotBound()
+             : Status::Unavailable(
+                   "no published rule snapshot yet (stream has not "
+                   "re-mined)");
 }
 
 Status QueryService::PointQuery(const PointQueryRequest& request,
                                 PointQueryResponse& response) const {
   Stopwatch watch;
   if (point_queries_) point_queries_->Increment();
-  const std::shared_ptr<const Binding> binding = binding_.load();
+  std::shared_ptr<const Binding> binding;
   std::shared_ptr<const RuleSnapshot> snapshot;
-  Status acquired = Acquire(binding.get(), snapshot);
-  if (!acquired.ok()) {
-    if (unavailable_) unavailable_->Increment();
-    return acquired;
-  }
+  DAR_RETURN_IF_ERROR(Acquire(binding, snapshot));
 
   const RuleIndex* index = snapshot->index();
   if (index == nullptr) {
@@ -143,17 +157,11 @@ Status QueryService::ListRules(const RuleListRequest& request,
                                RuleListResponse& response) const {
   Stopwatch watch;
   if (rule_lists_) rule_lists_->Increment();
-  const std::shared_ptr<const Binding> binding = binding_.load();
+  std::shared_ptr<const Binding> binding;
   std::shared_ptr<const RuleSnapshot> snapshot;
-  Status acquired = Acquire(binding.get(), snapshot);
-  if (!acquired.ok()) {
-    if (unavailable_) unavailable_->Increment();
-    return acquired;
-  }
+  DAR_RETURN_IF_ERROR(Acquire(binding, snapshot));
 
-  uint32_t limit = request.limit == 0 ? kDefaultRuleListLimit
-                                      : std::min(request.limit,
-                                                 kMaxRuleListLimit);
+  const uint32_t limit = PageLimit(request.limit);
   const std::vector<DistanceRule>& rules = snapshot->rules();
   response.generation = snapshot->generation();
   response.rows_ingested = snapshot->rows_ingested();
@@ -184,13 +192,9 @@ Status QueryService::ListRulesScored(const ScoredRuleListRequest& request,
                                      ScoredRuleListResponse& response) const {
   Stopwatch watch;
   if (scored_lists_) scored_lists_->Increment();
-  const std::shared_ptr<const Binding> binding = binding_.load();
+  std::shared_ptr<const Binding> binding;
   std::shared_ptr<const RuleSnapshot> snapshot;
-  Status acquired = Acquire(binding.get(), snapshot);
-  if (!acquired.ok()) {
-    if (unavailable_) unavailable_->Increment();
-    return acquired;
-  }
+  DAR_RETURN_IF_ERROR(Acquire(binding, snapshot));
 
   const quality::ScoredRuleSet* scored = snapshot->scored();
   if (scored == nullptr) {
@@ -200,14 +204,9 @@ Status QueryService::ListRulesScored(const ScoredRuleListRequest& request,
   }
   const int measure = scored->FindMeasure(request.measure);
   if (measure < 0) {
-    std::string known;
-    for (const std::string& name : scored->measure_names) {
-      if (!known.empty()) known += ", ";
-      known += name;
-    }
     return Status::NotFound("measure \"" + request.measure +
                             "\" is not scored on this snapshot (have: " +
-                            known + ")");
+                            Join(scored->measure_names, ", ") + ")");
   }
   const std::vector<double>& scores =
       scored->scores[static_cast<size_t>(measure)];
@@ -228,9 +227,7 @@ Status QueryService::ListRulesScored(const ScoredRuleListRequest& request,
               return a < b;
             });
 
-  const uint32_t limit = request.limit == 0
-                             ? kDefaultRuleListLimit
-                             : std::min(request.limit, kMaxRuleListLimit);
+  const uint32_t limit = PageLimit(request.limit);
   const std::vector<DistanceRule>& rules = snapshot->rules();
   response.generation = snapshot->generation();
   response.rows_ingested = snapshot->rows_ingested();
@@ -264,13 +261,9 @@ Status QueryService::ListRulesScored(const ScoredRuleListRequest& request,
 Status QueryService::Diff(const RuleDiffRequest& request,
                           RuleDiffResponse& response) const {
   if (diffs_) diffs_->Increment();
-  const std::shared_ptr<const Binding> binding = binding_.load();
+  std::shared_ptr<const Binding> binding;
   std::shared_ptr<const RuleSnapshot> snapshot;
-  Status acquired = Acquire(binding.get(), snapshot);
-  if (!acquired.ok()) {
-    if (unavailable_) unavailable_->Increment();
-    return acquired;
-  }
+  DAR_RETURN_IF_ERROR(Acquire(binding, snapshot));
 
   const quality::SnapshotDiffResult* diff = snapshot->diff();
   if (diff == nullptr) {
@@ -289,9 +282,7 @@ Status QueryService::Diff(const RuleDiffRequest& request,
   response.unchanged = static_cast<uint32_t>(diff->unchanged);
   response.total_changed =
       static_cast<uint32_t>(diff->born + diff->died + diff->drifted);
-  const uint32_t limit = request.limit == 0
-                             ? kDefaultRuleListLimit
-                             : std::min(request.limit, kMaxRuleListLimit);
+  const uint32_t limit = PageLimit(request.limit);
   const std::vector<DistanceRule>& rules = snapshot->rules();
   response.entries.clear();
   for (const quality::RuleDiffRecord& record : diff->records) {
@@ -327,12 +318,11 @@ Status QueryService::SnapshotInfo(SnapshotInfoResponse& response) const {
   const std::shared_ptr<const Binding> binding = binding_.load();
   if (binding == nullptr) {
     if (unavailable_) unavailable_->Increment();
-    return Status::Unavailable("QueryService has no attached rule source");
+    return NotBound();
   }
-  std::shared_ptr<const RuleSnapshot> snapshot;
-  Status acquired = Acquire(binding.get(), snapshot);
+  const std::shared_ptr<const RuleSnapshot> snapshot = binding->Current();
   response.api_version = kQueryApiVersion;
-  if (!acquired.ok()) {
+  if (snapshot == nullptr) {
     // Bound but nothing published yet: answer generation 0 so clients can
     // readiness-probe without special-casing an error.
     response.generation = 0;

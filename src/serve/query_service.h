@@ -122,11 +122,16 @@ class QueryService {
     std::shared_ptr<const RuleSnapshot> pinned;
     Schema schema;
     AttributePartition partition;
+
+    // The snapshot this source serves now; null before its first publish.
+    [[nodiscard]] std::shared_ptr<const RuleSnapshot> Current() const;
   };
 
-  // The current snapshot under `binding`, or kUnavailable.
-  static Status Acquire(const Binding* binding,
-                        std::shared_ptr<const RuleSnapshot>& snapshot);
+  // The current binding and the snapshot it serves, for one request;
+  // kUnavailable, counted in serve.unavailable, when nothing is bound or
+  // nothing is published yet.
+  Status Acquire(std::shared_ptr<const Binding>& binding,
+                 std::shared_ptr<const RuleSnapshot>& snapshot) const;
 
   SnapshotCell<const Binding> binding_;
 

@@ -185,13 +185,10 @@ Result<QualityArtifacts> StreamingMiner::ComputeQuality(
     Stopwatch watch;
     DAR_ASSIGN_OR_RETURN(
         std::vector<RuleStats> stats,
-        ComputeRuleStats(retained_rows_, partition_, phase1.clusters,
-                         phase2.rules, executor_.get()));
+        ScanRuleSupport(retained_rows_, partition_, phase1.clusters,
+                        phase2.rules, executor_.get()));
     if (post_scan_seconds_ != nullptr) {
       post_scan_seconds_->Record(watch.ElapsedSeconds());
-    }
-    for (size_t k = 0; k < phase2.rules.size(); ++k) {
-      phase2.rules[k].support_count = stats[k].both;
     }
     if (!stream_config_.score_measures.empty()) {
       DAR_ASSIGN_OR_RETURN(

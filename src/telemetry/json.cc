@@ -1,8 +1,9 @@
 #include "telemetry/json.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
+
+#include "common/str_util.h"
 
 namespace dar {
 namespace telemetry {
@@ -72,13 +73,8 @@ void JsonWriter::Raw(const std::string& json) {
 }
 
 std::string JsonWriter::FormatDouble(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[64];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  std::string text(buf, result.ptr);
-  // Bare "1e+30"-style output is valid JSON, but "1" for 1.0 is too; both
-  // are deterministic, so keep to_chars' shortest form as-is.
-  return text;
+  // Bare "1e+30"-style output is valid JSON, and so is "1" for 1.0.
+  return std::isfinite(value) ? FormatDoubleExact(value) : "null";
 }
 
 std::string JsonWriter::Escape(const std::string& value) {

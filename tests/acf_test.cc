@@ -106,8 +106,6 @@ TEST(AcfTest, DiameterIsOwnPartDiameter) {
 TEST(AcfTest, LayoutApproxBytesPositive) {
   auto layout = TwoPartLayout();
   EXPECT_GT(layout->ApproxAcfBytes(), 0u);
-  Acf acf(layout, 0);
-  EXPECT_GT(acf.ApproxBytes(), 0u);
 }
 
 TEST(AcfTest, FlatRowOffsetsFollowPartOrder) {
@@ -131,7 +129,6 @@ TEST(AcfTest, BudgetChargesArePinned) {
     flat->parts.push_back({1, MetricKind::kEuclidean, "p"});
   }
   EXPECT_EQ(flat->ApproxAcfBytes(), 5088u);  // 48 + 30 * (136 + 32)
-  EXPECT_EQ(Acf(flat, 0).ApproxBytes(), 5088u);
 
   auto mixed = std::make_shared<AcfLayout>();
   mixed->parts = {{2, MetricKind::kEuclidean, "A"},
@@ -139,12 +136,6 @@ TEST(AcfTest, BudgetChargesArePinned) {
                   {3, MetricKind::kDiscrete, "C"}};
   // 48 + (136 + 64) + (136 + 32) + (136 + 96 + 3 * 16 * 64)
   EXPECT_EQ(mixed->ApproxAcfBytes(), 3720u);
-  // An ACF charges its actual histograms: none yet, then one value per
-  // discrete dimension at 64 bytes each.
-  Acf acf(mixed, 2);
-  EXPECT_EQ(acf.ApproxBytes(), 648u);
-  acf.AddRow({{1, 2}, {3}, {4, 5, 6}});
-  EXPECT_EQ(acf.ApproxBytes(), 648u + 3 * 64);
 }
 
 TEST(AcfTest, ToStringShowsBoxAndCount) {

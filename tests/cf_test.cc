@@ -207,15 +207,6 @@ TEST(CfVectorTest, DiscreteMergeAddsHistograms) {
   EXPECT_EQ(a.histogram(0).at(3.0), 1);
 }
 
-TEST(CfVectorTest, ApproxBytesGrowsWithHistogram) {
-  CfVector a(1, MetricKind::kDiscrete);
-  size_t empty = a.ApproxBytes();
-  for (int v = 0; v < 20; ++v) {
-    a.AddPoint(std::vector<double>{double(v)});
-  }
-  EXPECT_GT(a.ApproxBytes(), empty);
-}
-
 TEST(CfVectorTest, ToStringMentionsCount) {
   CfVector cf(1, MetricKind::kEuclidean);
   cf.AddPoint(std::vector<double>{2.0});

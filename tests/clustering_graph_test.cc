@@ -205,8 +205,10 @@ TEST(CliqueTest, MatchesBruteForceOnRandomGraphs) {
             << "trial " << trial << " edge " << i << "," << j;
       }
     }
-    auto got_list = graph.MaximalCliques();
-    std::set<std::vector<size_t>> got(got_list.begin(), got_list.end());
+    std::set<std::vector<size_t>> got;
+    for (const auto& c : graph.EnumerateCliques({}).cliques) {
+      got.emplace(c.begin(), c.end());
+    }
     auto expect = BruteMaximalCliques(
         n, [&](size_t a, size_t b) { return bool(adj[a][b]); });
     EXPECT_EQ(got, expect) << "trial " << trial;
@@ -222,10 +224,10 @@ TEST(CliqueTest, IsolatedNodesAreTrivialCliques) {
   ClusteringGraphOptions opts;
   opts.d0 = {1.0, 1.0, 1.0};
   ClusteringGraph graph(set, opts);
-  auto cliques = graph.MaximalCliques();
+  auto cliques = graph.EnumerateCliques({}).cliques;
   ASSERT_EQ(cliques.size(), 2u);
-  EXPECT_EQ(cliques[0], (std::vector<size_t>{0}));
-  EXPECT_EQ(cliques[1], (std::vector<size_t>{1}));
+  EXPECT_EQ(cliques[0], (std::vector<uint32_t>{0}));
+  EXPECT_EQ(cliques[1], (std::vector<uint32_t>{1}));
 }
 
 TEST(CliqueTest, CapTruncatesLoudly) {
@@ -238,20 +240,20 @@ TEST(CliqueTest, CapTruncatesLoudly) {
   ClusteringGraphOptions opts;
   opts.d0 = {1.0, 1.0, 1.0};
   ClusteringGraph graph(set, opts);
-  bool truncated = false;
-  auto capped = graph.MaximalCliques(/*max_cliques=*/0, &truncated);
-  EXPECT_FALSE(truncated);
-  EXPECT_EQ(capped.size(), 1u);
+  graph::CliqueResult capped = graph.EnumerateCliques({});
+  EXPECT_FALSE(capped.clique_cap_truncated || capped.step_budget_truncated);
+  EXPECT_EQ(capped.cliques.size(), 1u);
   // Build a graph with multiple maximal cliques and cap below the count.
   std::vector<FoundCluster> clusters2;
   clusters2.push_back(MakeCluster(layout, 0, 0, {{1, 999, 0}}));
   clusters2.push_back(MakeCluster(layout, 1, 1, {{999, 1, 0}}));
   ClusterSet set2(layout, std::move(clusters2));
   ClusteringGraph graph2(set2, opts);  // two isolated nodes => 2 cliques
-  truncated = false;
-  auto limited = graph2.MaximalCliques(/*max_cliques=*/1, &truncated);
-  EXPECT_TRUE(truncated);
-  EXPECT_EQ(limited.size(), 1u);
+  graph::CliqueOptions cap_one;
+  cap_one.max_cliques = 1;
+  graph::CliqueResult limited = graph2.EnumerateCliques(cap_one);
+  EXPECT_TRUE(limited.clique_cap_truncated || limited.step_budget_truncated);
+  EXPECT_EQ(limited.cliques.size(), 1u);
 }
 
 TEST(CliqueTest, CompleteGraphSingleClique) {
@@ -266,9 +268,9 @@ TEST(CliqueTest, CompleteGraphSingleClique) {
   opts.d0 = {1.0, 1.0, 1.0};
   ClusteringGraph graph(set, opts);
   EXPECT_EQ(graph.num_edges(), 3u);
-  auto cliques = graph.MaximalCliques();
+  auto cliques = graph.EnumerateCliques({}).cliques;
   ASSERT_EQ(cliques.size(), 1u);
-  EXPECT_EQ(cliques[0], (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(cliques[0], (std::vector<uint32_t>{0, 1, 2}));
 }
 
 }  // namespace

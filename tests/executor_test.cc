@@ -47,8 +47,13 @@ void CheckContract(Executor& ex) {
 
 TEST(ExecutorTest, SerialContract) {
   SerialExecutor ex;
-  EXPECT_EQ(ex.parallelism(), 1);
-  CheckContract(ex);
+  // A null executor resolves to the shared serial one; any other to itself.
+  EXPECT_EQ(&ResolveExecutor(&ex), &ex);
+  for (Executor* serial :
+       {static_cast<Executor*>(&ex), &ResolveExecutor(nullptr)}) {
+    EXPECT_EQ(serial->parallelism(), 1);
+    CheckContract(*serial);
+  }
 }
 
 TEST(ExecutorTest, SerialRunsInAscendingOrder) {

@@ -314,6 +314,59 @@ TEST(CodecTest, ConfigSectionRejectsInvalidKnobs) {
   EXPECT_TRUE(back.status().IsInvalidArgument());
 }
 
+TEST(CodecTest, TreeWithNonFiniteMomentOrHistogramKeyIsRefused) {
+  // One tuple in a tree over a Euclidean and a discrete part. Its values
+  // appear nowhere else in the encoding, so their bytes locate each
+  // image's [ls | ss | min | max] block and the histogram key.
+  auto layout = std::make_shared<AcfLayout>();
+  layout->parts = {{1, MetricKind::kEuclidean, "x"},
+                   {1, MetricKind::kDiscrete, "c"}};
+  AcfTree tree(layout, 0, AcfTreeOptions{});
+  ASSERT_TRUE(tree.InsertPoint({{5.25}, {3.5}}).ok());
+  WireWriter w;
+  persist::EncodeTree(tree, w);
+  const std::string intact = w.bytes();
+  auto f64 = [](double v) {
+    WireWriter one;
+    one.F64(v);
+    return one.bytes();
+  };
+  std::vector<size_t> patches;  // byte offsets of the values to corrupt
+  for (const double v : {5.25, 3.5}) {
+    const size_t ls = intact.find(f64(v));
+    ASSERT_NE(ls, std::string::npos);
+    ASSERT_EQ(intact.substr(ls + 8, 24), f64(v * v) + f64(v) + f64(v));
+    for (size_t k = 0; k < 4; ++k) patches.push_back(ls + 8 * k);
+  }
+  // The discrete block is followed by its histogram: u32 count 1, the key
+  // 3.5, then its count.
+  const size_t key = patches.back() + 8 + 4;
+  ASSERT_EQ(intact.substr(key, 8), f64(3.5));
+  {
+    WireReader r(intact);
+    ASSERT_TRUE(persist::DecodeTree(r, layout, 0).ok());
+  }
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (const size_t at : patches) {
+    for (const double bad : kBad) {
+      std::string bytes = intact;
+      bytes.replace(at, 8, f64(bad));
+      WireReader r(bytes);
+      const auto decoded = persist::DecodeTree(r, layout, 0);
+      ASSERT_FALSE(decoded.ok()) << "offset " << at << " value " << bad;
+      EXPECT_TRUE(decoded.status().IsInvalidArgument()) << decoded.status();
+    }
+  }
+  std::string bytes = intact;
+  bytes.replace(key, 8, f64(kBad[0]));
+  WireReader r(bytes);
+  const auto decoded = persist::DecodeTree(r, layout, 0);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsInvalidArgument()) << decoded.status();
+}
+
 // ---------------------------------------------------------------------------
 // Stream checkpoint end-to-end: save, restore, re-mine, fault-inject.
 

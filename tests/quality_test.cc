@@ -290,10 +290,8 @@ TEST(RuleStatsTest, ScanMatchesBruteForce) {
   MeasureRegistry registry;
   const std::vector<std::string> names = {"support", "confidence", "lift",
                                           "conviction", "chi2"};
-  auto scored_serial = ScanAndScoreRules(rel, *partition, clusters, rules,
-                                         registry, names, nullptr);
-  auto scored_parallel = ScanAndScoreRules(rel, *partition, clusters, rules,
-                                           registry, names, &pool);
+  auto scored_serial = ScoreRules(*serial, registry, names);
+  auto scored_parallel = ScoreRules(*parallel, registry, names);
   ASSERT_TRUE(scored_serial.ok());
   ASSERT_TRUE(scored_parallel.ok());
   ASSERT_EQ(scored_serial->scores.size(), names.size());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -398,7 +400,11 @@ TEST(CsvTest, ReadCsvFileErrorsNameThePath) {
 }
 
 TEST(CsvTest, WriteReadRoundTrip) {
-  std::istringstream in("job,age\nDBA,30\nMgr,31\nDBA,32\n");
+  // Integers, fractions, and values past 6 significant digits all come
+  // back bit for bit.
+  std::istringstream in(
+      "job,age\nDBA,30\nMgr,31\nDBA,32\nMgr,1234.5678\nDBA,123456789\n"
+      "Mgr,0.1\nDBA,-2.718281828459045\nMgr,6.02214076e23\n");
   CsvOptions opts;
   opts.nominal_columns = {"job"};
   auto table = ReadCsv(in, opts);
@@ -408,9 +414,11 @@ TEST(CsvTest, WriteReadRoundTrip) {
   std::istringstream in2(out.str());
   auto table2 = ReadCsv(in2, opts);
   ASSERT_TRUE(table2.ok());
-  EXPECT_EQ(table2->relation.num_rows(), 3u);
-  for (size_t r = 0; r < 3; ++r) {
-    EXPECT_EQ(table->relation.at(r, 1), table2->relation.at(r, 1));
+  EXPECT_EQ(table2->relation.num_rows(), 8u);
+  for (size_t r = 0; r < 8; ++r) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(table->relation.at(r, 1)),
+              std::bit_cast<uint64_t>(table2->relation.at(r, 1)))
+        << out.str();
     EXPECT_EQ(*table->dictionaries[0].Decode(table->relation.at(r, 0)),
               *table2->dictionaries[0].Decode(table2->relation.at(r, 0)));
   }

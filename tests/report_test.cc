@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/random.h"
@@ -106,6 +110,71 @@ TEST(ReportTest, EscapesSpecialCharactersInLabels) {
   ASSERT_TRUE(result.ok());
   std::string json = MiningResultToJson(result->result, s, part);
   EXPECT_NE(json.find("a\\\"b"), std::string::npos);
+}
+
+// Mines two tight groups in the one interval attribute of `s`; every value
+// carries 10 significant digits.
+DarMiningResult MineTwoGroups(const Schema& s) {
+  Relation rel(s);
+  Rng rng(68);
+  for (int i = 0; i < 200; ++i) {
+    const double base = i % 2 == 0 ? 1000.0 : 5000.0;
+    const double v = base + 0.000001 * rng.UniformInt(1000000, 1999999);
+    EXPECT_TRUE(rel.AppendRow({v}).ok());
+  }
+  DarConfig config;
+  config.frequency_fraction = 0.2;
+  config.initial_diameters = {5.0};
+  auto session = Session::Builder().WithConfig(config).Build();
+  EXPECT_TRUE(session.ok());
+  auto result =
+      session->Mine(rel, AttributePartition::SingletonPartition(s));
+  EXPECT_TRUE(result.ok());
+  return std::move(result).ValueOrDie().result;
+}
+
+TEST(ReportTest, ControlCharactersInNamesAreEscaped) {
+  Schema s = *Schema::Make({{"a\tb", AttributeKind::kInterval}});
+  const std::string json = MiningResultToJson(
+      MineTwoGroups(s), s, AttributePartition::SingletonPartition(s));
+  EXPECT_NE(json.find("a\\tb"), std::string::npos);
+  EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                          [](char c) {
+                            return static_cast<unsigned char>(c) < 0x20;
+                          }),
+            0)
+      << json;
+}
+
+TEST(ReportTest, BoxBoundsParseBackBitForBit) {
+  Schema s = *Schema::Make({{"x", AttributeKind::kInterval}});
+  const DarMiningResult result = MineTwoGroups(s);
+  const std::string json = MiningResultToJson(
+      result, s, AttributePartition::SingletonPartition(s));
+  // Every "box" holds [lo, hi] pairs; read each number back with strtod.
+  std::vector<double> bounds;
+  for (size_t at = json.find("\"box\""); at != std::string::npos;
+       at = json.find("\"box\"", at + 1)) {
+    const size_t end = json.find("]]", at);
+    ASSERT_NE(end, std::string::npos);
+    for (size_t i = json.find('[', at); i < end; ++i) {
+      const char c = json[i];
+      if (c != '-' && (c < '0' || c > '9')) continue;
+      char* stop = nullptr;
+      bounds.push_back(std::strtod(json.c_str() + i, &stop));
+      i = static_cast<size_t>(stop - json.c_str());
+    }
+  }
+  ASSERT_EQ(bounds.size(), 2 * result.phase1.clusters.size());
+  ASSERT_GT(bounds.size(), 0u);
+  for (size_t k = 0; k < bounds.size(); ++k) {
+    const FoundCluster& c = result.phase1.clusters.cluster(k / 2);
+    const auto box = c.acf.BoundingBox(c.part);
+    const double want = k % 2 == 0 ? box[0].first : box[0].second;
+    EXPECT_EQ(std::bit_cast<uint64_t>(bounds[k]),
+              std::bit_cast<uint64_t>(want))
+        << bounds[k] << " vs " << want;
+  }
 }
 
 }  // namespace

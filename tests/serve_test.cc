@@ -260,6 +260,25 @@ TEST(ProtocolTest, ErrorResponseRoundTrip) {
   EXPECT_EQ(reader.remaining(), 0u);
 }
 
+TEST(ProtocolTest, PointQueryIdCountsAreBoundedByTheFrame) {
+  // A response body that claims 2^24 cluster (then rule) ids and carries
+  // none must fail before the decoder reserves more ids than a frame
+  // could hold, at 4 bytes each.
+  for (const bool claim_rules : {false, true}) {
+    persist::WireWriter body;
+    body.U64(1);   // generation
+    body.I64(10);  // rows_ingested
+    body.U32(0);   // total_rule_matches
+    body.U32(claim_rules ? 0 : uint32_t{1} << 24);  // cluster ids
+    if (claim_rules) body.U32(uint32_t{1} << 24);   // rule ids
+    persist::WireReader reader{std::string_view(body.bytes())};
+    PointQueryResponse out;
+    EXPECT_FALSE(serve::DecodePointQueryBody(reader, out).ok());
+    EXPECT_LE(out.clusters.capacity(), serve::kMaxFrameBytes / 4);
+    EXPECT_LE(out.rules.capacity(), serve::kMaxFrameBytes / 4);
+  }
+}
+
 TEST(ProtocolTest, CorruptionIsRejectedCleanly) {
   std::vector<double> scratch;
   // Truncated payload.
