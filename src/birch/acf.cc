@@ -64,16 +64,20 @@ Result<RowBlock> RowBlock::Make(const AcfLayout& layout,
         "block rows [" + std::to_string(begin) + ", " + std::to_string(end) +
         ") are reversed or span more than 2^32 rows");
   }
+  // |x| <= 2^448 keeps x^2 <= 2^896, so under 2^63 tuples every moment
+  // and every product of two moments (n * ss, ls * ls) stays finite, and a
+  // tree's checkpoint always restores. The compare also refuses NaN.
+  constexpr double kMaxMagnitude = 0x1p448;
   for (size_t k = 0; k < columns.size(); ++k) {
     size_t r = begin;
-    while (r < end && std::isfinite(columns[k][r])) ++r;
+    while (r < end && std::fabs(columns[k][r]) <= kMaxMagnitude) ++r;
     if (r == end) continue;
     size_t part = 0;
     while (layout.offset(part + 1) <= k) ++part;
     return Status::InvalidArgument(
-        "non-finite value in part " + std::to_string(part) + " ('" +
+        "value out of range in part " + std::to_string(part) + " ('" +
         layout.parts[part].label + "'), row " + std::to_string(r) +
-        "; CF summaries require finite coordinates");
+        "; CF summaries require finite coordinates of magnitude <= 2^448");
   }
   return RowBlock(columns, begin, end);
 }

@@ -64,17 +64,21 @@ using PartedRow = std::vector<std::vector<double>>;
 /// Only Make and FromPartedRow build a RowBlock, and they are the one
 /// place where rows are checked: a RowBlock holds row_width() columns of
 /// its layout, at most 2^32 rows (the ACFs queue row offsets as 32-bit
-/// values) and finite values only. A caller checks a batch once and hands
-/// the block to every tree. The block points into the caller's columns
+/// values) and values of magnitude at most 2^448 only (no NaN, no
+/// infinity). The bound keeps every CF moment finite, so whatever a tree
+/// absorbs its checkpoint restores (persist::DecodeTree refuses a
+/// non-finite moment). A caller checks a batch once and hands the block
+/// to every tree. The block points into the caller's columns
 /// (and, for FromPartedRow, its pointer storage), which must outlive it
 /// and stay unchanged while it is used.
 class RowBlock {
  public:
   /// The rows [begin, end) of `columns`. InvalidArgument, and no block,
   /// when the column count is not layout.row_width(), the range is
-  /// reversed or spans more than 2^32 rows, or a value is not finite; the
-  /// last names the part and row of the first such value, scanning the
-  /// columns in layout order and each column by row.
+  /// reversed or spans more than 2^32 rows, or a value is NaN or of
+  /// magnitude above 2^448; the last names the part and row of the first
+  /// such value, scanning the columns in layout order and each column by
+  /// row.
   static Result<RowBlock> Make(const AcfLayout& layout,
                                std::span<const double* const> columns,
                                size_t begin, size_t end);
@@ -127,9 +131,10 @@ class Acf {
   /// returns cf().
   [[nodiscard]] const CfVector& image(size_t p) const { return images_.at(p); }
 
-  /// Adds a tuple. `row[i]` must match part i's dimension and hold finite
-  /// values (RowBlock::FromPartedRow; a refused row aborts). Adds it as
-  /// AcfTree::InsertRows adds a row: absorbed, queued and flushed.
+  /// Adds a tuple. `row[i]` must match part i's dimension and hold values
+  /// within the row bound (RowBlock::FromPartedRow; a refused row aborts).
+  /// Adds it as AcfTree::InsertRows adds a row: absorbed, queued and
+  /// flushed.
   void AddRow(const PartedRow& row);
 
   /// Additivity: absorbs another ACF with the same layout and own part.

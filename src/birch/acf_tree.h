@@ -107,7 +107,7 @@ class AcfTree {
   /// Inserts the rows of `block` in order, exactly as InsertPoint would
   /// insert them one by one; they may trigger rebuilds. The block was
   /// checked when it was made (RowBlock::Make: column count, range, the
-  /// 2^32-row limit, finiteness), so one check of a batch serves every
+  /// 2^32-row limit, the row bound), so one check of a batch serves every
   /// tree; the only check here is that the block has this layout's
   /// row_width() columns (InvalidArgument, and the tree is unchanged).
   ///
@@ -122,9 +122,9 @@ class AcfTree {
   Status InsertRows(const RowBlock& block);
 
   /// Inserts one tuple projected per part: RowBlock::FromPartedRow checks
-  /// the part count, each part's dimension and that every value is finite,
-  /// so a refused row changes nothing (InvalidArgument), and InsertRows
-  /// inserts the one-row block. May trigger rebuilds.
+  /// the part count, each part's dimension and the row bound on every
+  /// value, so a refused row changes nothing (InvalidArgument), and
+  /// InsertRows inserts the one-row block. May trigger rebuilds.
   Status InsertPoint(const PartedRow& row);
 
   /// Inserts a pre-aggregated cluster summary (used by rebuilds and by

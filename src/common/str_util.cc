@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -47,7 +48,9 @@ Result<double> ParseDouble(std::string_view s) {
   errno = 0;
   char* end = nullptr;
   double v = std::strtod(buf.c_str(), &end);
-  if (errno == ERANGE) {
+  // strtod also reports ERANGE for a subnormal result, which is the value;
+  // only an overflow (inf) or an underflow past every double (0) is not.
+  if (errno == ERANGE && (std::isinf(v) || v == 0)) {
     return Status::OutOfRange("numeric value out of range: '" + buf + "'");
   }
   if (end != buf.c_str() + buf.size()) {

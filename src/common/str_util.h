@@ -18,7 +18,9 @@ std::string_view StripWhitespace(std::string_view s);
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// Parses a double, rejecting trailing garbage and empty input.
+/// Parses a double, rejecting trailing garbage and empty input
+/// (InvalidArgument) and text past the largest double or below the
+/// smallest subnormal (OutOfRange); a subnormal parses exactly.
 Result<double> ParseDouble(std::string_view s);
 
 /// Parses a non-negative integer, rejecting trailing garbage and empty input.

@@ -66,16 +66,17 @@ class Phase1Builder {
 
   /// Adds one tuple; `row` must have one value per schema attribute. The
   /// row is checked once (RowBlock::Make), and that check serves every
-  /// tree: a non-finite value in a partitioned column is InvalidArgument
-  /// (naming the part) and the row reaches no tree.
+  /// tree: a value past the row bound (NaN, infinite, or of magnitude
+  /// above 2^448) in a partitioned column is InvalidArgument (naming the
+  /// part) and the row reaches no tree.
   Status AddRow(std::span<const double> row);
 
   /// Adds every tuple of `rel`, part-parallel when an executor was given.
   /// Equivalent to calling AddRow for each row in order, except that the
   /// whole batch is checked first, once for all trees: it is cut into the
-  /// blocks the trees are fed (RowBlock::Make), and a non-finite value
-  /// anywhere in a partitioned column is InvalidArgument (naming the part
-  /// and row) and no tree sees any row of the batch.
+  /// blocks the trees are fed (RowBlock::Make), and a value past the row
+  /// bound anywhere in a partitioned column is InvalidArgument (naming the
+  /// part and row) and no tree sees any row of the batch.
   Status AddRelation(const Relation& rel);
 
   /// Number of tuples added so far.

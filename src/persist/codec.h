@@ -60,9 +60,17 @@ Result<AttributePartition> DecodePartitionSection(std::string_view bytes,
 
 /// Serializes every numeric/vector knob. AcfTreeOptions::on_rebuild is a
 /// std::function and is deliberately NOT serialized — restore re-wires
-/// hooks from the restoring session (see DecodeBuilderSection).
+/// hooks from the restoring session (see DecodeBuilderSection). One field
+/// list in codec.cc names the knobs for the encoder, the decoder,
+/// FirstConfigDiff and DescribeCheckpoint.
 [[nodiscard]] std::string EncodeConfigSection(const DarConfig& config);
 Result<DarConfig> DecodeConfigSection(std::string_view bytes);
+
+/// The first knob, in wire order, on which the two configs disagree, by
+/// its name in DescribeCheckpoint ("tree.leaf_capacity",
+/// "count_rule_support", ...); "" when every serialized knob agrees.
+[[nodiscard]] std::string FirstConfigDiff(const DarConfig& a,
+                                          const DarConfig& b);
 
 // --- shard provenance ---
 
@@ -191,8 +199,11 @@ void AddCommonSections(CheckpointWriter& writer, const DarConfig& config,
 /// shapes, counters, per-tree statistics, cluster/clique/rule counts), then
 /// `ok`. Every known section goes through the decoders restore and merge
 /// use, so corrupt content is a Status here too; unknown ids are listed
-/// as skipped. Values print as Python literals (True, 'name', [1, 2],
-/// shortest round-trip floats); `show_floats` false prints floats as `_`.
+/// as skipped. The config and stream-state blocks print every field of
+/// their field lists, in wire order. Booleans print as True/False, text
+/// quoted ('name'), lists as [1, 2], and floats in the shortest form that
+/// reads back exactly (FormatDoubleExact), with ".0" after an integer:
+/// 8.0, 0.05, 1e+05. `show_floats` false prints floats as `_`.
 Result<std::string> DescribeCheckpoint(const CheckpointReader& reader,
                                        bool show_floats);
 

@@ -15,49 +15,6 @@ Status Contextualize(const std::string& path, const Status& status) {
   return {status.code(), "'" + path + "': " + status.message()};
 }
 
-/// Name of the first knob on which the two configs disagree, or "" when
-/// they agree on every serialized knob (tree.on_rebuild is a process-local
-/// hook and is never serialized or compared).
-std::string FirstConfigDiff(const DarConfig& a, const DarConfig& b) {
-  if (a.memory_budget_bytes != b.memory_budget_bytes)
-    return "memory_budget_bytes";
-  if (a.frequency_fraction != b.frequency_fraction)
-    return "frequency_fraction";
-  if (a.outlier_fraction != b.outlier_fraction) return "outlier_fraction";
-  if (a.initial_diameters != b.initial_diameters) return "initial_diameters";
-  if (a.tree.branching_factor != b.tree.branching_factor)
-    return "tree.branching_factor";
-  if (a.tree.leaf_capacity != b.tree.leaf_capacity)
-    return "tree.leaf_capacity";
-  if (a.tree.initial_threshold != b.tree.initial_threshold)
-    return "tree.initial_threshold";
-  if (a.tree.memory_budget_bytes != b.tree.memory_budget_bytes)
-    return "tree.memory_budget_bytes";
-  if (a.tree.threshold_growth != b.tree.threshold_growth)
-    return "tree.threshold_growth";
-  if (a.tree.outlier_entry_min_n != b.tree.outlier_entry_min_n)
-    return "tree.outlier_entry_min_n";
-  if (a.tree.max_rebuilds_per_insert != b.tree.max_rebuilds_per_insert)
-    return "tree.max_rebuilds_per_insert";
-  if (a.refine_clusters != b.refine_clusters) return "refine_clusters";
-  if (a.metric != b.metric) return "metric";
-  if (a.degree_threshold != b.degree_threshold) return "degree_threshold";
-  if (a.degree_thresholds != b.degree_thresholds)
-    return "degree_thresholds";
-  if (a.density_thresholds != b.density_thresholds)
-    return "density_thresholds";
-  if (a.phase2_leniency != b.phase2_leniency) return "phase2_leniency";
-  if (a.prune_low_density_images != b.prune_low_density_images)
-    return "prune_low_density_images";
-  if (a.max_antecedent != b.max_antecedent) return "max_antecedent";
-  if (a.max_consequent != b.max_consequent) return "max_consequent";
-  if (a.max_rules != b.max_rules) return "max_rules";
-  if (a.max_cliques != b.max_cliques) return "max_cliques";
-  if (a.count_rule_support != b.count_rule_support)
-    return "count_rule_support";
-  return "";
-}
-
 bool PartitionsEqual(const AttributePartition& a,
                      const AttributePartition& b) {
   if (a.num_parts() != b.num_parts()) return false;

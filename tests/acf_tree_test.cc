@@ -404,9 +404,12 @@ TEST(AcfTreeTest, EveryEntryRefusesANonFiniteValueWhole) {
   const std::vector<std::vector<double>> good = MixedColumns(300, 33);
   AcfTreeOptions opts = SmallTreeOptions();
   opts.memory_budget_bytes = 48u << 10;
+  // 1e200 is finite, but past the row bound (2^448, RowBlock): its square
+  // is not.
   const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
                          std::numeric_limits<double>::infinity(),
-                         -std::numeric_limits<double>::infinity()};
+                         -std::numeric_limits<double>::infinity(), 1e200,
+                         -1e200};
   for (size_t own = 0; own < layout->num_parts(); ++own) {
     SCOPED_TRACE("tree of part " + std::to_string(own));
     AcfTree tree(layout, own, opts);
@@ -448,6 +451,39 @@ TEST(AcfTreeTest, EveryEntryRefusesANonFiniteValueWhole) {
         }
       }
     }
+  }
+}
+
+TEST(AcfTreeTest, RowsAtTheBoundRoundTripThroughTheCodec) {
+  // Rows at plus and minus the row bound (2^448, RowBlock) keep every
+  // moment of the tree finite, so its checkpoint restores: encoding,
+  // decoding and re-encoding give the same bytes. One step past the bound
+  // is refused.
+  const double bound = 0x1p448;
+  const std::shared_ptr<const AcfLayout> layout = MixedLayout();
+  auto row_of = [&](double v) {
+    PartedRow row(layout->num_parts());
+    for (size_t q = 0; q < row.size(); ++q) {
+      row[q].assign(layout->parts[q].dim, v);
+    }
+    return row;
+  };
+  for (size_t own = 0; own < layout->num_parts(); ++own) {
+    SCOPED_TRACE("tree of part " + std::to_string(own));
+    AcfTree tree(layout, own, SmallTreeOptions());
+    for (const double v : {bound, -bound, bound, 0.0, -bound, bound}) {
+      ASSERT_TRUE(tree.InsertPoint(row_of(v)).ok());
+    }
+    const std::string bytes = Encode(tree);
+    persist::WireReader r(bytes);
+    auto decoded = persist::DecodeTree(r, layout, own);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(Encode(**decoded), bytes);
+    for (const double past :
+         {std::nextafter(bound, HUGE_VAL), std::nextafter(-bound, -HUGE_VAL)}) {
+      EXPECT_TRUE(tree.InsertPoint(row_of(past)).IsInvalidArgument());
+    }
+    EXPECT_EQ(Encode(tree), bytes);
   }
 }
 

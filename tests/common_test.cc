@@ -124,6 +124,10 @@ TEST(StrUtilTest, ParseDoubleRejectsGarbage) {
   EXPECT_FALSE(ParseDouble("").ok());
   EXPECT_FALSE(ParseDouble("abc").ok());
   EXPECT_FALSE(ParseDouble("1.5x").ok());
+  // Past the largest double, and below the smallest subnormal: no double
+  // holds the value.
+  EXPECT_TRUE(ParseDouble("1e999").status().IsOutOfRange());
+  EXPECT_TRUE(ParseDouble("1e-400").status().IsOutOfRange());
 }
 
 TEST(StrUtilTest, ParseIntAcceptsAndRejects) {

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/phase1_builder.h"
@@ -356,30 +357,43 @@ TEST(MergeCheckpointsTest, RejectsSchemaMismatch) {
 }
 
 TEST(MergeCheckpointsTest, RejectsConfigMismatchNamingTheKnob) {
+  // Shards that differ in one knob each: a Phase II threshold, a tree knob
+  // and the config's last knob on the wire.
   IntDataset data = IntData(/*rows_per_pattern=*/40);
-  DarConfig config = IntConfig();
+  const DarConfig config = IntConfig();
   auto session_a = MakeSession(config);
   ASSERT_TRUE(session_a.ok());
   const std::string a = WriteShardCheckpoint(
       *session_a, data.relation, data.partition, 0, 60, 0, "config_a.ckpt");
 
-  DarConfig other = config;
-  other.degree_threshold = 99.0;
-  auto session_b = MakeSession(other);
-  ASSERT_TRUE(session_b.ok());
-  const std::string b = WriteShardCheckpoint(
-      *session_b, data.relation, data.partition, 60, 120, 1, "config_b.ckpt");
+  const std::pair<const char*, void (*)(DarConfig&)> knobs[] = {
+      {"degree_threshold", [](DarConfig& c) { c.degree_threshold = 99.0; }},
+      {"tree.leaf_capacity", [](DarConfig& c) { c.tree.leaf_capacity = 5; }},
+      {"count_rule_support",
+       [](DarConfig& c) { c.count_rule_support = true; }}};
+  for (const auto& [knob, change] : knobs) {
+    SCOPED_TRACE(knob);
+    DarConfig other = config;
+    change(other);
+    auto session_b = MakeSession(other);
+    ASSERT_TRUE(session_b.ok());
+    const std::string b =
+        WriteShardCheckpoint(*session_b, data.relation, data.partition, 60,
+                             120, 1, "config_b.ckpt");
 
-  const std::vector<std::string> paths = {a, b};
-  auto merged = persist::MergeCheckpoints(paths);
-  ASSERT_TRUE(merged.status().IsInvalidArgument());
-  EXPECT_NE(merged.status().message().find("config mismatch"),
-            std::string::npos)
-      << merged.status();
-  EXPECT_NE(merged.status().message().find("degree_threshold"),
-            std::string::npos)
-      << "error must name the first differing knob: " << merged.status();
-  RemoveAll(paths);
+    const std::vector<std::string> paths = {a, b};
+    auto merged = persist::MergeCheckpoints(paths);
+    ASSERT_TRUE(merged.status().IsInvalidArgument());
+    EXPECT_NE(merged.status().message().find("config mismatch"),
+              std::string::npos)
+        << merged.status();
+    EXPECT_NE(merged.status().message().find(std::string(" on ") + knob +
+                                             ";"),
+              std::string::npos)
+        << "error must name the first differing knob: " << merged.status();
+    std::remove(b.c_str());
+  }
+  std::remove(a.c_str());
 }
 
 TEST(MergeCheckpointsTest, RejectsPartitionMismatch) {

@@ -445,9 +445,12 @@ TEST(Phase1BuilderTest, EveryEntryRefusesANonFiniteValueWhole) {
   const std::string before = persist::EncodeBuilderSection(*builder);
   // The part of each schema column: (a, d | f | b, c, e).
   const size_t part_of[] = {0, 2, 2, 0, 2, 1};
+  // 1e200 is finite, but past the row bound (2^448, RowBlock): its square
+  // is not.
   const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
                          std::numeric_limits<double>::infinity(),
-                         -std::numeric_limits<double>::infinity()};
+                         -std::numeric_limits<double>::infinity(), 1e200,
+                         -1e200};
   for (size_t col = 0; col < 6; ++col) {
     const std::string part = "part " + std::to_string(part_of[col]) + " (";
     for (const double bad : kBad) {

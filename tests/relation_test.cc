@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "relation/csv.h"
@@ -400,22 +401,25 @@ TEST(CsvTest, ReadCsvFileErrorsNameThePath) {
 }
 
 TEST(CsvTest, WriteReadRoundTrip) {
-  // Integers, fractions, and values past 6 significant digits all come
-  // back bit for bit.
+  // Integers, fractions, values past 6 significant digits and subnormals
+  // all come back bit for bit.
   std::istringstream in(
       "job,age\nDBA,30\nMgr,31\nDBA,32\nMgr,1234.5678\nDBA,123456789\n"
-      "Mgr,0.1\nDBA,-2.718281828459045\nMgr,6.02214076e23\n");
+      "Mgr,0.1\nDBA,-2.718281828459045\nMgr,6.02214076e23\nDBA,5e-324\n"
+      "Mgr,-1e-310\n");
   CsvOptions opts;
   opts.nominal_columns = {"job"};
   auto table = ReadCsv(in, opts);
-  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_EQ(table->relation.at(8, 1), std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(table->relation.at(9, 1), -1e-310);
   std::ostringstream out;
   ASSERT_TRUE(WriteCsv(*table, out).ok());
   std::istringstream in2(out.str());
   auto table2 = ReadCsv(in2, opts);
-  ASSERT_TRUE(table2.ok());
-  EXPECT_EQ(table2->relation.num_rows(), 8u);
-  for (size_t r = 0; r < 8; ++r) {
+  ASSERT_TRUE(table2.ok()) << table2.status();
+  EXPECT_EQ(table2->relation.num_rows(), 10u);
+  for (size_t r = 0; r < 10; ++r) {
     EXPECT_EQ(std::bit_cast<uint64_t>(table->relation.at(r, 1)),
               std::bit_cast<uint64_t>(table2->relation.at(r, 1)))
         << out.str();

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "birch/acf.h"
@@ -37,6 +38,17 @@ inline std::string TempPath(const std::string& name) {
   std::replace(prefix.begin(), prefix.end(), '/', '_');
   return testing::TempDir() + "/" + prefix + "." +
          std::to_string(getpid()) + "." + name;
+}
+
+/// `bytes` as lowercase hex, two digits per byte, for pinning encodings.
+inline std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto byte = static_cast<uint8_t>(c);
+    out += {kDigits[byte >> 4], kDigits[byte & 0xF]};
+  }
+  return out;
 }
 
 /// Cluster `id` on `part` summarizing `tuples`. A tuple lists one value per

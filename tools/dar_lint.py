@@ -46,6 +46,11 @@ Checked invariants (library code = everything under src/):
                    testing::TempDir() collides under `ctest -j`. Use
                    testutil::TempPath(name), which prefixes the running
                    test and the process id.
+  wire-in-codec    persist::WireReader / WireWriter appear under src/ only
+                   in the codec files (persist/wire, checkpoint_io, codec,
+                   persist_peer; serve/protocol, client, server): every
+                   wire layout is a field list or a hand-written codec
+                   there, so a record is never laid out twice.
 
 Usage: tools/dar_lint.py [--root REPO_ROOT]
 
@@ -64,6 +69,12 @@ RNG_ALLOWLIST = {"src/common/random.h"}
 MUTEX_ALLOWLIST = {"src/common/mutex.h"}
 TEMP_PATH_ALLOWLIST = {"tests/test_util.h"}
 DEPRECATED_ALLOWLIST_PREFIX = "src/common/"
+WIRE_ALLOWLIST = {
+    f"src/{name}" for name in (
+        "persist/wire.h", "persist/wire.cc", "persist/checkpoint_io.cc",
+        "persist/codec.h", "persist/codec.cc", "persist/persist_peer.h",
+        "serve/protocol.h", "serve/protocol.cc", "serve/client.h",
+        "serve/client.cc", "serve/server.cc")}
 
 IOSTREAM_RE = re.compile(r"std::cout|std::cerr|(?<![\w:.])(?:std::)?abort\s*\(")
 NEW_RE = re.compile(r"(?<![\w.])new\s+[A-Za-z_(]")
@@ -77,6 +88,7 @@ RAW_MUTEX_RE = re.compile(
 DETACH_RE = re.compile(r"\.\s*detach\s*\(")
 DEPRECATED_RE = re.compile(r"\[\[\s*(?:\w+\s*::\s*)?deprecated\b")
 TEMP_PATH_RE = re.compile(r"\bTempDir\(\)\s*\+\s*\"")
+WIRE_RE = re.compile(r"\bWire(?:Reader|Writer)\b")
 GUARD_IF_RE = re.compile(r"^#ifndef\s+(\S+)\s*$")
 GUARD_DEF_RE = re.compile(r"^#define\s+(\S+)\s*$")
 GUARD_END_RE = re.compile(r"^#endif\s*//\s*(\S+)\s*$")
@@ -214,6 +226,12 @@ def check_code_rules(rel, text, findings):
                              "callers instead of shipping a shim; this repo "
                              "removes an API in the release after its "
                              "replacement lands"))
+        if rel_str not in WIRE_ALLOWLIST and WIRE_RE.search(line):
+            findings.append((rel, lineno, "wire-in-codec",
+                             "wire layouts live in the codec files "
+                             "(persist/codec.cc, serve/protocol.cc); add a "
+                             "field list there instead of reading or "
+                             "writing wire bytes here"))
 
 
 def check_tests_registered(root, findings):

@@ -30,6 +30,7 @@ ALL_RULES = {
     "no-lingering-deprecated",
     "test-registered",
     "unique-temp-path",
+    "wire-in-codec",
 }
 
 
