@@ -23,7 +23,8 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// smallest subnormal (OutOfRange); a subnormal parses exactly.
 Result<double> ParseDouble(std::string_view s);
 
-/// Parses a non-negative integer, rejecting trailing garbage and empty input.
+/// Parses a signed decimal integer ("-7" is -7), rejecting trailing garbage
+/// and empty input (InvalidArgument) and values past int64 (OutOfRange).
 Result<int64_t> ParseInt(std::string_view s);
 
 /// Formats `v` for display, at 6 significant digits with trailing zeros

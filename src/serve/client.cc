@@ -10,39 +10,9 @@
 #include <string_view>
 
 #include "serve/protocol.h"
+#include "serve/socket_io.h"
 
 namespace dar::serve {
-namespace {
-
-Status ReadFull(int fd, char* buf, size_t n) {
-  while (n > 0) {
-    const ssize_t r = ::recv(fd, buf, n, 0);
-    if (r == 0) {
-      return Status::IOError("server closed the connection mid-response");
-    }
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("recv: ") + std::strerror(errno));
-    }
-    buf += r;
-    n -= static_cast<size_t>(r);
-  }
-  return Status::OK();
-}
-
-Status WriteFull(int fd, std::string_view bytes) {
-  while (!bytes.empty()) {
-    const ssize_t r = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("send: ") + std::strerror(errno));
-    }
-    bytes.remove_prefix(static_cast<size_t>(r));
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<RuleClient> RuleClient::Connect(const std::string& host,
                                        uint16_t port,

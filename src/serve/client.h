@@ -58,8 +58,9 @@ class RuleClient {
 
   // Frames and sends the payload in `payload_`, then reads the matching
   // response frame into `inbuf_` and returns a reader positioned at the
-  // response body, with the header validated (method + request id echo,
-  // error codes mapped back to Status).
+  // response body, with the header validated (a request id echo other
+  // than `request_id` is a protocol desync; error codes are mapped back
+  // to Status).
   Result<persist::WireReader> RoundTrip(uint64_t request_id);
 
   int fd_ = -1;

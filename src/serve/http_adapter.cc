@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "common/str_util.h"
+#include "serve/protocol.h"
 #include "telemetry/json.h"
 
 namespace dar::serve {
@@ -20,397 +22,172 @@ std::string ToLower(std::string_view s) {
   return out;
 }
 
-// Splits "a=1&b=2" into a map; no %-decoding (values here are numbers and
-// flags, which never need it).
-std::map<std::string, std::string> ParseQueryParams(std::string_view query) {
-  std::map<std::string, std::string> params;
-  size_t pos = 0;
-  while (pos < query.size()) {
-    size_t amp = query.find('&', pos);
-    if (amp == std::string_view::npos) amp = query.size();
-    std::string_view pair = query.substr(pos, amp - pos);
-    const size_t eq = pair.find('=');
-    if (eq != std::string_view::npos) {
-      params[std::string(pair.substr(0, eq))] =
-          std::string(pair.substr(eq + 1));
-    } else if (!pair.empty()) {
-      params[std::string(pair)] = "";
+// The query parameters of one request ("a=1&b=2", the last of a repeated
+// name wins). No %-decoding: values here are numbers, flags and measure
+// names, which never need it.
+class Params {
+ public:
+  explicit Params(std::string_view query) {
+    size_t pos = 0;
+    while (pos < query.size()) {
+      size_t amp = query.find('&', pos);
+      if (amp == std::string_view::npos) amp = query.size();
+      const std::string_view pair = query.substr(pos, amp - pos);
+      const size_t eq = pair.find('=');
+      if (!pair.empty()) {
+        values_[std::string(pair.substr(0, eq))] =
+            eq == std::string_view::npos ? "" : pair.substr(eq + 1);
+      }
+      pos = amp + 1;
     }
-    pos = amp + 1;
   }
-  return params;
-}
 
-// Parses "1,2,3" or "[1, 2, 3]" into doubles.
-Result<std::vector<double>> ParseTupleList(std::string_view text) {
+  // Null when absent.
+  [[nodiscard]] const std::string* Find(const std::string& name) const {
+    const auto it = values_.find(name);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+  [[nodiscard]] bool Flag(const std::string& name) const {
+    const std::string* value = Find(name);
+    return value != nullptr && *value == "1";
+  }
+  // An absent or empty parameter leaves `out` as it is.
+  Status U32(const std::string& name, uint32_t& out) const {
+    const std::string* value = Find(name);
+    if (value == nullptr || value->empty()) return Status::OK();
+    const Result<int64_t> v = ParseInt(*value);
+    if (!v.ok() || *v < 0 || *v > std::numeric_limits<uint32_t>::max()) {
+      return Status::InvalidArgument("parameter " + name + "=\"" + *value +
+                                     "\" is not a u32");
+    }
+    out = static_cast<uint32_t>(*v);
+    return Status::OK();
+  }
+  // Sets `has` and `out` when the parameter is given.
+  Status F64(const std::string& name, bool& has, double& out) const {
+    const std::string* value = Find(name);
+    if (value == nullptr || value->empty()) return Status::OK();
+    const Result<double> v = ParseDouble(*value);
+    if (!v.ok()) {
+      return Status::InvalidArgument("parameter " + name + "=\"" + *value +
+                                     "\" is not a number");
+    }
+    has = true;
+    out = *v;
+    return Status::OK();
+  }
+
+ private:
+  std::map<std::string, std::string> values_;
+};
+
+// Parses "1,2,3" or "[1, 2, 3]" into `values`.
+Status ParseTupleList(std::string_view text, std::vector<double>& values) {
   std::string trimmed(text);
   std::erase_if(trimmed, [](unsigned char c) {
     return std::isspace(c) || c == '[' || c == ']';
   });
-  std::vector<double> values;
+  values.clear();
   size_t pos = 0;
   while (pos < trimmed.size()) {
     size_t comma = trimmed.find(',', pos);
     if (comma == std::string::npos) comma = trimmed.size();
     const std::string token = trimmed.substr(pos, comma - pos);
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (token.empty() || end != token.c_str() + token.size()) {
+    const Result<double> v = ParseDouble(token);
+    if (!v.ok()) {
       return Status::InvalidArgument("cannot parse tuple value \"" + token +
                                      "\"");
     }
-    values.push_back(v);
+    values.push_back(*v);
     pos = comma + 1;
   }
   if (values.empty()) {
     return Status::InvalidArgument(
         "empty tuple; pass ?tuple=v1,v2,... or a body like [v1,v2,...]");
   }
-  return values;
+  return Status::OK();
 }
 
-Result<uint32_t> ParseU32Param(const std::map<std::string, std::string>& params,
-                               const std::string& name, uint32_t fallback) {
-  auto it = params.find(name);
-  if (it == params.end() || it->second.empty()) return fallback;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(it->second.c_str(), &end, 10);
-  if (end != it->second.c_str() + it->second.size() ||
-      v > 0xffffffffUL) {
-    return Status::InvalidArgument("parameter " + name + "=\"" + it->second +
-                                   "\" is not a u32");
+// Turns an HTTP request into the binary protocol's request: the only code
+// that knows the endpoints and their parameters. A point query's tuple
+// lands in `tuple`, which the result views.
+Result<Request> Route(const HttpRequest& http, std::vector<double>& tuple) {
+  const Params params(http.query);
+  const bool get = http.method == "GET";
+  const std::string* measure = params.Find("measure");
+  Request request;
+  if (http.path == "/v1/info" && get) {
+    request.header.method = Method::kSnapshotInfo;
+  } else if (http.path == "/v1/rules" && get && measure != nullptr &&
+             !measure->empty()) {
+    // A measure switches to the scored listing: the quality layer's
+    // ranking and filtering on top.
+    request.header.method = Method::kListRulesScored;
+    ScoredRuleListRequest& scored = request.scored;
+    scored.measure = *measure;
+    DAR_RETURN_IF_ERROR(params.U32("offset", scored.offset));
+    DAR_RETURN_IF_ERROR(params.U32("limit", scored.limit));
+    DAR_RETURN_IF_ERROR(params.F64("min", scored.has_min, scored.min_score));
+    DAR_RETURN_IF_ERROR(params.F64("max", scored.has_max, scored.max_score));
+    scored.include_text = params.Flag("text");
+    scored.include_pruned = params.Flag("pruned");
+  } else if (http.path == "/v1/rules" && get) {
+    request.header.method = Method::kListRules;
+    DAR_RETURN_IF_ERROR(params.U32("offset", request.list.offset));
+    DAR_RETURN_IF_ERROR(params.U32("limit", request.list.limit));
+    request.list.include_text = params.Flag("text");
+  } else if (http.path == "/v1/query" && (get || http.method == "POST")) {
+    request.header.method = Method::kPointQuery;
+    const std::string* text = params.Find("tuple");
+    if (text == nullptr && http.body.empty()) {
+      return Status::InvalidArgument(
+          "missing tuple: pass ?tuple=v1,v2,... or a request body");
+    }
+    DAR_RETURN_IF_ERROR(
+        ParseTupleList(text != nullptr ? *text : http.body, tuple));
+    request.point.tuple = tuple;
+    DAR_RETURN_IF_ERROR(params.U32("max_rules", request.point.max_rules));
+  } else if (http.path == "/v1/diff" && get) {
+    request.header.method = Method::kDiff;
+    DAR_RETURN_IF_ERROR(params.U32("limit", request.diff.limit));
+    request.diff.include_text = params.Flag("text");
+  } else {
+    return Status::NotFound(
+        "no endpoint " + http.method + " " + http.path +
+        "; serving /v1/info, /v1/rules, /v1/query, /v1/diff");
   }
-  return static_cast<uint32_t>(v);
+  return request;
 }
 
-// Optional double parameter: (present, value). Errors only on unparsable
-// text, never on absence.
-Result<std::pair<bool, double>> ParseF64Param(
-    const std::map<std::string, std::string>& params,
-    const std::string& name) {
-  auto it = params.find(name);
-  if (it == params.end() || it->second.empty()) return std::pair{false, 0.0};
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end != it->second.c_str() + it->second.size()) {
-    return Status::InvalidArgument("parameter " + name + "=\"" + it->second +
-                                   "\" is not a number");
-  }
-  return std::pair{true, v};
+struct HttpStatus {
+  int code;
+  const char* reason;
+};
+
+// The HTTP status of `code`; a code past kInternal reads as kInternal.
+const HttpStatus& HttpStatusOf(ServeCode code) {
+  static constexpr HttpStatus kByServeCode[] = {
+      {200, "OK"},
+      {400, "Bad Request"},
+      {404, "Not Found"},
+      {503, "Service Unavailable"},
+      {429, "Too Many Requests"},
+      {500, "Internal Server Error"},
+  };
+  return kByServeCode[std::min(static_cast<size_t>(code),
+                               std::size(kByServeCode) - 1)];
 }
 
-std::string MakeResponse(int http_status, std::string_view reason,
-                         const std::string& json_body) {
-  std::string out = "HTTP/1.1 " + std::to_string(http_status) + " " +
-                    std::string(reason) + "\r\n";
+// The complete HTTP/1.1 response around a JSON body.
+std::string MakeResponse(ServeCode code, const std::string& json_body) {
+  const HttpStatus& status = HttpStatusOf(code);
+  std::string out = "HTTP/1.1 " + std::to_string(status.code) + " " +
+                    status.reason + "\r\n";
   out += "Content-Type: application/json\r\n";
   out += "Content-Length: " + std::to_string(json_body.size()) + "\r\n";
   out += "Connection: close\r\n\r\n";
   out += json_body;
   return out;
-}
-
-std::string_view ReasonPhrase(int http_status) {
-  switch (http_status) {
-    case 200:
-      return "OK";
-    case 400:
-      return "Bad Request";
-    case 404:
-      return "Not Found";
-    case 429:
-      return "Too Many Requests";
-    case 500:
-      return "Internal Server Error";
-    case 503:
-      return "Service Unavailable";
-    default:
-      return "Unknown";
-  }
-}
-
-std::string ErrorBody(ServeCode code, std::string_view message) {
-  telemetry::JsonWriter json;
-  json.BeginObject();
-  json.Key("error");
-  json.String(ServeCodeName(code));
-  json.Key("message");
-  json.String(std::string(message));
-  json.EndObject();
-  return std::move(json).TakeStr();
-}
-
-std::string ErrorResponseForStatus(const Status& status) {
-  const ServeCode code = ServeCodeFromStatus(status);
-  return MakeHttpErrorResponse(code, status.message());
-}
-
-std::string HandleInfo(const QueryService& service) {
-  SnapshotInfoResponse info;
-  Status status = service.SnapshotInfo(info);
-  if (!status.ok()) return ErrorResponseForStatus(status);
-  telemetry::JsonWriter json;
-  json.BeginObject();
-  json.Key("api_version");
-  json.Int(info.api_version);
-  json.Key("generation");
-  json.Int(static_cast<int64_t>(info.generation));
-  json.Key("rows_ingested");
-  json.Int(info.rows_ingested);
-  json.Key("num_clusters");
-  json.Int(static_cast<int64_t>(info.num_clusters));
-  json.Key("num_rules");
-  json.Int(static_cast<int64_t>(info.num_rules));
-  json.Key("has_index");
-  json.Bool(info.has_index);
-  json.EndObject();
-  return MakeResponse(200, "OK", json.str());
-}
-
-// GET /v1/rules?measure=lift&min=1.5: the measure-ranked variant of the
-// rule listing, served from the snapshot's quality layer.
-std::string HandleRulesScored(const QueryService& service,
-                              const std::map<std::string, std::string>& params,
-                              const std::string& measure) {
-  ScoredRuleListRequest scored;
-  scored.measure = measure;
-  {
-    auto offset = ParseU32Param(params, "offset", 0);
-    if (!offset.ok()) return ErrorResponseForStatus(offset.status());
-    scored.offset = *offset;
-  }
-  {
-    auto limit = ParseU32Param(params, "limit", 0);
-    if (!limit.ok()) return ErrorResponseForStatus(limit.status());
-    scored.limit = *limit;
-  }
-  {
-    auto min = ParseF64Param(params, "min");
-    if (!min.ok()) return ErrorResponseForStatus(min.status());
-    scored.has_min = min->first;
-    scored.min_score = min->second;
-  }
-  {
-    auto max = ParseF64Param(params, "max");
-    if (!max.ok()) return ErrorResponseForStatus(max.status());
-    scored.has_max = max->first;
-    scored.max_score = max->second;
-  }
-  auto text_it = params.find("text");
-  scored.include_text = text_it != params.end() && text_it->second == "1";
-  auto pruned_it = params.find("pruned");
-  scored.include_pruned =
-      pruned_it != params.end() && pruned_it->second == "1";
-
-  ScoredRuleListResponse response;
-  Status status = service.ListRulesScored(scored, response);
-  if (!status.ok()) return ErrorResponseForStatus(status);
-  telemetry::JsonWriter json;
-  json.BeginObject();
-  json.Key("generation");
-  json.Int(static_cast<int64_t>(response.generation));
-  json.Key("rows_ingested");
-  json.Int(response.rows_ingested);
-  json.Key("measure");
-  json.String(response.measure);
-  json.Key("total_matching");
-  json.Int(response.total_matching);
-  json.Key("offset");
-  json.Int(response.offset);
-  json.Key("rules");
-  json.BeginArray();
-  for (const ScoredRuleListEntry& entry : response.rules) {
-    json.BeginObject();
-    json.Key("id");
-    json.Int(entry.id);
-    json.Key("score");
-    json.Double(entry.score);
-    json.Key("degree");
-    json.Double(entry.degree);
-    json.Key("support_count");
-    json.Int(entry.support_count);
-    json.Key("representative");
-    json.Bool(entry.representative);
-    json.Key("antecedent_size");
-    json.Int(entry.antecedent_size);
-    json.Key("consequent_size");
-    json.Int(entry.consequent_size);
-    if (scored.include_text) {
-      json.Key("text");
-      json.String(entry.text);
-    }
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-  return MakeResponse(200, "OK", json.str());
-}
-
-std::string HandleDiff(const QueryService& service,
-                       const HttpRequest& request) {
-  const auto params = ParseQueryParams(request.query);
-  RuleDiffRequest diff;
-  {
-    auto limit = ParseU32Param(params, "limit", 0);
-    if (!limit.ok()) return ErrorResponseForStatus(limit.status());
-    diff.limit = *limit;
-  }
-  auto text_it = params.find("text");
-  diff.include_text = text_it != params.end() && text_it->second == "1";
-
-  RuleDiffResponse response;
-  Status status = service.Diff(diff, response);
-  if (!status.ok()) return ErrorResponseForStatus(status);
-  telemetry::JsonWriter json;
-  json.BeginObject();
-  json.Key("old_generation");
-  json.Int(static_cast<int64_t>(response.old_generation));
-  json.Key("new_generation");
-  json.Int(static_cast<int64_t>(response.new_generation));
-  json.Key("rows_ingested");
-  json.Int(response.rows_ingested);
-  json.Key("born");
-  json.Int(response.born);
-  json.Key("died");
-  json.Int(response.died);
-  json.Key("drifted");
-  json.Int(response.drifted);
-  json.Key("unchanged");
-  json.Int(response.unchanged);
-  json.Key("total_changed");
-  json.Int(response.total_changed);
-  json.Key("entries");
-  json.BeginArray();
-  for (const RuleDiffEntry& entry : response.entries) {
-    json.BeginObject();
-    json.Key("kind");
-    json.String(entry.kind == 1   ? "drifted"
-                : entry.kind == 2 ? "born"
-                                  : "died");
-    json.Key("rule_id");
-    json.Int(entry.rule_id);
-    json.Key("degree");
-    json.Double(entry.degree);
-    json.Key("interval_shift");
-    json.Double(entry.interval_shift);
-    if (diff.include_text) {
-      json.Key("text");
-      json.String(entry.text);
-    }
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-  return MakeResponse(200, "OK", json.str());
-}
-
-std::string HandleRules(const QueryService& service,
-                        const HttpRequest& request) {
-  const auto params = ParseQueryParams(request.query);
-  // A `measure` parameter switches to the scored listing: same path, the
-  // quality layer's ranking and filtering on top.
-  auto measure_it = params.find("measure");
-  if (measure_it != params.end() && !measure_it->second.empty()) {
-    return HandleRulesScored(service, params, measure_it->second);
-  }
-  RuleListRequest list;
-  {
-    auto offset = ParseU32Param(params, "offset", 0);
-    if (!offset.ok()) return ErrorResponseForStatus(offset.status());
-    list.offset = *offset;
-  }
-  {
-    auto limit = ParseU32Param(params, "limit", 0);
-    if (!limit.ok()) return ErrorResponseForStatus(limit.status());
-    list.limit = *limit;
-  }
-  auto text_it = params.find("text");
-  list.include_text = text_it != params.end() && text_it->second == "1";
-
-  RuleListResponse response;
-  Status status = service.ListRules(list, response);
-  if (!status.ok()) return ErrorResponseForStatus(status);
-  telemetry::JsonWriter json;
-  json.BeginObject();
-  json.Key("generation");
-  json.Int(static_cast<int64_t>(response.generation));
-  json.Key("rows_ingested");
-  json.Int(response.rows_ingested);
-  json.Key("total_rules");
-  json.Int(response.total_rules);
-  json.Key("offset");
-  json.Int(response.offset);
-  json.Key("rules");
-  json.BeginArray();
-  for (const RuleListEntry& entry : response.rules) {
-    json.BeginObject();
-    json.Key("id");
-    json.Int(entry.id);
-    json.Key("degree");
-    json.Double(entry.degree);
-    json.Key("support_count");
-    json.Int(entry.support_count);
-    json.Key("antecedent_size");
-    json.Int(entry.antecedent_size);
-    json.Key("consequent_size");
-    json.Int(entry.consequent_size);
-    if (list.include_text) {
-      json.Key("text");
-      json.String(entry.text);
-    }
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-  return MakeResponse(200, "OK", json.str());
-}
-
-std::string HandleQuery(const QueryService& service,
-                        const HttpRequest& request) {
-  const auto params = ParseQueryParams(request.query);
-  std::string_view tuple_text;
-  auto tuple_it = params.find("tuple");
-  if (tuple_it != params.end()) {
-    tuple_text = tuple_it->second;
-  } else if (!request.body.empty()) {
-    tuple_text = request.body;
-  } else {
-    return MakeHttpErrorResponse(
-        ServeCode::kInvalidRequest,
-        "missing tuple: pass ?tuple=v1,v2,... or a request body");
-  }
-  auto tuple = ParseTupleList(tuple_text);
-  if (!tuple.ok()) return ErrorResponseForStatus(tuple.status());
-
-  PointQueryRequest point;
-  point.tuple = std::span<const double>(*tuple);
-  {
-    auto max_rules = ParseU32Param(params, "max_rules", 0);
-    if (!max_rules.ok()) return ErrorResponseForStatus(max_rules.status());
-    point.max_rules = *max_rules;
-  }
-
-  PointQueryResponse response;
-  Status status = service.PointQuery(point, response);
-  if (!status.ok()) return ErrorResponseForStatus(status);
-  telemetry::JsonWriter json;
-  json.BeginObject();
-  json.Key("generation");
-  json.Int(static_cast<int64_t>(response.generation));
-  json.Key("rows_ingested");
-  json.Int(response.rows_ingested);
-  json.Key("clusters");
-  json.BeginArray();
-  for (uint32_t id : response.clusters) json.Int(id);
-  json.EndArray();
-  json.Key("rules");
-  json.BeginArray();
-  for (uint32_t id : response.rules) json.Int(id);
-  json.EndArray();
-  json.Key("total_rule_matches");
-  json.Int(response.total_rule_matches);
-  json.EndObject();
-  return MakeResponse(200, "OK", json.str());
 }
 
 }  // namespace
@@ -467,49 +244,30 @@ Result<HttpRequest> ParseHttpRequest(std::string_view text) {
   return request;
 }
 
-int HttpStatusForServeCode(ServeCode code) {
-  switch (code) {
-    case ServeCode::kOk:
-      return 200;
-    case ServeCode::kInvalidRequest:
-      return 400;
-    case ServeCode::kNotFound:
-      return 404;
-    case ServeCode::kUnavailable:
-      return 503;
-    case ServeCode::kOverloaded:
-      return 429;
-    case ServeCode::kInternal:
-      return 500;
-  }
-  return 500;
-}
+int HttpStatusForServeCode(ServeCode code) { return HttpStatusOf(code).code; }
 
 std::string MakeHttpErrorResponse(ServeCode code, std::string_view message) {
-  const int http_status = HttpStatusForServeCode(code);
-  return MakeResponse(http_status, ReasonPhrase(http_status),
-                      ErrorBody(code, message));
+  telemetry::JsonWriter json;
+  json.BeginObject();
+  json.Key("error");
+  json.String(ServeCodeName(code));
+  json.Key("message");
+  json.String(std::string(message));
+  json.EndObject();
+  return MakeResponse(code, json.str());
 }
 
 std::string HandleHttpRequest(const QueryService& service,
                               const HttpRequest& request) {
-  if (request.path == "/v1/info" && request.method == "GET") {
-    return HandleInfo(service);
+  std::vector<double> tuple;
+  const Result<Request> routed = Route(request, tuple);
+  telemetry::JsonWriter json;
+  const Status status = routed.ok() ? Dispatcher(service).Answer(*routed, json)
+                                    : routed.status();
+  if (!status.ok()) {
+    return MakeHttpErrorResponse(ServeCodeFromStatus(status), status.message());
   }
-  if (request.path == "/v1/rules" && request.method == "GET") {
-    return HandleRules(service, request);
-  }
-  if (request.path == "/v1/query" &&
-      (request.method == "GET" || request.method == "POST")) {
-    return HandleQuery(service, request);
-  }
-  if (request.path == "/v1/diff" && request.method == "GET") {
-    return HandleDiff(service, request);
-  }
-  return MakeHttpErrorResponse(
-      ServeCode::kNotFound,
-      "no endpoint " + request.method + " " + request.path +
-          "; serving /v1/info, /v1/rules, /v1/query, /v1/diff");
+  return MakeResponse(ServeCode::kOk, json.str());
 }
 
 }  // namespace dar::serve

@@ -13,19 +13,27 @@
 namespace dar::serve {
 
 /// The HTTP/JSON face of the rule server: a thin, dependency-free
-/// translation of three GET/POST endpoints onto the same QueryService
-/// surface the binary protocol uses. One request per connection
-/// (Connection: close); responses are compact JSON built with the
+/// translation onto the binary protocol (serve/protocol.h). A router turns
+/// each request into the same serve::Request that DecodeRequest fills,
+/// the same Dispatcher answers it, and the JSON body is the response's
+/// field list: the wire's fields, in wire order, under their list names
+/// (a diff entry's kind is its wire number, 1 drifted, 2 born, 3 died;
+/// every listing and diff entry carries text, "" unless text=1). One
+/// request per connection (Connection: close); compact JSON from the
 /// deterministic telemetry JsonWriter.
 ///
 /// Endpoints (all under api version 1):
-///   GET  /v1/info                     -> SnapshotInfo
-///   GET  /v1/rules?offset=&limit=&text=1   -> ListRules
-///   GET  /v1/query?tuple=1,2,3&max_rules=N -> PointQuery
+///   GET  /v1/info                                  -> SnapshotInfo
+///   GET  /v1/rules?offset=&limit=&text=1           -> ListRules
+///   GET  /v1/rules?measure=&min=&max=&pruned=1&... -> ListRulesScored
+///   GET  /v1/query?tuple=1,2,3&max_rules=N         -> PointQuery
 ///   POST /v1/query   (body "1,2,3" or "[1,2,3]")
-/// The tenant for admission is the X-Tenant header ("" when absent).
-/// Errors map ServeCode -> HTTP status: invalid_request 400, not_found
-/// 404, unavailable 503, overloaded 429, internal 500; the body is
+///   GET  /v1/diff?limit=&text=1                    -> Diff
+/// Numbers parse as the CSV reader's do (common/str_util.h); a page size
+/// outside u32 or a bound past the largest double is a 400. The tenant
+/// for admission is the X-Tenant header ("" when absent). Errors map
+/// ServeCode -> HTTP status: invalid_request 400, not_found 404,
+/// unavailable 503, overloaded 429, internal 500; the body is
 /// {"error":"<code name>","message":"..."}.
 
 /// One parsed HTTP/1.x request head plus body.

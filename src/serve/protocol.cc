@@ -1,7 +1,11 @@
 #include "serve/protocol.h"
 
 #include <string>
+#include <type_traits>
 #include <utility>
+
+#include "serve/query_service.h"
+#include "telemetry/json.h"
 
 namespace dar::serve {
 namespace {
@@ -16,16 +20,38 @@ void EncodeRequestHeader(Method method, uint64_t request_id,
 
 void EncodeResponseHeader(const RequestHeader& header, ServeCode code,
                           persist::WireWriter& out) {
-  out.Clear();
-  out.U32(kQueryApiVersion);
-  out.U8(static_cast<uint8_t>(header.method));
-  out.U64(header.request_id);
+  EncodeRequestHeader(header.method, header.request_id, out);
   out.U8(static_cast<uint8_t>(code));
+}
+
+// Reads the header a request and a response both open with. `side` is
+// "request" or "response", `reader_role` "server" or "client".
+Result<RequestHeader> ReadHeader(persist::WireReader& reader,
+                                 const char* side, const char* reader_role) {
+  RequestHeader header;
+  DAR_ASSIGN_OR_RETURN(header.api_version, reader.U32());
+  if (header.api_version != kQueryApiVersion) {
+    return Status::InvalidArgument(
+        std::string(side) + " api version " +
+        std::to_string(header.api_version) + " does not match " +
+        reader_role + " version " + std::to_string(kQueryApiVersion));
+  }
+  DAR_ASSIGN_OR_RETURN(const uint8_t method_byte, reader.U8());
+  if (method_byte < static_cast<uint8_t>(Method::kHello) ||
+      method_byte > static_cast<uint8_t>(Method::kDiff)) {
+    return Status::InvalidArgument("unknown " + std::string(side) +
+                                   " method " + std::to_string(method_byte));
+  }
+  header.method = static_cast<Method>(method_byte);
+  DAR_ASSIGN_OR_RETURN(header.request_id, reader.U64());
+  return header;
 }
 
 // ---------------------------------------------------------------------------
 // Field lists (persist/wire.h) of the request and response bodies. The
 // layout comments in protocol.h are the spec; these lists are the code.
+// The JSON face names each field as its list does, a listing's entries by
+// the name its Records call gives them.
 
 using persist::FieldReader;
 using persist::FieldWriter;
@@ -77,7 +103,7 @@ void RuleListBodyFields(V&& v, R& r) {
   v("rows_ingested", r.rows_ingested);
   v("total_rules", r.total_rules);
   v("offset", r.offset);
-  v.Records("rule-list entry", kPage<32>, r.rules, [&v](auto& e) {
+  v.Records("rules", kPage<32>, r.rules, [&v](auto& e) {
     v("id", e.id);
     v("degree", e.degree);
     v("support_count", e.support_count);
@@ -104,7 +130,7 @@ void ScoredRuleListBodyFields(V&& v, R& r) {
   v("total_matching", r.total_matching);
   v("offset", r.offset);
   v("measure", r.measure);
-  v.Records("scored rule-list entry", kPage<41>, r.rules, [&v](auto& e) {
+  v.Records("rules", kPage<41>, r.rules, [&v](auto& e) {
     v("id", e.id);
     v("degree", e.degree);
     v("support_count", e.support_count);
@@ -126,13 +152,75 @@ void RuleDiffBodyFields(V&& v, R& r) {
   v("drifted", r.drifted);
   v("unchanged", r.unchanged);
   v("total_changed", r.total_changed);
-  v.Records("diff entry", kPage<25>, r.entries, [&v](auto& e) {
+  v.Records("entries", kPage<25>, r.entries, [&v](auto& e) {
     v("kind", e.kind);
     v("rule_id", e.rule_id);
     v("degree", e.degree);
     v("interval_shift", e.interval_shift);
     v("text", e.text);
   });
+}
+
+// Writes a record as JSON members, each field under its list name and by
+// its C++ type; a vector is an array, and Records an array of objects.
+class JsonFieldWriter {
+ public:
+  explicit JsonFieldWriter(telemetry::JsonWriter& json) : json_(json) {}
+
+  template <class T>
+  void operator()(const char* name, const T& field) {
+    json_.Key(name);
+    Value(field);
+  }
+  template <class Seq, class Each>
+  void Records(const char* name, persist::CountBound /*bound*/,
+               const Seq& records, Each&& each) {
+    json_.Key(name);
+    json_.BeginArray();
+    for (const auto& record : records) {
+      json_.BeginObject();
+      each(record);
+      json_.EndObject();
+    }
+    json_.EndArray();
+  }
+
+ private:
+  template <class T>
+  void Value(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      json_.Bool(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      json_.Double(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      json_.String(v);
+    } else if constexpr (std::is_integral_v<T>) {
+      json_.Int(static_cast<int64_t>(v));
+    } else {
+      json_.BeginArray();
+      for (const auto& element : v) Value(element);
+      json_.EndArray();
+    }
+  }
+
+  telemetry::JsonWriter& json_;
+};
+
+// One answer body per face: `fields` walks the answer's field list with
+// the face's visitor.
+template <class Fields>
+void WriteBody(const RequestHeader& header, persist::WireWriter& out,
+               Fields&& fields) {
+  EncodeResponseHeader(header, ServeCode::kOk, out);
+  fields(FieldWriter(out));
+}
+
+template <class Fields>
+void WriteBody(const RequestHeader& /*header*/, telemetry::JsonWriter& out,
+               Fields&& fields) {
+  out.BeginObject();
+  fields(JsonFieldWriter(out));
+  out.EndObject();
 }
 
 }  // namespace
@@ -198,21 +286,7 @@ Result<Request> DecodeRequest(std::string_view payload,
                               std::vector<double>& tuple_scratch) {
   persist::WireReader reader(payload);
   Request request;
-  DAR_ASSIGN_OR_RETURN(request.header.api_version, reader.U32());
-  if (request.header.api_version != kQueryApiVersion) {
-    return Status::InvalidArgument(
-        "request api version " + std::to_string(request.header.api_version) +
-        " does not match server version " +
-        std::to_string(kQueryApiVersion));
-  }
-  DAR_ASSIGN_OR_RETURN(const uint8_t method_byte, reader.U8());
-  if (method_byte < static_cast<uint8_t>(Method::kHello) ||
-      method_byte > static_cast<uint8_t>(Method::kDiff)) {
-    return Status::InvalidArgument("unknown request method " +
-                                   std::to_string(method_byte));
-  }
-  request.header.method = static_cast<Method>(method_byte);
-  DAR_ASSIGN_OR_RETURN(request.header.request_id, reader.U64());
+  DAR_ASSIGN_OR_RETURN(request.header, ReadHeader(reader, "request", "server"));
 
   FieldReader read(reader);
   switch (request.header.method) {
@@ -308,21 +382,7 @@ void EncodeRuleDiffResponse(const RequestHeader& header,
 
 Result<ResponseHeader> DecodeResponseHeader(persist::WireReader& reader) {
   ResponseHeader out;
-  DAR_ASSIGN_OR_RETURN(out.header.api_version, reader.U32());
-  if (out.header.api_version != kQueryApiVersion) {
-    return Status::InvalidArgument(
-        "response api version " + std::to_string(out.header.api_version) +
-        " does not match client version " +
-        std::to_string(kQueryApiVersion));
-  }
-  DAR_ASSIGN_OR_RETURN(const uint8_t method_byte, reader.U8());
-  if (method_byte < static_cast<uint8_t>(Method::kHello) ||
-      method_byte > static_cast<uint8_t>(Method::kDiff)) {
-    return Status::InvalidArgument("unknown response method " +
-                                   std::to_string(method_byte));
-  }
-  out.header.method = static_cast<Method>(method_byte);
-  DAR_ASSIGN_OR_RETURN(out.header.request_id, reader.U64());
+  DAR_ASSIGN_OR_RETURN(out.header, ReadHeader(reader, "response", "client"));
   DAR_ASSIGN_OR_RETURN(const uint8_t code_byte, reader.U8());
   if (code_byte > static_cast<uint8_t>(ServeCode::kInternal)) {
     return Status::InvalidArgument("unknown serve code " +
@@ -368,7 +428,69 @@ Status DecodeRuleDiffBody(persist::WireReader& reader,
                           RuleDiffResponse& out) {
   FieldReader read(reader);
   RuleDiffBodyFields(read, out);
-  return read.End("diff response payload");
+  DAR_RETURN_IF_ERROR(read.End("diff response payload"));
+  for (size_t i = 0; i < out.entries.size(); ++i) {
+    const uint8_t kind = out.entries[i].kind;
+    if (kind < 1 || kind > 3) {
+      return Status::InvalidArgument("diff entry " + std::to_string(i) +
+                                     ": kind " + std::to_string(kind) +
+                                     " is not 1, 2 or 3");
+    }
+  }
+  return Status::OK();
+}
+
+Status Dispatcher::Answer(const Request& request, persist::WireWriter& out) {
+  return AnswerTo(request, out);
+}
+
+Status Dispatcher::Answer(const Request& request, telemetry::JsonWriter& out) {
+  return AnswerTo(request, out);
+}
+
+template <class Out>
+Status Dispatcher::AnswerTo(const Request& request, Out& out) {
+  const RequestHeader& header = request.header;
+  switch (header.method) {
+    case Method::kHello:
+      WriteBody(header, out, [](auto&& /*v*/) {});
+      break;
+    case Method::kPointQuery:
+      DAR_RETURN_IF_ERROR(service_.PointQuery(request.point, point_));
+      WriteBody(header, out,
+                [this](auto&& v) { PointQueryBodyFields(v, point_); });
+      break;
+    case Method::kListRules:
+      DAR_RETURN_IF_ERROR(service_.ListRules(request.list, list_));
+      WriteBody(header, out,
+                [this](auto&& v) { RuleListBodyFields(v, list_); });
+      break;
+    case Method::kSnapshotInfo:
+      DAR_RETURN_IF_ERROR(service_.SnapshotInfo(info_));
+      WriteBody(header, out,
+                [this](auto&& v) { SnapshotInfoBodyFields(v, info_); });
+      break;
+    case Method::kListRulesScored:
+      DAR_RETURN_IF_ERROR(service_.ListRulesScored(request.scored, scored_));
+      WriteBody(header, out,
+                [this](auto&& v) { ScoredRuleListBodyFields(v, scored_); });
+      break;
+    case Method::kDiff:
+      DAR_RETURN_IF_ERROR(service_.Diff(request.diff, diff_));
+      WriteBody(header, out,
+                [this](auto&& v) { RuleDiffBodyFields(v, diff_); });
+      break;
+  }
+  return Status::OK();
+}
+
+bool Dispatcher::Refuse(std::string_view payload, const Status& refusal,
+                        persist::WireWriter& out) {
+  persist::WireReader reader(payload);
+  const Result<RequestHeader> header = ReadHeader(reader, "request", "server");
+  EncodeErrorResponse(header.ok() ? *header : RequestHeader{},
+                      ServeCode::kInvalidRequest, refusal.message(), out);
+  return header.ok();
 }
 
 }  // namespace dar::serve

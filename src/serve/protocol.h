@@ -11,10 +11,20 @@
 #include "persist/wire.h"
 #include "serve/query_api.h"
 
+namespace dar {
+class QueryService;  // serve/query_service.h
+}  // namespace dar
+
+namespace dar::telemetry {
+class JsonWriter;  // telemetry/json.h
+}  // namespace dar::telemetry
+
 namespace dar::serve {
 
-/// The framed binary protocol the rule server speaks (the HTTP adapter is
-/// a thin translation onto the same request surface).
+/// The framed binary protocol the rule server speaks, and the Dispatcher
+/// that answers its requests for both faces of the server: the HTTP
+/// adapter routes each HTTP request into the same Request and gets its
+/// JSON body from the same field lists.
 ///
 /// Framing: every message is `u32 length (little-endian) | payload`, with
 /// `length == payload size <= kMaxFrameBytes`. The payload reuses the
@@ -30,9 +40,10 @@ namespace dar::serve {
 /// pipelining requests can match responses by id.
 ///
 /// The body layouts below are the spec. The code is one field list per
-/// body in protocol.cc (persist/wire.h), walked by its encoder and its
-/// decoder: a boolean byte other than 0 or 1 is InvalidArgument, and a
-/// listing's entry count is refused past kMaxRuleListLimit
+/// body in protocol.cc (persist/wire.h), walked by its encoder, its
+/// decoder and the JSON face: a boolean byte other than 0 or 1 is
+/// InvalidArgument, a diff entry's kind outside 1-3 is InvalidArgument,
+/// and a listing's entry count is refused past kMaxRuleListLimit
 /// (InvalidArgument) or past the bytes left at each entry's byte floor
 /// (OutOfRange) before any entry is reserved.
 ///
@@ -190,6 +201,48 @@ Status DecodeSnapshotInfoBody(persist::WireReader& reader,
 Status DecodeScoredRuleListBody(persist::WireReader& reader,
                                 ScoredRuleListResponse& out);
 Status DecodeRuleDiffBody(persist::WireReader& reader, RuleDiffResponse& out);
+
+// --- The answer path (server side, both faces) ------------------------
+
+/// The one answer path of the rule server: a single switch over the
+/// request's method that calls the QueryService and writes the answer
+/// through its body's field list. The binary face gets a response payload
+/// (header, then body: the bytes Encode*Response writes); the JSON face
+/// gets one object whose members are the list's fields, under their list
+/// names and in wire order. A failing call writes nothing and returns the
+/// service's Status, which the caller answers (EncodeErrorResponse,
+/// MakeHttpErrorResponse). The response objects are reused across calls,
+/// so a session that keeps one Dispatcher answers without allocating in
+/// steady state.
+class Dispatcher {
+ public:
+  /// `service` must outlive the dispatcher.
+  explicit Dispatcher(const QueryService& service) : service_(service) {}
+
+  /// Binary face: the response payload into `out` (cleared first).
+  Status Answer(const Request& request, persist::WireWriter& out);
+  /// JSON face: one object appended to `out`.
+  Status Answer(const Request& request, telemetry::JsonWriter& out);
+
+  /// Answers a payload that DecodeRequest refused with `refusal`: an
+  /// invalid_request response into `out`, under the payload's own header
+  /// when that header decodes, so the session goes on. Returns false when
+  /// it does not (version skew, unknown method, fewer than 13 bytes): the
+  /// answer then carries request id 0 and the session should drop.
+  static bool Refuse(std::string_view payload, const Status& refusal,
+                     persist::WireWriter& out);
+
+ private:
+  template <class Out>
+  Status AnswerTo(const Request& request, Out& out);
+
+  const QueryService& service_;
+  PointQueryResponse point_;
+  RuleListResponse list_;
+  SnapshotInfoResponse info_;
+  ScoredRuleListResponse scored_;
+  RuleDiffResponse diff_;
+};
 
 }  // namespace dar::serve
 

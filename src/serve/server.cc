@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -15,6 +16,7 @@
 #include "persist/wire.h"
 #include "serve/http_adapter.h"
 #include "serve/protocol.h"
+#include "serve/socket_io.h"
 
 namespace dar::serve {
 namespace {
@@ -22,32 +24,6 @@ namespace {
 // Largest HTTP head (request line + headers) we accept; bigger is hostile.
 constexpr size_t kMaxHttpHeadBytes = 64 * 1024;
 constexpr size_t kMaxHttpBodyBytes = 1 << 20;
-
-bool ReadFull(int fd, char* buf, size_t n) {
-  while (n > 0) {
-    const ssize_t r = ::recv(fd, buf, n, 0);
-    if (r == 0) return false;  // orderly EOF
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    buf += r;
-    n -= static_cast<size_t>(r);
-  }
-  return true;
-}
-
-bool WriteFull(int fd, std::string_view bytes) {
-  while (!bytes.empty()) {
-    const ssize_t r = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    bytes.remove_prefix(static_cast<size_t>(r));
-  }
-  return true;
-}
 
 // Waits until the connection's first 4 bytes are peekable (left in the
 // socket) and reports whether they spell an HTTP method. Both dialects
@@ -249,15 +225,11 @@ void RuleServer::ServeBinary(int fd) {
   persist::WireWriter frame;
   std::string inbuf;
   std::vector<double> tuple_scratch;
-  PointQueryResponse point_response;
-  RuleListResponse list_response;
-  SnapshotInfoResponse info_response;
-  ScoredRuleListResponse scored_response;
-  RuleDiffResponse diff_response;
+  Dispatcher dispatch(service_);
 
   for (;;) {
     char lenbuf[4];
-    if (!ReadFull(fd, lenbuf, sizeof(lenbuf))) return;
+    if (!ReadFull(fd, lenbuf, sizeof(lenbuf)).ok()) return;
     const Result<uint32_t> length =
         DecodeFrameLength(std::string_view(lenbuf, sizeof(lenbuf)));
     if (!length.ok()) {
@@ -266,78 +238,35 @@ void RuleServer::ServeBinary(int fd) {
       return;
     }
     inbuf.resize(*length);
-    if (!ReadFull(fd, inbuf.data(), inbuf.size())) return;
+    if (!ReadFull(fd, inbuf.data(), inbuf.size()).ok()) return;
     if (binary_requests_) binary_requests_->Increment();
 
+    bool keep_session = true;
     const Result<Request> decoded = DecodeRequest(inbuf, tuple_scratch);
     if (!decoded.ok()) {
-      // The frame boundary held, but the payload is out of contract:
-      // answer the error, then drop the session (its id echo is gone).
+      // The frame boundary held, but the payload is out of contract.
       if (protocol_errors_) protocol_errors_->Increment();
-      EncodeErrorResponse(RequestHeader{}, ServeCode::kInvalidRequest,
-                          decoded.status().message(), payload);
-      frame.Clear();
-      AppendFrame(payload.bytes(), frame);
-      (void)WriteFull(fd, frame.bytes());
-      return;
-    }
-    const Request& request = *decoded;
-    const RequestHeader& header = request.header;
-
-    if (header.method == Method::kHello) {
-      tenant.assign(request.tenant);
-      EncodeHelloResponse(header, payload);
+      keep_session = Dispatcher::Refuse(inbuf, decoded.status(), payload);
     } else {
-      Result<AdmissionController::Ticket> ticket = admission_.Admit(tenant);
-      if (!ticket.ok()) {
-        EncodeErrorResponse(header, ServeCode::kOverloaded,
-                            ticket.status().message(), payload);
+      const Request& request = *decoded;
+      Status status;
+      if (request.header.method == Method::kHello) {
+        tenant.assign(request.tenant);  // opens the session, not admitted
+        status = dispatch.Answer(request, payload);
       } else {
-        Status status = Status::OK();
-        switch (header.method) {
-          case Method::kPointQuery:
-            status = service_.PointQuery(request.point, point_response);
-            if (status.ok()) {
-              EncodePointQueryResponse(header, point_response, payload);
-            }
-            break;
-          case Method::kListRules:
-            status = service_.ListRules(request.list, list_response);
-            if (status.ok()) {
-              EncodeRuleListResponse(header, list_response, payload);
-            }
-            break;
-          case Method::kSnapshotInfo:
-            status = service_.SnapshotInfo(info_response);
-            if (status.ok()) {
-              EncodeSnapshotInfoResponse(header, info_response, payload);
-            }
-            break;
-          case Method::kListRulesScored:
-            status = service_.ListRulesScored(request.scored,
-                                              scored_response);
-            if (status.ok()) {
-              EncodeScoredRuleListResponse(header, scored_response, payload);
-            }
-            break;
-          case Method::kDiff:
-            status = service_.Diff(request.diff, diff_response);
-            if (status.ok()) {
-              EncodeRuleDiffResponse(header, diff_response, payload);
-            }
-            break;
-          case Method::kHello:
-            break;  // handled above
-        }
-        if (!status.ok()) {
-          EncodeErrorResponse(header, ServeCodeFromStatus(status),
-                              status.message(), payload);
-        }
+        const Result<AdmissionController::Ticket> ticket =
+            admission_.Admit(tenant);
+        status = ticket.ok() ? dispatch.Answer(request, payload)
+                             : ticket.status();
+      }
+      if (!status.ok()) {
+        EncodeErrorResponse(request.header, ServeCodeFromStatus(status),
+                            status.message(), payload);
       }
     }
     frame.Clear();
     AppendFrame(payload.bytes(), frame);
-    if (!WriteFull(fd, frame.bytes())) return;
+    if (!WriteFull(fd, frame.bytes()).ok() || !keep_session) return;
   }
 }
 
@@ -345,57 +274,43 @@ void RuleServer::ServeHttp(int fd) {
   if (http_requests_) http_requests_->Increment();
   std::string buf;
   buf.reserve(4096);
-  char chunk[4096];
-  size_t head_end = std::string::npos;
-  while (head_end == std::string::npos) {
-    if (buf.size() > kMaxHttpHeadBytes) return;
-    const ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (r == 0) return;
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return;
+  // Appends what the socket has; false on EOF or a socket error.
+  const auto read_more = [fd, &buf] {
+    char chunk[4096];
+    for (;;) {
+      const ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (r < 0 && errno == EINTR) continue;
+      if (r <= 0) return false;
+      buf.append(chunk, static_cast<size_t>(r));
+      return true;
     }
-    buf.append(chunk, static_cast<size_t>(r));
-    head_end = buf.find("\r\n\r\n");
+  };
+  size_t head_end;
+  while ((head_end = buf.find("\r\n\r\n")) == std::string::npos) {
+    if (buf.size() > kMaxHttpHeadBytes || !read_more()) return;
   }
-
-  // Pull the declared body in before parsing (ParseHttpRequest wants the
-  // complete request).
-  size_t content_length = 0;
-  {
-    const Result<HttpRequest> head_only =
-        ParseHttpRequest(buf.substr(0, head_end + 4));
-    if (head_only.ok()) {
-      const std::string_view value = head_only->Header("content-length");
-      if (!value.empty()) {
-        content_length = static_cast<size_t>(
-            std::strtoul(std::string(value).c_str(), nullptr, 10));
-      }
-    }
-  }
-  if (content_length > kMaxHttpBodyBytes) {
-    (void)WriteFull(fd, MakeHttpErrorResponse(ServeCode::kInvalidRequest,
-                                              "request body too large"));
-    return;
-  }
-  const size_t total = head_end + 4 + content_length;
-  while (buf.size() < total) {
-    const ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (r == 0) return;
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    buf.append(chunk, static_cast<size_t>(r));
-  }
-
-  const Result<HttpRequest> parsed = ParseHttpRequest(buf.substr(0, total));
+  const size_t body_start = head_end + 4;
+  Result<HttpRequest> parsed =
+      ParseHttpRequest(std::string_view(buf).substr(0, body_start));
   if (!parsed.ok()) {
     if (protocol_errors_) protocol_errors_->Increment();
     (void)WriteFull(fd, MakeHttpErrorResponse(ServeCode::kInvalidRequest,
                                               parsed.status().message()));
     return;
   }
+
+  // Then the declared body.
+  const size_t content_length = static_cast<size_t>(std::strtoul(
+      std::string(parsed->Header("content-length")).c_str(), nullptr, 10));
+  if (content_length > kMaxHttpBodyBytes) {
+    (void)WriteFull(fd, MakeHttpErrorResponse(ServeCode::kInvalidRequest,
+                                              "request body too large"));
+    return;
+  }
+  while (buf.size() < body_start + content_length) {
+    if (!read_more()) return;
+  }
+  parsed->body = buf.substr(body_start, content_length);
 
   const Result<AdmissionController::Ticket> ticket =
       admission_.Admit(parsed->Header("x-tenant"));

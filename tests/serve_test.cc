@@ -5,7 +5,11 @@
 // hot-swap under concurrent load including a RestoreCheckpoint warm-start
 // swap (run under -DDAR_SANITIZE=thread via `ctest -L tsan`).
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -19,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/str_util.h"
 #include "core/session.h"
 #include "datagen/planted.h"
 #include "persist/wire.h"
@@ -494,19 +499,21 @@ TEST(ProtocolTest, PointQueryIdCountsAreBoundedByTheFrame) {
   }
 }
 
-// Checks one listing's entry-count bounds; `entries` is its entry list.
+// Checks one listing's entry-count bounds; `entries` is its entry list and
+// `entry` a valid entry with empty text.
 template <class Response, class Entries>
 void CheckListingCountBounds(
     serve::Method method, Entries Response::*entries,
     void (*encode)(const serve::RequestHeader&, const Response&,
                    persist::WireWriter&),
-    Status (*decode)(persist::WireReader&, Response&)) {
+    Status (*decode)(persist::WireReader&, Response&),
+    const typename Entries::value_type& entry = {}) {
   serve::RequestHeader header;
   header.method = method;
   persist::WireWriter payload;
   // Entries with empty text sit exactly at the per-entry byte floor.
   Response at_floor;
-  (at_floor.*entries).resize(2);
+  (at_floor.*entries).resize(2, entry);
   encode(header, at_floor, payload);
   EXPECT_EQ((DecodeResponse<Response>(payload.bytes(), decode).*entries).size(),
             2u);
@@ -540,9 +547,11 @@ TEST(ProtocolTest, ListingCountsAreBoundedBeforeReserving) {
                           &ScoredRuleListResponse::rules,
                           serve::EncodeScoredRuleListResponse,
                           serve::DecodeScoredRuleListBody);
+  RuleDiffEntry drifted;
+  drifted.kind = 1;
   CheckListingCountBounds(serve::Method::kDiff, &RuleDiffResponse::entries,
                           serve::EncodeRuleDiffResponse,
-                          serve::DecodeRuleDiffBody);
+                          serve::DecodeRuleDiffBody, drifted);
 }
 
 TEST(ProtocolTest, CorruptionIsRejectedCleanly) {
@@ -1084,6 +1093,19 @@ TEST(RuleServerTest, BinaryEndToEnd) {
   Status status = client->PointQuery(bad, remote);
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(status.IsInvalidArgument());
+  // So does a tuple past the protocol's cap, which the decoder refuses: the
+  // answer carries the request's own id and the session stays open.
+  const std::vector<double> oversized(serve::kMaxTupleValues + 1, 1.0);
+  bad.tuple = oversized;
+  status = client->PointQuery(bad, remote);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find(std::to_string(serve::kMaxTupleValues)),
+            std::string::npos)
+      << status;
+  const std::vector<double> row = served.data.relation.Row(0);
+  PointQueryRequest good;
+  good.tuple = row;
+  EXPECT_TRUE(client->PointQuery(good, remote).ok());
 
   server.Stop();
   EXPECT_FALSE(server.running());
@@ -1509,6 +1531,18 @@ TEST(ProtocolTest, ScoredAndDiffResponseRoundTrip) {
     EXPECT_EQ(out.entries[2].rule_id, 9u);
     EXPECT_TRUE(out.entries[2].text.empty());
   }
+  // A kind outside 1-3 is refused, naming the entry.
+  for (const uint8_t kind : {0, 4, 200}) {
+    diff.entries[1].kind = kind;
+    serve::EncodeRuleDiffResponse(header, diff, payload);
+    persist::WireReader reader{std::string_view(payload.bytes())};
+    ASSERT_TRUE(serve::DecodeResponseHeader(reader).ok());
+    RuleDiffResponse out;
+    const Status status = serve::DecodeRuleDiffBody(reader, out);
+    EXPECT_TRUE(status.IsInvalidArgument()) << int{kind} << ": " << status;
+    EXPECT_NE(status.message().find("diff entry 1"), std::string::npos)
+        << status;
+  }
 }
 
 TEST(QueryServiceTest, ScoredListingRanksFiltersAndPaginates) {
@@ -1781,18 +1815,169 @@ TEST(RuleServerTest, HttpScoredAndDiffEndpoints) {
   EXPECT_NE(response.find("HTTP/1.1 404"), std::string::npos);
   EXPECT_NE(response.find("novelty"), std::string::npos);
 
-  // A bad score bound is the caller's error, not a server fault.
-  auto bad = serve::ParseHttpRequest(
-      "GET /v1/rules?measure=lift&min=abc HTTP/1.1\r\n\r\n");
-  ASSERT_TRUE(bad.ok());
-  response = serve::HandleHttpRequest(service, *bad);
-  EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos);
+  // A bad score bound or page size is the caller's error, not a server
+  // fault; a bound past the largest double is no bound.
+  for (const char* param : {"min=abc", "min=1e999", "limit=4294967296"}) {
+    auto bad = serve::ParseHttpRequest(
+        std::string("GET /v1/rules?measure=lift&") + param +
+        " HTTP/1.1\r\n\r\n");
+    ASSERT_TRUE(bad.ok());
+    response = serve::HandleHttpRequest(service, *bad);
+    EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << param;
+  }
 
   // The catch-all 404 advertises the diff endpoint.
   auto missing = serve::ParseHttpRequest("GET /v1/nope HTTP/1.1\r\n\r\n");
   ASSERT_TRUE(missing.ok());
   EXPECT_NE(serve::HandleHttpRequest(service, *missing).find("/v1/diff"),
             std::string::npos);
+}
+
+// One HTTP exchange with a live server on loopback: sends `request` and
+// reads until the server closes the connection (it answers one request).
+std::string HttpExchange(uint16_t port, const std::string& request) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const auto* target = reinterpret_cast<const sockaddr*>(&addr);
+  EXPECT_EQ(::connect(fd, target, sizeof(addr)), 0);
+  EXPECT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  std::string response;
+  char chunk[4096];
+  for (ssize_t r; (r = ::recv(fd, chunk, sizeof(chunk), 0)) > 0;) {
+    response.append(chunk, static_cast<size_t>(r));
+  }
+  ::close(fd);
+  return response;
+}
+
+TEST(RuleServerTest, HttpBodiesArePinned) {
+  // Every endpoint's whole answer over a live server, on the two-generation
+  // quality stream: status line, headers and JSON body.
+  ServedStream served = MakeQualityServedStream();
+  QueryService service;
+  service.AttachStream(*served.stream);
+  serve::RuleServer server(service, serve::ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+
+  std::string tuple;
+  for (const double v : served.data.relation.Row(0)) {
+    tuple += (tuple.empty() ? "" : ",") + FormatDoubleExact(v);
+  }
+  const std::string post_body = "[" + tuple + "]";
+  const struct {
+    std::string request;
+    std::string response;
+  } kExchanges[] = {
+      {"GET /v1/info HTTP/1.1\r\nHost: x\r\nX-Tenant: t\r\n\r\n",
+       "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+       "Content-Length: 104\r\nConnection: close\r\n\r\n"
+       R"js({"api_version":1,"generation":2,"rows_ingested":3000,)js"
+       R"js("num_clusters":12,"num_rules":138,"has_index":true})js"},
+      {"GET /v1/rules?limit=2 HTTP/1.1\r\n\r\n",
+       "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+       "Content-Length: 289\r\nConnection: close\r\n\r\n"
+       R"js({"generation":2,"rows_ingested":3000,"total_rules":138,)js"
+       R"js("offset":0,"rules":[{"id":0,"degree":35.70845546262684,)js"
+       R"js("support_count":937,"antecedent_size":1,"consequent_size":1,)js"
+       R"js("text":""},{"id":1,"degree":35.759054997978176,)js"
+       R"js("support_count":935,"antecedent_size":1,"consequent_size":1,)js"
+       R"js("text":""}]})js"},
+      {"GET /v1/rules?limit=2&text=1 HTTP/1.1\r\n\r\n",
+       "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+       "Content-Length: 516\r\nConnection: close\r\n\r\n"
+       R"js({"generation":2,"rows_ingested":3000,"total_rules":138,)js"
+       R"js("offset":0,"rules":[{"id":0,"degree":35.70845546262684,)js"
+       R"js("support_count":937,"antecedent_size":1,"consequent_size":1,)js"
+       R"js("text":"[attr0 in [402.727,)js"
+       R"js( 530.065] (n=934)] => [attr1 in [452.972,)js"
+       R"js( 570.369] (n=924)] (degree=35.7085, support_count=937)"},)js"
+       R"js({"id":1,"degree":35.759054997978176,"support_count":935,)js"
+       R"js("antecedent_size":1,"consequent_size":1,)js"
+       R"js("text":"[attr0 in [402.727,)js"
+       R"js( 530.065] (n=934)] => [attr2 in [448.89,)js"
+       R"js( 547.793] (n=936)] (degree=35.7591, support_count=935)"}]})js"},
+      {"GET /v1/rules?measure=lift&min=1&limit=2 HTTP/1.1\r\n\r\n",
+       "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+       "Content-Length: 408\r\nConnection: close\r\n\r\n"
+       R"js({"generation":2,"rows_ingested":3000,"total_matching":138,)js"
+       R"js("offset":0,"measure":"lift","rules":[{"id":55,)js"
+       R"js("degree":49.909467035894494,"support_count":925,)js"
+       R"js("score":3.157334231419515,"representative":true,)js"
+       R"js("antecedent_size":2,"consequent_size":2,"text":""},{"id":31,)js"
+       R"js("degree":47.57896528201847,"support_count":925,)js"
+       R"js("score":3.1573342314195147,"representative":true,)js"
+       R"js("antecedent_size":2,"consequent_size":2,"text":""}]})js"},
+      {"GET /v1/query?max_rules=2&tuple=" + tuple + " HTTP/1.1\r\n\r\n",
+       "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+       "Content-Length: 98\r\nConnection: close\r\n\r\n"
+       R"js({"generation":2,"rows_ingested":3000,"total_rule_matches":46,)js"
+       R"js("clusters":[0,3,8,9],"rules":[21,34]})js"},
+      {"POST /v1/query?max_rules=1 HTTP/1.1\r\nContent-Length: " +
+           std::to_string(post_body.size()) + "\r\n\r\n" + post_body,
+       "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+       "Content-Length: 95\r\nConnection: close\r\n\r\n"
+       R"js({"generation":2,"rows_ingested":3000,"total_rule_matches":46,)js"
+       R"js("clusters":[0,3,8,9],"rules":[21]})js"},
+      {"GET /v1/diff?limit=2&text=1 HTTP/1.1\r\n\r\n",
+       "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+       "Content-Length: 542\r\nConnection: close\r\n\r\n"
+       R"js({"old_generation":1,"new_generation":2,"rows_ingested":3000,)js"
+       R"js("born":0,"died":0,"drifted":87,"unchanged":51,)js"
+       R"js("total_changed":87,"entries":[{"kind":1,"rule_id":0,)js"
+       R"js("degree":35.70845546262684,)js"
+       R"js("interval_shift":0.004218373679895972,)js"
+       R"js("text":"[attr0 in [402.727,)js"
+       R"js( 530.065] (n=934)] => [attr1 in [452.972,)js"
+       R"js( 570.369] (n=924)] (degree=35.7085, support_count=937)"},)js"
+       R"js({"kind":1,"rule_id":1,"degree":35.759054997978176,)js"
+       R"js("interval_shift":0,"text":"[attr0 in [402.727,)js"
+       R"js( 530.065] (n=934)] => [attr2 in [448.89,)js"
+       R"js( 547.793] (n=936)] (degree=35.7591, support_count=935)"}]})js"},
+      {"GET /v1/rules?limit=-1 HTTP/1.1\r\n\r\n",
+       "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+       "Content-Length: 75\r\nConnection: close\r\n\r\n"
+       R"js({"error":"invalid_request",)js"
+       R"js("message":"parameter limit=\"-1\" is not a u32"})js"},
+      {"GET /v1/nope HTTP/1.1\r\n\r\n",
+       "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
+       "Content-Length: 108\r\nConnection: close\r\n\r\n"
+       R"js({"error":"not_found",)js"
+       R"js("message":"no endpoint GET /v1/nope; serving /v1/info,)js"
+       R"js( /v1/rules, /v1/query, /v1/diff"})js"},
+  };
+  for (const auto& exchange : kExchanges) {
+    EXPECT_EQ(HttpExchange(server.port(), exchange.request), exchange.response)
+        << exchange.request;
+  }
+  // The statuses no request above reaches, and a code past the last.
+  const struct {
+    ServeCode code;
+    std::string response;
+  } kErrors[] = {
+      {ServeCode::kOverloaded,
+       "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n"
+       "Content-Length: 36\r\nConnection: close\r\n\r\n"
+       R"js({"error":"overloaded","message":"m"})js"},
+      {ServeCode::kUnavailable,
+       "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n"
+       "Content-Length: 37\r\nConnection: close\r\n\r\n"
+       R"js({"error":"unavailable","message":"m"})js"},
+      {ServeCode::kInternal,
+       "HTTP/1.1 500 Internal Server Error\r\n"
+       "Content-Type: application/json\r\n"
+       "Content-Length: 34\r\nConnection: close\r\n\r\n"
+       R"js({"error":"internal","message":"m"})js"},
+  };
+  for (const auto& error : kErrors) {
+    EXPECT_EQ(serve::MakeHttpErrorResponse(error.code, "m"), error.response);
+  }
+  EXPECT_EQ(serve::HttpStatusForServeCode(static_cast<ServeCode>(6)), 500);
+  server.Stop();
 }
 
 }  // namespace
