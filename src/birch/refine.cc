@@ -26,8 +26,8 @@ struct Candidate {
 }  // namespace
 
 std::vector<Acf> RefineClusters(std::vector<Acf> clusters,
-                                const RefineOptions& options) {
-  if (clusters.size() < 2 || options.diameter_threshold <= 0) {
+                                double diameter_threshold) {
+  if (clusters.size() < 2 || diameter_threshold <= 0) {
     return clusters;
   }
   for (size_t i = 1; i < clusters.size(); ++i) {
@@ -46,9 +46,9 @@ std::vector<Acf> RefineClusters(std::vector<Acf> clusters,
   };
   auto push_if_mergeable = [&](size_t a, size_t b) {
     double d = centroid_distance(a, b);
-    if (d > options.centroid_factor * options.diameter_threshold) return;
+    if (d > diameter_threshold) return;
     if (clusters[a].cf().DiameterWithMerge(clusters[b].cf()) >
-        options.diameter_threshold) {
+        diameter_threshold) {
       return;
     }
     heap.push({d, a, b, version[a], version[b]});
@@ -71,14 +71,13 @@ std::vector<Acf> RefineClusters(std::vector<Acf> clusters,
     // Re-check the merge condition (versions make this redundant, but the
     // invariant is cheap to assert).
     if (clusters[c.a].cf().DiameterWithMerge(clusters[c.b].cf()) >
-        options.diameter_threshold) {
+        diameter_threshold) {
       continue;
     }
     clusters[c.a].Merge(clusters[c.b]);
     alive[c.b] = false;
     ++version[c.a];
     ++merges;
-    if (options.max_merges != 0 && merges >= options.max_merges) break;
     for (size_t j = 0; j < clusters.size(); ++j) {
       if (j != c.a && alive[j]) push_if_mergeable(c.a, j);
     }

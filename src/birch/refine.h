@@ -8,19 +8,10 @@
 
 namespace dar {
 
-/// Options for the global refinement pass.
-struct RefineOptions {
-  /// Two clusters merge while the merged diameter stays within this bound
-  /// and their centroid distance is within `centroid_factor` times it.
-  double diameter_threshold = 0;
-  double centroid_factor = 1.0;
-  /// Safety cap on merge operations (0 = unbounded).
-  size_t max_merges = 0;
-};
-
 /// Agglomeratively merges a flat set of cluster summaries: repeatedly joins
-/// the closest pair (by centroid distance on the own part) while the merged
-/// diameter stays within the threshold.
+/// the closest pair (by centroid distance on the own part) while both their
+/// centroid distance and the merged diameter stay within
+/// `diameter_threshold`. A threshold of 0 or below merges nothing.
 ///
 /// This is BIRCH's global-clustering phase adapted to ACFs. The insertion
 /// order sensitivity of the CF-tree routinely *fragments* a natural cluster
@@ -32,7 +23,7 @@ struct RefineOptions {
 ///
 /// All input summaries must share the same layout and own part.
 std::vector<Acf> RefineClusters(std::vector<Acf> clusters,
-                                const RefineOptions& options);
+                                double diameter_threshold);
 
 }  // namespace dar
 

@@ -14,6 +14,14 @@ namespace dar {
 
 namespace {
 
+// The advice's fixed settings (advisor.h): rows sampled and the sampler's
+// seed, the fallback Phase-I diameter in median nearest-neighbour
+// distances, and the Phase-II thresholds as a fraction of the RMS spread.
+constexpr size_t kSampleRows = 1000;
+constexpr uint64_t kSampleSeed = 7;
+constexpr double kNnMultiplier = 4.0;
+constexpr double kSpreadFraction = 0.8;
+
 // Uniform sample of row indices without replacement.
 std::vector<size_t> SampleRows(size_t num_rows, size_t sample_size,
                                Rng& rng) {
@@ -121,17 +129,12 @@ double PersistentThreshold(const std::vector<std::vector<double>>& points,
 }  // namespace
 
 Result<ThresholdAdvice> SuggestThresholds(
-    const Relation& rel, const AttributePartition& partition,
-    const AdvisorOptions& options) {
+    const Relation& rel, const AttributePartition& partition) {
   if (rel.num_rows() < 2) {
     return Status::InvalidArgument("need at least 2 rows to advise");
   }
-  if (options.sample_size < 2) {
-    return Status::InvalidArgument("sample_size must be at least 2");
-  }
-  Rng rng(options.seed);
-  std::vector<size_t> rows =
-      SampleRows(rel.num_rows(), options.sample_size, rng);
+  Rng rng(kSampleSeed);
+  std::vector<size_t> rows = SampleRows(rel.num_rows(), kSampleRows, rng);
 
   ThresholdAdvice advice;
   advice.initial_diameters.resize(partition.num_parts());
@@ -200,10 +203,10 @@ Result<ThresholdAdvice> SuggestThresholds(
     if (diameter <= 0) {
       // No multi-cluster structure detected: fall back to the
       // nearest-neighbour scale, floored by a sliver of the spread.
-      diameter = std::max(options.nn_multiplier * median_nn, 0.01 * spread);
+      diameter = std::max(kNnMultiplier * median_nn, 0.01 * spread);
       if (diameter <= 0) diameter = 1.0;
     }
-    double density = options.spread_fraction * spread;
+    double density = kSpreadFraction * spread;
     advice.initial_diameters[p] = diameter;
     advice.density_thresholds[p] = std::max(density, diameter);
     degree_sum += advice.density_thresholds[p];

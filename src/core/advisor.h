@@ -10,22 +10,6 @@
 
 namespace dar {
 
-/// Controls for threshold suggestion.
-struct AdvisorOptions {
-  /// Rows sampled for the distance statistics (uniform without
-  /// replacement; the whole relation if smaller).
-  size_t sample_size = 1000;
-  uint64_t seed = 7;
-  /// Phase-I diameter = this multiple of the median nearest-neighbour
-  /// distance within the sample (clusters should absorb neighbours, not
-  /// bridge gaps).
-  double nn_multiplier = 4.0;
-  /// Phase-II density/degree thresholds = this fraction of the part's RMS
-  /// spread (inter-cluster image distances live on the spread scale once
-  /// clusters absorb any outliers; see EXPERIMENTS.md).
-  double spread_fraction = 0.8;
-};
-
 /// Suggested mining parameters with a human-readable rationale.
 struct ThresholdAdvice {
   std::vector<double> initial_diameters;   // per part (Phase I, d0^X)
@@ -36,7 +20,9 @@ struct ThresholdAdvice {
   std::string rationale;
 };
 
-/// Suggests per-part thresholds from a data sample.
+/// Suggests per-part thresholds from a sample of 1,000 rows (uniform
+/// without replacement at a fixed seed, so the advice is deterministic;
+/// the whole relation when smaller).
 ///
 /// The paper notes (§1) that classical association-rule mining gives the
 /// user "no guidance on selecting the confidence or support thresholds";
@@ -45,16 +31,20 @@ struct ThresholdAdvice {
 /// attribute set:
 ///
 ///  - the median nearest-neighbour distance (the within-cluster scale) for
-///    the Phase-I diameter threshold, and
+///    the Phase-I diameter threshold: the middle of the widest plateau of a
+///    threshold ladder that starts there, or 4x the distance when the
+///    sample shows no multi-cluster structure (clusters should absorb
+///    neighbours, not bridge gaps), and
 ///  - the RMS spread (the between-cluster/image scale) for the Phase-II
-///    density and degree thresholds.
+///    density and degree thresholds: 0.8 of it, and no less than the
+///    diameter (inter-cluster image distances live on the spread scale
+///    once clusters absorb any outliers; see EXPERIMENTS.md).
 ///
 /// Discrete-metric parts get the exact thresholds the theorems prescribe
 /// (diameter 0, density/degree below 1). Suggestions are heuristics — a
 /// starting point for the sensitivity sweeps in bench/, not an oracle.
 Result<ThresholdAdvice> SuggestThresholds(const Relation& rel,
-                                          const AttributePartition& partition,
-                                          const AdvisorOptions& options = {});
+                                          const AttributePartition& partition);
 
 }  // namespace dar
 

@@ -40,31 +40,6 @@ Status DarConfig::Validate() const {
   DAR_RETURN_IF_ERROR(
       CheckNonNegativeEntries(initial_diameters, "initial_diameters"));
 
-  if (tree.branching_factor < 2) {
-    return Status::InvalidArgument(
-        "tree.branching_factor must be >= 2, got " +
-        std::to_string(tree.branching_factor));
-  }
-  if (tree.leaf_capacity < 1) {
-    return Status::InvalidArgument("tree.leaf_capacity must be >= 1, got " +
-                                   std::to_string(tree.leaf_capacity));
-  }
-  if (std::isnan(tree.initial_threshold) || tree.initial_threshold < 0) {
-    return Status::InvalidArgument(
-        "tree.initial_threshold must be a non-negative number, got " +
-        std::to_string(tree.initial_threshold));
-  }
-  if (!(tree.threshold_growth > 1)) {
-    return Status::InvalidArgument(
-        "tree.threshold_growth must be > 1, got " +
-        std::to_string(tree.threshold_growth));
-  }
-  if (tree.max_rebuilds_per_insert < 1) {
-    return Status::InvalidArgument(
-        "tree.max_rebuilds_per_insert must be >= 1, got " +
-        std::to_string(tree.max_rebuilds_per_insert));
-  }
-
   if (std::isnan(degree_threshold) || degree_threshold < 0) {
     return Status::InvalidArgument(
         "degree_threshold must be a non-negative number, got " +

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "birch/acf_tree.h"
 #include "birch/metrics.h"
 #include "common/status.h"
 
@@ -14,6 +13,8 @@ namespace dar {
 /// All knobs of the two-phase DAR mining algorithm (§6).
 struct DarConfig {
   // --- Phase I (clustering) ---
+  // The paper's four settings (§4.3.1, §7.2); Phase1Builder derives every
+  // ACF-tree option it sets from them.
 
   /// Total memory budget for all ACF-trees together, split evenly across
   /// the attribute-set trees (the paper's 5 MB Phase-I limit, §7.2).
@@ -33,10 +34,6 @@ struct DarConfig {
   /// Empty, or 0 for a part, means start at 0 and let memory pressure
   /// adapt the threshold (BIRCH behaviour).
   std::vector<double> initial_diameters;
-
-  /// Structural knobs forwarded to every ACF-tree (memory budget,
-  /// initial_threshold and outlier_entry_min_n are overwritten per run).
-  AcfTreeOptions tree;
 
   /// When true, a global refinement pass (BIRCH's agglomerative phase,
   /// birch/refine.h) merges fragmented leaf clusters per part after the
@@ -102,12 +99,11 @@ struct DarConfig {
 
   /// Checks every knob for sanity: rejects zero memory budget,
   /// `frequency_fraction` outside (0, 1], negative or NaN thresholds and
-  /// fractions, `phase2_leniency < 1`, zero rule arities, degenerate tree
-  /// knobs, and per-part vectors (`initial_diameters`,
-  /// `degree_thresholds`, `density_thresholds`) whose non-empty sizes
-  /// disagree with each other. Session::Builder::Build refuses to
-  /// construct on any violation; the returned Status names the offending
-  /// knob.
+  /// fractions, `phase2_leniency < 1`, zero rule arities, and per-part
+  /// vectors (`initial_diameters`, `degree_thresholds`,
+  /// `density_thresholds`) whose non-empty sizes disagree with each other.
+  /// Session::Builder::Build and Phase1Builder::Make refuse to construct on
+  /// any violation; the returned Status names the offending knob.
   [[nodiscard]] Status Validate() const;
 };
 

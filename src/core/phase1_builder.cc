@@ -21,9 +21,7 @@ Result<Phase1Builder> Phase1Builder::Make(
   if (partition.num_parts() == 0) {
     return Status::InvalidArgument("attribute partition is empty");
   }
-  if (config.frequency_fraction <= 0 || config.frequency_fraction > 1) {
-    return Status::InvalidArgument("frequency_fraction must be in (0, 1]");
-  }
+  DAR_RETURN_IF_ERROR(config.Validate());
   for (const auto& part : partition.parts()) {
     for (size_t col : part.columns) {
       if (col >= schema.num_attributes()) {
@@ -38,14 +36,14 @@ Result<Phase1Builder> Phase1Builder::Make(
   std::vector<std::unique_ptr<AcfTree>> trees;
   trees.reserve(partition.num_parts());
   for (size_t p = 0; p < partition.num_parts(); ++p) {
-    AcfTreeOptions opts = config.tree;
+    // The outlier paging threshold starts at 0 and follows the rows
+    // (UpdateOutlierThresholds); the constructor wires the rebuild hook.
+    AcfTreeOptions opts;
     opts.memory_budget_bytes = std::max<size_t>(
         1, config.memory_budget_bytes / partition.num_parts());
     opts.initial_threshold = p < config.initial_diameters.size()
                                  ? config.initial_diameters[p]
                                  : 0.0;
-    opts.outlier_entry_min_n = 0;  // adjusted as rows arrive
-    opts.on_rebuild = RebuildHook(config, observer, p);
     trees.push_back(std::make_unique<AcfTree>(layout, p, opts));
   }
   return Phase1Builder(config, partition, std::move(layout),
@@ -61,17 +59,6 @@ std::shared_ptr<const AcfLayout> Phase1Builder::LayoutOf(
     layout->parts.push_back({part.dimension(), part.metric, part.label});
   }
   return layout;
-}
-
-std::function<void(int, double)> Phase1Builder::RebuildHook(
-    const DarConfig& config, MiningObserver* observer, size_t p) {
-  if (observer == nullptr) return config.tree.on_rebuild;
-  // Chain after any hook the caller put in config.tree.
-  return [observer, user_hook = config.tree.on_rebuild, p](int count,
-                                                           double thresh) {
-    if (user_hook) user_hook(count, thresh);
-    observer->OnTreeRebuild(p, count, thresh);
-  };
 }
 
 Phase1Builder::Phase1Builder(DarConfig config, AttributePartition partition,
@@ -93,6 +80,13 @@ Phase1Builder::Phase1Builder(DarConfig config, AttributePartition partition,
                         part.columns.end());
   }
   row_block_.resize(row_columns_.size());
+  if (observer_ == nullptr) return;
+  for (size_t p = 0; p < trees_.size(); ++p) {
+    trees_[p]->set_on_rebuild([observer = observer_, p](int count,
+                                                         double threshold) {
+      observer->OnTreeRebuild(p, count, threshold);
+    });
+  }
 }
 
 int64_t Phase1Builder::OutlierMinN(int64_t rows) const {
@@ -291,9 +285,8 @@ Result<Phase1Result> Phase1Builder::FinishTrees(
     std::vector<Acf> leaf_clusters = std::move(tree).ExtractClusters();
     slot.outliers = std::move(tree).outliers();
     if (config_.refine_clusters) {
-      RefineOptions refine;
-      refine.diameter_threshold = tree.threshold();
-      leaf_clusters = RefineClusters(std::move(leaf_clusters), refine);
+      leaf_clusters =
+          RefineClusters(std::move(leaf_clusters), tree.threshold());
     }
     slot.raw_count = leaf_clusters.size();
     std::vector<double> diameters;

@@ -258,12 +258,19 @@ std::string MakeHttpErrorResponse(ServeCode code, std::string_view message) {
 }
 
 std::string HandleHttpRequest(const QueryService& service,
-                              const HttpRequest& request) {
+                              const HttpRequest& request,
+                              AdmissionController* admission) {
   std::vector<double> tuple;
   const Result<Request> routed = Route(request, tuple);
+  Status status = routed.status();
+  // Only a routed request is admitted, and answered under its ticket.
+  Result<AdmissionController::Ticket> ticket = AdmissionController::Ticket();
+  if (status.ok() && admission != nullptr) {
+    ticket = admission->Admit(request.Header("x-tenant"));
+    status = ticket.status();
+  }
   telemetry::JsonWriter json;
-  const Status status = routed.ok() ? Dispatcher(service).Answer(*routed, json)
-                                    : routed.status();
+  if (status.ok()) status = Dispatcher(service).Answer(*routed, json);
   if (!status.ok()) {
     return MakeHttpErrorResponse(ServeCodeFromStatus(status), status.message());
   }

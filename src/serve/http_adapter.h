@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "serve/admission.h"
 #include "serve/query_api.h"
 #include "serve/query_service.h"
 
@@ -56,12 +57,15 @@ Result<HttpRequest> ParseHttpRequest(std::string_view text);
 /// HTTP status code for a serve outcome (200/400/404/503/429/500).
 int HttpStatusForServeCode(ServeCode code);
 
-/// Executes `request` against `service` and returns the complete HTTP/1.1
-/// response bytes (status line, headers, JSON body). Admission must have
-/// been granted by the caller; sheds are answered with
-/// MakeHttpErrorResponse instead of calling this.
+/// Routes `request`, admits it for its tenant through `admission` (null
+/// admits every request; a shed is a 429), answers it from `service`, and
+/// returns the complete HTTP/1.1 response bytes (status line, headers,
+/// JSON body). A request that routes nowhere (404) or carries a bad
+/// parameter (400) is answered before admission and spends no quota, as
+/// a binary payload the decoder refuses spends none.
 std::string HandleHttpRequest(const QueryService& service,
-                              const HttpRequest& request);
+                              const HttpRequest& request,
+                              AdmissionController* admission = nullptr);
 
 /// Complete HTTP/1.1 error response for `code` (e.g. an admission shed or
 /// a parse failure).

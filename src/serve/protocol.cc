@@ -340,11 +340,6 @@ void EncodeErrorResponse(const RequestHeader& header, ServeCode code,
   out.Str(message);
 }
 
-void EncodeHelloResponse(const RequestHeader& header,
-                         persist::WireWriter& out) {
-  EncodeResponseHeader(header, ServeCode::kOk, out);
-}
-
 void EncodePointQueryResponse(const RequestHeader& header,
                               const PointQueryResponse& response,
                               persist::WireWriter& out) {

@@ -159,8 +159,6 @@ Result<Request> DecodeRequest(std::string_view payload,
 /// be kOk.
 void EncodeErrorResponse(const RequestHeader& header, ServeCode code,
                          std::string_view message, persist::WireWriter& out);
-void EncodeHelloResponse(const RequestHeader& header,
-                         persist::WireWriter& out);
 void EncodePointQueryResponse(const RequestHeader& header,
                               const PointQueryResponse& response,
                               persist::WireWriter& out);

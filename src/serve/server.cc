@@ -7,12 +7,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/str_util.h"
 #include "persist/wire.h"
 #include "serve/http_adapter.h"
 #include "serve/protocol.h"
@@ -299,27 +299,29 @@ void RuleServer::ServeHttp(int fd) {
     return;
   }
 
-  // Then the declared body.
-  const size_t content_length = static_cast<size_t>(std::strtoul(
-      std::string(parsed->Header("content-length")).c_str(), nullptr, 10));
-  if (content_length > kMaxHttpBodyBytes) {
+  // Then the declared body; no Content-Length means none.
+  const std::string_view declared = parsed->Header("content-length");
+  const Result<int64_t> length =
+      declared.empty() ? Result<int64_t>(0) : ParseInt(declared);
+  if (!length.ok() || *length < 0) {
+    if (protocol_errors_) protocol_errors_->Increment();
+    (void)WriteFull(fd, MakeHttpErrorResponse(
+                            ServeCode::kInvalidRequest,
+                            "Content-Length \"" + std::string(declared) +
+                                "\" is not a non-negative integer"));
+    return;
+  }
+  if (*length > static_cast<int64_t>(kMaxHttpBodyBytes)) {
     (void)WriteFull(fd, MakeHttpErrorResponse(ServeCode::kInvalidRequest,
                                               "request body too large"));
     return;
   }
+  const auto content_length = static_cast<size_t>(*length);
   while (buf.size() < body_start + content_length) {
     if (!read_more()) return;
   }
   parsed->body = buf.substr(body_start, content_length);
-
-  const Result<AdmissionController::Ticket> ticket =
-      admission_.Admit(parsed->Header("x-tenant"));
-  if (!ticket.ok()) {
-    (void)WriteFull(fd, MakeHttpErrorResponse(ServeCode::kOverloaded,
-                                              ticket.status().message()));
-    return;
-  }
-  (void)WriteFull(fd, HandleHttpRequest(service_, *parsed));
+  (void)WriteFull(fd, HandleHttpRequest(service_, *parsed, &admission_));
 }
 
 }  // namespace dar::serve

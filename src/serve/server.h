@@ -39,8 +39,10 @@ struct ServerConfig {
 /// connection (pipelining is legal; responses echo request ids); an HTTP
 /// session answers one request and closes. Each session's tenant (Hello
 /// frame / X-Tenant header) scopes per-tenant admission quotas; every
-/// request passes AdmissionController before touching the QueryService,
-/// so overload sheds kOverloaded/429 instead of queueing unboundedly.
+/// request that decodes (binary) or routes (HTTP) passes
+/// AdmissionController before touching the QueryService, so overload
+/// sheds kOverloaded/429 instead of queueing unboundedly, and a refused
+/// request spends no quota on either face.
 ///
 /// Every session thread is joined: a finishing session parks its own
 /// thread handle (a thread cannot join itself) and the accept loop or

@@ -115,28 +115,6 @@ TEST(ConfigValidateTest, RejectsMismatchedPerPartVectorSizes) {
   EXPECT_TRUE(config.Validate().ok());
 }
 
-TEST(ConfigValidateTest, RejectsDegenerateTreeKnobs) {
-  DarConfig config;
-  config.tree.branching_factor = 1;
-  ExpectRejected(config, "branching_factor");
-
-  config = DarConfig{};
-  config.tree.leaf_capacity = 0;
-  ExpectRejected(config, "leaf_capacity");
-
-  config = DarConfig{};
-  config.tree.threshold_growth = 1.0;
-  ExpectRejected(config, "threshold_growth");
-
-  config = DarConfig{};
-  config.tree.initial_threshold = -0.5;
-  ExpectRejected(config, "initial_threshold");
-
-  config = DarConfig{};
-  config.tree.max_rebuilds_per_insert = 0;
-  ExpectRejected(config, "max_rebuilds_per_insert");
-}
-
 TEST(ConfigValidateTest, SessionRefusesInvalidConfig) {
   DarConfig config;
   config.phase2_leniency = 0.5;

@@ -357,8 +357,8 @@ TEST(MergeCheckpointsTest, RejectsSchemaMismatch) {
 }
 
 TEST(MergeCheckpointsTest, RejectsConfigMismatchNamingTheKnob) {
-  // Shards that differ in one knob each: a Phase II threshold, a tree knob
-  // and the config's last knob on the wire.
+  // Shards that differ in one knob each: a Phase II threshold and the
+  // config's last knob on the wire.
   IntDataset data = IntData(/*rows_per_pattern=*/40);
   const DarConfig config = IntConfig();
   auto session_a = MakeSession(config);
@@ -368,7 +368,6 @@ TEST(MergeCheckpointsTest, RejectsConfigMismatchNamingTheKnob) {
 
   const std::pair<const char*, void (*)(DarConfig&)> knobs[] = {
       {"degree_threshold", [](DarConfig& c) { c.degree_threshold = 99.0; }},
-      {"tree.leaf_capacity", [](DarConfig& c) { c.tree.leaf_capacity = 5; }},
       {"count_rule_support",
        [](DarConfig& c) { c.count_rule_support = true; }}};
   for (const auto& [knob, change] : knobs) {
@@ -394,6 +393,46 @@ TEST(MergeCheckpointsTest, RejectsConfigMismatchNamingTheKnob) {
     std::remove(b.c_str());
   }
   std::remove(a.c_str());
+}
+
+TEST(MergeCheckpointsTest, ConfigsDifferingOnlyInARetiredTreeSlotMerge) {
+  // The config section keeps seven slots where configs once carried tree
+  // options, and drops them on read. Shards whose config sections differ
+  // only there (the old tree.memory_budget_bytes slot, patched with every
+  // CRC recomputed) were mined under one config, so they merge.
+  IntDataset data = IntData(/*rows_per_pattern=*/40);
+  const DarConfig config = IntConfig();
+  auto session = MakeSession(config);
+  ASSERT_TRUE(session.ok());
+  const std::string a = WriteShardCheckpoint(
+      *session, data.relation, data.partition, 0, 60, 0, "slot_a.ckpt");
+  const std::string b = WriteShardCheckpoint(
+      *session, data.relation, data.partition, 60, 120, 1, "slot_b.ckpt");
+
+  auto reader = persist::CheckpointReader::Open(b);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  persist::CheckpointWriter writer;
+  for (const uint32_t id : reader->section_ids()) {
+    const auto section = static_cast<persist::SectionId>(id);
+    std::string payload(*reader->Section(section));
+    if (section == persist::SectionId::kConfig) {
+      // After three 8-byte knobs and initial_diameters (a u32 count, then
+      // the doubles) come the branching, leaf and threshold slots.
+      persist::WireWriter budget;
+      budget.U64(2u << 20);
+      payload.replace(3 * 8 + 4 + 8 * config.initial_diameters.size() + 16,
+                      budget.size(), budget.bytes());
+    }
+    writer.AddSection(section, std::move(payload));
+  }
+  ASSERT_TRUE(writer.WriteToFile(b).ok());
+
+  const std::vector<std::string> paths = {a, b};
+  auto merged = persist::MergeCheckpoints(paths);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  EXPECT_EQ(persist::FirstConfigDiff(merged->config, config), "");
+  EXPECT_EQ(merged->builder.rows_added(), 120);
+  RemoveAll(paths);
 }
 
 TEST(MergeCheckpointsTest, RejectsPartitionMismatch) {

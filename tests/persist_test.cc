@@ -275,9 +275,6 @@ TEST(CodecTest, ConfigSectionRoundTripsEveryKnob) {
   config.frequency_fraction = 0.07;
   config.outlier_fraction = 0.5;
   config.initial_diameters = {1.5, 2.5};
-  config.tree.branching_factor = 9;
-  config.tree.leaf_capacity = 3;
-  config.tree.threshold_growth = 1.75;
   config.refine_clusters = true;
   config.metric = ClusterMetric::kD3AvgIntra;
   config.degree_threshold = 42.0;
@@ -326,13 +323,6 @@ DarConfig PinnedConfig() {
   config.frequency_fraction = 0.07;
   config.outlier_fraction = 0.5;
   config.initial_diameters = {1.5, 2.5};
-  config.tree.branching_factor = 9;
-  config.tree.leaf_capacity = 3;
-  config.tree.initial_threshold = 0.25;
-  config.tree.memory_budget_bytes = 65536;
-  config.tree.threshold_growth = 1.75;
-  config.tree.outlier_entry_min_n = 6;
-  config.tree.max_rebuilds_per_insert = 11;
   config.refine_clusters = true;
   config.metric = ClusterMetric::kD3AvgIntra;
   config.degree_threshold = 42.0;
@@ -352,13 +342,37 @@ TEST(CodecTest, PinnedConfigBytes) {
   const std::string bytes = persist::EncodeConfigSection(PinnedConfig());
   EXPECT_EQ(testutil::Hex(bytes),
             "40e2010000000000ec51b81e85ebb13f000000000000e03f0200000000000000"
-            "0000f83f00000000000004400900000003000000000000000000d03f00000100"
-            "00000000000000000000fc3f06000000000000000b0000000103000000000000"
+            "0000f83f00000000000004401000000008000000000000000000000000001000"
+            "00000000000000000000f83f0000000000000000400000000103000000000000"
             "4540020000000000000000002440000000000000344002000000000000000000"
             "084000000000000010400000000000000c400005000000000000000400000000"
             "0000000903000000000000780300000000000001");
   auto back = persist::DecodeConfigSection(bytes);
   ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(persist::EncodeConfigSection(*back), bytes);
+}
+
+TEST(CodecTest, ConfigSectionDropsItsRetiredTreeSlots) {
+  // Sections written while configs carried tree options may hold any
+  // values in the seven slots after initial_diameters: they read as the
+  // same config, and re-encode with AcfTreeOptions{} in the slots.
+  const DarConfig config = PinnedConfig();
+  const std::string bytes = persist::EncodeConfigSection(config);
+  WireWriter slots;
+  slots.I32(9);
+  slots.I32(3);
+  slots.F64(0.25);
+  slots.U64(65536);
+  slots.F64(1.75);
+  slots.I64(6);
+  slots.I32(11);
+  ASSERT_EQ(slots.size(), 44u);
+  std::string older = bytes;
+  older.replace(8 + 8 + 8 + 4 + 8 * config.initial_diameters.size(),
+                slots.size(), slots.bytes());
+  auto back = persist::DecodeConfigSection(older);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(persist::FirstConfigDiff(*back, config), "");
   EXPECT_EQ(persist::EncodeConfigSection(*back), bytes);
 }
 
@@ -950,6 +964,47 @@ TEST_F(FaultInjectionTest, OversizedRetainedRowCountIsRefused) {
         WithSection(*bytes_, SectionId::kRetainedRows, std::move(w).Take()));
     ASSERT_FALSE(s.ok()) << rows << " rows";
     EXPECT_NE(s.message().find("retained rows"), std::string::npos) << s;
+  }
+}
+
+TEST_F(FaultInjectionTest, TreeOptionsOutOfRangeAreRefused) {
+  // Each option of part 0's tree blob, patched out of range with every CRC
+  // recomputed, is InvalidArgument naming the option. The builder section
+  // is an i64 row count, a u32 part count and a u64 blob length; the
+  // blob's options follow its u32 part (the tree blob layout in codec.cc).
+  auto reader = CheckpointReader::Parse(*bytes_);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const std::string builder(*reader->Section(SectionId::kBuilder));
+  constexpr size_t kOptions = 8 + 4 + 8 + 4;
+  const auto bytes = [](auto write) {
+    WireWriter w;
+    write(w);
+    return w.Take();
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    const char* option;
+    size_t offset;  // within the options
+    std::string value;
+  } kCases[] = {
+      {"branching_factor", 0, bytes([](WireWriter& w) { w.I32(1); })},
+      {"leaf_capacity", 4, bytes([](WireWriter& w) { w.I32(0); })},
+      {"initial_threshold", 8, bytes([](WireWriter& w) { w.F64(-0.5); })},
+      {"initial_threshold", 8, bytes([&](WireWriter& w) { w.F64(nan); })},
+      {"memory_budget_bytes", 16, bytes([](WireWriter& w) { w.U64(0); })},
+      {"threshold_growth", 24, bytes([](WireWriter& w) { w.F64(1.0); })},
+      {"threshold_growth", 24, bytes([&](WireWriter& w) { w.F64(nan); })},
+      {"outlier_entry_min_n", 32, bytes([](WireWriter& w) { w.I64(-1); })},
+      {"max_rebuilds_per_insert", 40,
+       bytes([](WireWriter& w) { w.I32(0); })},
+  };
+  for (const auto& c : kCases) {
+    std::string patched = builder;
+    patched.replace(kOptions + c.offset, c.value.size(), c.value);
+    const Status s =
+        TryRestore(WithSection(*bytes_, SectionId::kBuilder, patched));
+    EXPECT_TRUE(s.IsInvalidArgument()) << c.option << ": " << s;
+    EXPECT_NE(s.message().find(c.option), std::string::npos) << s;
   }
 }
 

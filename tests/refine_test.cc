@@ -32,9 +32,7 @@ TEST(RefineTest, MergesFragmentsOfOneCluster) {
   fragments.push_back(MakeCluster(layout, {10.0, 10.5}));
   fragments.push_back(MakeCluster(layout, {11.0, 11.5}));
   fragments.push_back(MakeCluster(layout, {10.2, 11.2}));
-  RefineOptions opts;
-  opts.diameter_threshold = 3.0;
-  auto refined = RefineClusters(std::move(fragments), opts);
+  auto refined = RefineClusters(std::move(fragments), 3.0);
   ASSERT_EQ(refined.size(), 1u);
   EXPECT_EQ(refined[0].n(), 6);
   EXPECT_NEAR(refined[0].Centroid()[0], 10.733, 0.01);
@@ -45,9 +43,7 @@ TEST(RefineTest, KeepsSeparatedClustersApart) {
   std::vector<Acf> clusters;
   clusters.push_back(MakeCluster(layout, {10.0, 10.5}));
   clusters.push_back(MakeCluster(layout, {90.0, 90.5}));
-  RefineOptions opts;
-  opts.diameter_threshold = 3.0;
-  auto refined = RefineClusters(std::move(clusters), opts);
+  auto refined = RefineClusters(std::move(clusters), 3.0);
   EXPECT_EQ(refined.size(), 2u);
 }
 
@@ -56,23 +52,8 @@ TEST(RefineTest, ZeroThresholdIsNoOp) {
   std::vector<Acf> clusters;
   clusters.push_back(MakeCluster(layout, {1.0}));
   clusters.push_back(MakeCluster(layout, {1.0}));
-  RefineOptions opts;
-  opts.diameter_threshold = 0;
-  auto refined = RefineClusters(std::move(clusters), opts);
+  auto refined = RefineClusters(std::move(clusters), 0);
   EXPECT_EQ(refined.size(), 2u);
-}
-
-TEST(RefineTest, MaxMergesCap) {
-  auto layout = OnePartLayout();
-  std::vector<Acf> clusters;
-  for (int i = 0; i < 6; ++i) {
-    clusters.push_back(MakeCluster(layout, {10.0 + 0.1 * i}));
-  }
-  RefineOptions opts;
-  opts.diameter_threshold = 5.0;
-  opts.max_merges = 2;
-  auto refined = RefineClusters(std::move(clusters), opts);
-  EXPECT_EQ(refined.size(), 4u);  // 6 - 2 merges
 }
 
 TEST(RefineTest, MassConservedOnRandomInput) {
@@ -92,9 +73,8 @@ TEST(RefineTest, MassConservedOnRandomInput) {
       mass += acf.n();
       clusters.push_back(std::move(acf));
     }
-    RefineOptions opts;
-    opts.diameter_threshold = rng.Uniform(0.5, 20.0);
-    auto refined = RefineClusters(std::move(clusters), opts);
+    const double threshold = rng.Uniform(0.5, 20.0);
+    auto refined = RefineClusters(std::move(clusters), threshold);
     EXPECT_EQ(TotalMass(refined), mass);
     EXPECT_LE(refined.size(), k);
     EXPECT_GE(refined.size(), 1u);
@@ -111,15 +91,14 @@ TEST(RefineTest, MergedClustersRespectDiameterBound) {
     for (int pt = 0; pt < 4; ++pt) acf.AddRow({{base + rng.Uniform(0, 1)}});
     clusters.push_back(std::move(acf));
   }
-  RefineOptions opts;
-  opts.diameter_threshold = 6.0;
+  const double threshold = 6.0;
   size_t before = clusters.size();
-  auto refined = RefineClusters(std::move(clusters), opts);
+  auto refined = RefineClusters(std::move(clusters), threshold);
   EXPECT_LT(refined.size(), before);  // dense in [0,50]: some merges
   for (const auto& c : refined) {
     // Any cluster produced by a merge satisfies the bound; original
     // clusters here all have diameter < 1 anyway.
-    EXPECT_LE(c.Diameter(), opts.diameter_threshold + 1e-9);
+    EXPECT_LE(c.Diameter(), threshold + 1e-9);
   }
 }
 
@@ -133,9 +112,7 @@ TEST(RefineTest, CarriesImageSummariesThroughMerges) {
   b.AddRow({{10.5}, {200.0}});
   clusters.push_back(std::move(a));
   clusters.push_back(std::move(b));
-  RefineOptions opts;
-  opts.diameter_threshold = 2.0;
-  auto refined = RefineClusters(std::move(clusters), opts);
+  auto refined = RefineClusters(std::move(clusters), 2.0);
   ASSERT_EQ(refined.size(), 1u);
   EXPECT_DOUBLE_EQ(refined[0].image(1).ls()[0], 300.0);
 }

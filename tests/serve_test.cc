@@ -1855,6 +1855,51 @@ std::string HttpExchange(uint16_t port, const std::string& request) {
   return response;
 }
 
+TEST(RuleServerTest, HttpRequestsThatDoNotRouteSpendNoQuota) {
+  // An HTTP request is admitted once it routes, as a binary one is once it
+  // decodes: a 404 and a 400 leave the tenant's one-request quota intact.
+  ServedStream served = MakeServedStream(1000);
+  QueryService service;
+  service.AttachStream(*served.stream);
+  serve::ServerConfig config;
+  config.admission.max_tenant_requests = 1;
+  serve::RuleServer server(service, config);
+  ASSERT_TRUE(server.Start().ok());
+  const auto status_line = [&server](const std::string& target) {
+    const std::string response = HttpExchange(
+        server.port(), "GET " + target + " HTTP/1.1\r\nX-Tenant: t\r\n\r\n");
+    return response.substr(0, response.find("\r\n"));
+  };
+  EXPECT_EQ(status_line("/v1/nope"), "HTTP/1.1 404 Not Found");
+  EXPECT_EQ(status_line("/v1/rules?limit=-1"), "HTTP/1.1 400 Bad Request");
+  EXPECT_EQ(status_line("/v1/info"), "HTTP/1.1 200 OK");
+  EXPECT_EQ(status_line("/v1/info"), "HTTP/1.1 429 Too Many Requests");
+  EXPECT_EQ(server.admission().shed_count(), 1u);
+  server.Stop();
+}
+
+TEST(RuleServerTest, HttpContentLengthMustBeANonNegativeInteger) {
+  ServedStream served = MakeServedStream(1000);
+  QueryService service;
+  service.AttachStream(*served.stream);
+  serve::RuleServer server(service, serve::ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  for (const std::string length : {"four", "5x", "-1"}) {
+    const std::string response =
+        HttpExchange(server.port(), "POST /v1/query HTTP/1.1\r\n"
+                                    "Content-Length: " + length +
+                                        "\r\n\r\n1,2,3");
+    EXPECT_EQ(response.substr(0, response.find("\r\n")),
+              "HTTP/1.1 400 Bad Request")
+        << length;
+    EXPECT_NE(response.find("Content-Length \\\"" + length +
+                            "\\\" is not a non-negative integer"),
+              std::string::npos)
+        << response;
+  }
+  server.Stop();
+}
+
 TEST(RuleServerTest, HttpBodiesArePinned) {
   // Every endpoint's whole answer over a live server, on the two-generation
   // quality stream: status line, headers and JSON body.
